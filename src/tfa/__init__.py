@@ -78,6 +78,7 @@ from .tda import (
     DampedHessian,
     DegenerateGradientError,
     RankingResult,
+    attribution_scores,
     dense_hessian,
     grad_cos,
     grad_effect,

@@ -469,44 +469,6 @@ def mse_loss(logits: Node, labels: np.ndarray, num_classes: int) -> Node:
     return div(reduce_sum(mul(diff, diff), axis=1), float(k))
 
 
-_RECORDABLE = None
-
-
-def record(kind: str, *parents, **kwargs) -> Node:
-    """Record an operation by name. Thin dispatcher over the op functions."""
-    global _RECORDABLE
-    if _RECORDABLE is None:
-        _RECORDABLE = {
-            "add": add,
-            "neg": neg,
-            "mul": mul,
-            "div": div,
-            "pow": power,
-            "exp": exp,
-            "log": log,
-            "relu": relu,
-            "sum": reduce_sum,
-            "broadcast": broadcast_to,
-            "reshape": reshape,
-            "permute": permute,
-            "matmul": matmul,
-            "take": take,
-            "scatter": scatter,
-            "dot": dot,
-            "norm": norm,
-            "cosine": cosine,
-            "conv2d": conv2d,
-            "maxpool": maxpool2d,
-            "softmax-cross-entropy": softmax_cross_entropy,
-            "mse": mse_loss,
-        }
-    try:
-        op = _RECORDABLE[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind {kind!r}") from None
-    return op(*parents, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # backward
 
@@ -568,20 +530,6 @@ def backward(root: Node, wrt) -> list[Node]:
 def grad(root: Node, target: Node) -> np.ndarray:
     """Value of d(root)/d(target). Convenience wrapper over backward."""
     return backward(root, [target])[0].value
-
-
-def grad_through_backward(build_scalar, target: Node) -> np.ndarray:
-    """Gradient of a scalar that is itself a function of gradients.
-
-    ``build_scalar`` is called with no arguments and must return a scalar
-    node; it is expected to call :func:`backward` internally so the scalar
-    depends on first-order gradients. The result is the gradient of that
-    scalar with respect to ``target``, obtained by a second reverse sweep
-    over the extended graph.
-    """
-    scalar = build_scalar()
-    _check_scalar(scalar, "double-backward scalar")
-    return backward(scalar, [target])[0].value
 
 
 def finite_diff_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

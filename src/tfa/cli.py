@@ -68,6 +68,13 @@ def add_train_flags(p):
     p.add_argument("--loss", choices=("cross-entropy", "mse"), default="cross-entropy")
 
 
+def positive_float(text) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def add_smoothing_flags(p, samples_default=10):
     p.add_argument("--sigma", type=float, default=0.05)
     p.add_argument("--samples", type=int, default=samples_default)
@@ -93,7 +100,7 @@ def build_parser() -> Parser:
     p.add_argument("--test-index", type=int, required=True)
     p.add_argument("--method", choices=("grad-cos", "grad-effect", "influence", "relatif"), default="grad-cos")
     p.add_argument("--top", type=int, default=10, help="rows to print per tail")
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--epsilon", type=positive_float, default=1e-3)
     p.add_argument("--lam", type=float, help="Hessian damping (default: auto, kept positive definite)")
     p.add_argument("--hessian-examples", type=int, default=200, help="training subset used for the dense Hessian")
 
@@ -160,7 +167,10 @@ def apply_config_file(parser, argv):
             dest = key.replace("-", "_")
             for act in action._actions:
                 if act.dest == dest:
-                    usable[dest] = value if act.type is None else act.type(value)
+                    try:
+                        usable[dest] = value if act.type is None else act.type(value)
+                    except (ValueError, argparse.ArgumentTypeError) as e:
+                        raise UsageError(f"{known.config}: {key}: {e}") from e
         action.set_defaults(**usable)
 
 
@@ -285,6 +295,7 @@ class Run:
             self.arch = tiny_cnn(input_shape, int(self.manifest["num_classes"]))
             self.model = Model(self.arch)
             self.params = ParamVector(np.load(self.path / "params.npy"), self.model.layout)
+            self.loss = self.manifest["loss"]
             args = argparse.Namespace(
                 data=self.manifest["data"],
                 size=int(self.manifest.get("size", 32)),
@@ -316,7 +327,7 @@ def cmd_rank(args) -> int:
     lam = args.lam
     if args.method in ("influence", "relatif"):
         subset = run.train_ds.subset(range(min(args.hessian_examples, len(run.train_ds))))
-        hessian = dense_hessian(run.model, run.params, subset)
+        hessian = dense_hessian(run.model, run.params, subset, run.loss)
         if lam is None:
             # partially trained models have indefinite Hessians; damp past
             # the most negative eigenvalue so the solve stays well posed
@@ -332,6 +343,7 @@ def cmd_rank(args) -> int:
         epsilon=args.epsilon,
         hessian=hessian,
         lam=lam,
+        kind=run.loss,
     )
     rows = [(r.train_index, r.method, r.score) for r in ranking.records]
     table = run.path / "tables" / f"rank_test{args.test_index}_{args.method}.csv"
@@ -372,6 +384,7 @@ def cmd_saliency(args) -> int:
         sigma=sigma,
         samples=samples,
         seed=args.seed,
+        kind=run.loss,
         train_index=args.train_index,
         test_index=args.test_index,
     )
@@ -407,7 +420,9 @@ def cmd_insertion(args) -> int:
         seed=args.seed,
         fill=args.fill,
     )
-    results = paired_insertion_experiment(run.model, run.params, run.holdout, run.test_ds, config)
+    results = paired_insertion_experiment(
+        run.model, run.params, run.holdout, run.test_ds, config, kind=run.loss
+    )
     table = run.path / "tables" / "insertion.csv"
     write_csv(
         table,
@@ -454,6 +469,7 @@ def cmd_explain(args) -> int:
             sigma=args.sigma,
             samples=args.samples,
             seed=args.seed,
+            kind=run.loss,
             test_index=args.test_index,
         )
     for w in caught:
@@ -524,6 +540,7 @@ def cmd_patch_sweep(args) -> int:
         sigma=args.sigma,
         samples=args.samples,
         seed=child_seed(args.seed, "sweep"),
+        kind=args.loss,
     )
     out = Path(args.out)
     table = out / "tables" / "patch_sweep.csv"
@@ -566,6 +583,7 @@ def cmd_patch_sweep(args) -> int:
             "epochs": args.epochs,
             "batch_size": args.batch_size,
             "lr_decay": args.lr_decay,
+            "loss": args.loss,
         },
     )
     print(f"wrote {table}")

@@ -1,17 +1,18 @@
 """Training-data attribution scores.
 
-Methods that answer "which training examples made this prediction happen":
+One kernel, attribution_scores, scores an (N, p) matrix G of training-loss
+gradients against the test-loss gradient g, oriented so positive = helpful:
 
-* grad_cos: cosine similarity between the parameter gradients of a training
-  example's loss and a test example's loss. Positive means a step that helps
-  the training example also helps the test example.
-* grad_effect: first-order prediction of the test-loss change caused by one
-  loss-reducing step of size epsilon on the training example. Negative means
-  the step helps the test example.
-* influence_function / relatif: curvature-aware variants through a damped
-  Hessian solve. They keep the loss-change sign convention (negative =
-  helpful); rankings flip them so "descending score" always reads
-  most-helpful-first regardless of method.
+    grad-cos     G_i g / (||G_i|| ||g||)
+    grad-effect  epsilon G_i g / ||G_i||^2
+    influence    V_i g, where V = (H + lam I)^-1 G' (one solve, N right-hand sides)
+    relatif      V_i g / ||V_i||
+
+The pair scorers are one-row calls of the kernel; grad_effect,
+influence_function and relatif keep the loss-change sign (negative =
+helpful). One degenerate rule holds throughout: a gradient of norm at most
+DEGENERATE_NORM has no direction. rank_training_set skips such training
+rows with a warning; anywhere else it is an error.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class DegenerateGradientError(ValueError):
         self.norm = norm
         super().__init__(
             f"{side} gradient norm {norm:.3e} is below {DEGENERATE_NORM:.0e}; "
-            "cosine direction is undefined"
+            "its direction is undefined"
         )
 
 
@@ -73,57 +74,6 @@ def query_gradient(
     else:
         raise ValueError("test_label must be 'true' or 'predicted'")
     return model.param_grad(params, LabeledExample(z_test.x, label), kind)
-
-
-def _checked_norm(g: np.ndarray, side: str) -> float:
-    n = float(np.linalg.norm(g))
-    if n <= DEGENERATE_NORM:
-        raise DegenerateGradientError(side, n)
-    return n
-
-
-def grad_cos(
-    model: Model,
-    params: ParamVector,
-    z_train: LabeledExample,
-    z_test: LabeledExample,
-    kind: str = "cross-entropy",
-    test_label: str = "true",
-) -> float:
-    """Cosine of the train/test loss-gradient pair; in [-1, 1]."""
-    g_test = query_gradient(model, params, z_test, kind, test_label)
-    g_train = model.param_grad(params, z_train, kind)
-    return _cos(g_train, g_test)
-
-
-def _cos(g_train: np.ndarray, g_test: np.ndarray) -> float:
-    nt = _checked_norm(g_test, "test")
-    ntr = _checked_norm(g_train, "train")
-    return float(g_train @ g_test) / (ntr * nt)
-
-
-def grad_effect(
-    model: Model,
-    params: ParamVector,
-    z_train: LabeledExample,
-    z_test: LabeledExample,
-    epsilon: float = 1e-3,
-    kind: str = "cross-entropy",
-    test_label: str = "true",
-) -> float:
-    """Predicted test-loss change from one step of size epsilon on z_train.
-
-    The step is theta -> theta - epsilon g_train / ||g_train||^2, i.e. a step
-    that reduces the training example's loss by about epsilon. Negative
-    output means the test loss is predicted to drop.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    g_test = query_gradient(model, params, z_test, kind, test_label)
-    g_train = model.param_grad(params, z_train, kind)
-    _checked_norm(g_test, "test")
-    ntr = _checked_norm(g_train, "train")
-    return -epsilon * float(g_test @ g_train) / ntr**2
 
 
 @dataclass
@@ -202,6 +152,79 @@ def dense_hessian(
     return DampedHessian((H + H.T) / 2.0)
 
 
+def _checked_norm(g: np.ndarray, side: str):
+    n = np.linalg.norm(g, axis=-1)
+    if np.any(n <= DEGENERATE_NORM):
+        raise DegenerateGradientError(side, float(np.min(n)))
+    return n
+
+
+def attribution_scores(
+    G: np.ndarray,
+    g_test: np.ndarray,
+    method: str = "grad-cos",
+    *,
+    epsilon: float = 1e-3,
+    hessian: DampedHessian | None = None,
+    lam: float | None = None,
+) -> np.ndarray:
+    """Oriented scores (positive = helpful) of each gradient row of G (N, p) against g_test."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+    if method in ("influence", "relatif") and hessian is None:
+        raise ValueError(f"{method} needs a precomputed dense Hessian")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    test_norm = _checked_norm(g_test, "test")
+    norms = _checked_norm(G, "train")
+    V = hessian.solve(G.T, lam).T if method in ("influence", "relatif") else G
+    dots = np.einsum("ij,j->i", V, g_test)  # unlike a BLAS matvec, equal rows score equal
+    if method == "grad-cos":
+        return dots / (norms * test_norm)
+    if method == "grad-effect":
+        return epsilon * dots / norms**2
+    return dots / np.linalg.norm(V, axis=1) if method == "relatif" else dots
+
+
+def _loss_change(g_train: np.ndarray, g_test: np.ndarray, method: str, **kwargs) -> float:
+    """One pair's score on the loss-change convention: negative = helpful."""
+    return -float(attribution_scores(np.asarray(g_train)[None, :], g_test, method, **kwargs)[0])
+
+
+def grad_cos(
+    model: Model,
+    params: ParamVector,
+    z_train: LabeledExample,
+    z_test: LabeledExample,
+    kind: str = "cross-entropy",
+    test_label: str = "true",
+) -> float:
+    """Cosine of the train/test loss-gradient pair; in [-1, 1]."""
+    g_test = query_gradient(model, params, z_test, kind, test_label)
+    g_train = model.param_grad(params, z_train, kind)
+    return float(attribution_scores(g_train[None, :], g_test, "grad-cos")[0])
+
+
+def grad_effect(
+    model: Model,
+    params: ParamVector,
+    z_train: LabeledExample,
+    z_test: LabeledExample,
+    epsilon: float = 1e-3,
+    kind: str = "cross-entropy",
+    test_label: str = "true",
+) -> float:
+    """Predicted test-loss change from one step of size epsilon on z_train.
+
+    The step is theta -> theta - epsilon g_train / ||g_train||^2, i.e. a step
+    that reduces the training example's loss by about epsilon. Negative
+    output means the test loss is predicted to drop.
+    """
+    g_test = query_gradient(model, params, z_test, kind, test_label)
+    g_train = model.param_grad(params, z_train, kind)
+    return _loss_change(g_train, g_test, "grad-effect", epsilon=epsilon)
+
+
 def influence_function(
     hessian: DampedHessian,
     g_train: np.ndarray,
@@ -213,7 +236,7 @@ def influence_function(
     This is the first-order change in test loss per unit of upweighting of
     the training example: negative output = helpful example.
     """
-    return -float(np.asarray(g_test) @ hessian.solve(np.asarray(g_train), lam))
+    return _loss_change(g_train, g_test, "influence", hessian=hessian, lam=lam)
 
 
 def relatif(
@@ -227,12 +250,7 @@ def relatif(
     Dividing by ||(H + lam I)^-1 g_train|| removes the advantage of
     large-gradient (typically high-loss or outlier) training examples.
     """
-    g_train = np.asarray(g_train)
-    v = hessian.solve(g_train, lam)
-    nv = float(np.linalg.norm(v))
-    if nv <= DEGENERATE_NORM:
-        raise DegenerateGradientError("train", nv)
-    return -float(np.asarray(g_test) @ v) / nv
+    return _loss_change(g_train, g_test, "relatif", hessian=hessian, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -273,43 +291,23 @@ def rank_training_set(
 ) -> RankingResult:
     """Score every training example against one test example and sort.
 
-    Scores are oriented so that positive = helpful for every method; for the
-    loss-change-convention methods (grad-effect, influence, relatif) that
-    means the raw value is negated before ranking. Sorting is by descending
-    score with ties broken by ascending train index. Training examples whose
-    gradient is degenerate are skipped with a warning, not fatal; a
-    degenerate test gradient is an error.
+    Scores come from one attribution_scores call on the matrix of training
+    gradients, so positive = helpful for every method. Sorting is by
+    descending score, ties broken by ascending train index. Degenerate
+    training gradients are skipped with a warning.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
-    if method in ("influence", "relatif") and hessian is None:
-        raise ValueError(f"{method} needs a precomputed dense Hessian")
     g_test = query_gradient(model, params, z_test, kind, test_label)
-    _checked_norm(g_test, "test")
-
-    records = []
-    skipped = []
+    G = np.empty((len(dataset), g_test.size))
     for i in range(len(dataset)):
-        g_train = model.param_grad(params, dataset.example(i), kind)
-        ntr = float(np.linalg.norm(g_train))
-        if ntr <= DEGENERATE_NORM:
-            skipped.append(i)
-            continue
-        if method == "grad-cos":
-            score = _cos(g_train, g_test)
-        elif method == "grad-effect":
-            score = epsilon * float(g_test @ g_train) / ntr**2
-        elif method == "influence":
-            score = -influence_function(hessian, g_train, g_test, lam)
-        else:
-            score = -relatif(hessian, g_train, g_test, lam)
-        records.append(AttributionRecord(i, test_index, method, float(score)))
-
+        G[i] = model.param_grad(params, dataset.example(i), kind)
+    keep = np.linalg.norm(G, axis=1) > DEGENERATE_NORM
+    skipped = np.flatnonzero(~keep).tolist()
     if skipped:
-        warnings.warn(
-            f"skipped {len(skipped)} training examples with degenerate gradients",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        message = f"skipped {len(skipped)} training examples with degenerate gradients"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+        G = G[keep]
+    scores = attribution_scores(G, g_test, method, epsilon=epsilon, hessian=hessian, lam=lam)
+    pairs = zip(np.flatnonzero(keep).tolist(), scores.tolist())
+    records = [AttributionRecord(i, test_index, method, s) for i, s in pairs]
     records.sort(key=lambda r: (-r.score, r.train_index))
     return RankingResult(records, skipped)

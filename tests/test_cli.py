@@ -14,6 +14,7 @@ import pytest
 
 from tfa import cli
 from tfa.outputs import read_key_value
+from tfa.tda import rank_training_set
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,11 @@ class TestExitCodes:
 
     def test_out_of_range_test_index_is_data_error(self, run_dir, capsys):
         assert cli.main(["rank", "--run", str(run_dir), "--test-index", "999"]) == 2
+
+    def test_non_positive_epsilon_is_usage_error(self, run_dir, capsys):
+        code = cli.main(["rank", "--run", str(run_dir), "--test-index", "0", "--epsilon", "0"])
+        assert code == 1
+        assert "--epsilon" in capsys.readouterr().err
 
     def test_cifar_without_data_dir_is_usage_error(self, tmp_path, capsys):
         code = cli.main(
@@ -196,6 +202,20 @@ class TestRank:
         assert code == 0
         manifest = read_key_value(run_dir / "manifest_rank_test1_relatif.txt")
         assert float(manifest["lam"]) > 0.0
+
+    def test_mse_run_is_ranked_with_mse_gradients(self, tmp_path, capsys):
+        out = tmp_path / "mse"
+        flags = ["--size", "12", "--train-per-class", "6", "--holdout-per-class", "0"]
+        flags += ["--test-per-class", "2", "--epochs", "2", "--loss", "mse", "--seed", "1"]
+        assert cli.main(["train", *flags, "--out", str(out)]) == 0
+        assert cli.main(["rank", "--run", str(out), "--test-index", "0"]) == 0
+        lines = (out / "tables" / "rank_test0_grad-cos.csv").read_text().strip().splitlines()
+        table = [(int(i), float(score)) for i, _, score in (l.split(",") for l in lines[1:])]
+        run = cli.Run(out)
+        expected = rank_training_set(
+            run.model, run.params, run.train_ds, run.test_example(0), kind="mse"
+        )
+        assert table == [(r.train_index, r.score) for r in expected.records]
 
 
 class TestSaliency:

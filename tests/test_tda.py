@@ -8,6 +8,8 @@ analytic large-damping limit (influence scale, relatif vs grad-cos order).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
 from tfa import models
@@ -26,10 +28,12 @@ from tfa.models import (
 )
 from tfa.ridge import RidgeProblem, leave_one_out_delta, ridge_fit
 from tfa.tda import (
+    METHODS,
     AttributionRecord,
     DampedHessian,
     DegenerateGradientError,
     InsufficientDampingError,
+    attribution_scores,
     dense_hessian,
     grad_cos,
     grad_effect,
@@ -264,16 +268,18 @@ class TestRelatif:
         pool = ds.subset(range(24))
         z_test = ds.example(len(ds) - 1)
         h = dense_hessian(model, params, pool)
-        lam = 1e6 * float(np.abs(h.matrix).max())
         by_cos = rank_training_set(model, params, pool, z_test, method="grad-cos")
-        by_rel = rank_training_set(
-            model, params, pool, z_test, method="relatif", hessian=h, lam=lam
-        )
         order_cos = [r.train_index for r in by_cos.records]
-        order_rel = [r.train_index for r in by_rel.records]
-        assert order_cos == order_rel
-        tau = kendalltau(order_cos, order_rel).statistic
-        assert tau == 1.0
+        # at lam = 1e12 ||(H + lam I)^-1 g|| is below DEGENERATE_NORM although
+        # every g is not; RelatIF is scale-invariant and must not skip or fail
+        for lam in (1e6 * float(np.abs(h.matrix).max()), 1e12):
+            by_rel = rank_training_set(
+                model, params, pool, z_test, method="relatif", hessian=h, lam=lam
+            )
+            order_rel = [r.train_index for r in by_rel.records]
+            assert order_cos == order_rel
+            tau = kendalltau(order_cos, order_rel).statistic
+            assert tau == 1.0
 
 
 class TestRanking:
@@ -300,25 +306,30 @@ class TestRanking:
         # the example itself must be the top helpful match
         assert top[0].train_index == 0
 
-    def test_grad_effect_ranking_matches_grad_alignment(self):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_grad_effect_ranking_matches_grad_alignment(self, method):
         model, params, ds = trained_blobs(seed=17, n_per=8, epochs=3)
         z_test = ds.example(5)
-        result = rank_training_set(model, params, ds, z_test, method="grad-effect")
+        h = dense_hessian(model, params, ds)
+        lam = h.default_damping() + max(0.0, -1.1 * float(np.linalg.eigvalsh(h.matrix)[0]))
+        result = rank_training_set(model, params, ds, z_test, method, hessian=h, lam=lam)
         g_test = model.param_grad(params, z_test)
-        raw = []
-        for i in range(len(ds)):
-            g = model.param_grad(params, ds.example(i))
-            raw.append(float(g_test @ g) / np.linalg.norm(g) ** 2)
-        expected = sorted(range(len(ds)), key=lambda i: (-raw[i], i))
-        assert [r.train_index for r in result.records] == expected
-        # oriented score equals minus the raw loss-change prediction
+        grads = [model.param_grad(params, ds.example(i)) for i in range(len(ds))]
+        if method == "grad-effect":
+            raw = [float(g_test @ g) / np.linalg.norm(g) ** 2 for g in grads]
+            expected = sorted(range(len(ds)), key=lambda i: (-raw[i], i))
+            assert [r.train_index for r in result.records] == expected
+        # the oriented score equals the pair scorer, negated where that
+        # scorer reports a loss change
+        pair = {
+            "grad-cos": lambda i: grad_cos(model, params, ds.example(i), z_test),
+            "grad-effect": lambda i: -grad_effect(model, params, ds.example(i), z_test),
+            "influence": lambda i: -influence_function(h, grads[i], g_test, lam),
+            "relatif": lambda i: -relatif(h, grads[i], g_test, lam),
+        }[method]
+        assert len(result.records) == len(ds)
         for record in result.records:
-            z_train = ds.example(record.train_index)
-            np.testing.assert_allclose(
-                record.score,
-                -grad_effect(model, params, z_train, z_test, epsilon=1e-3),
-                rtol=1e-10,
-            )
+            np.testing.assert_allclose(record.score, pair(record.train_index), rtol=1e-10)
 
     def test_degenerate_examples_skipped_with_warning(self):
         arch = ArchitectureSpec(layers=(Dense(2, 2),), input_shape=(2,), num_classes=2)
@@ -346,3 +357,38 @@ class TestRanking:
             rank_training_set(model, params, ds, ds.example(0), method="tracin")
         with pytest.raises(ValueError):
             rank_training_set(model, params, ds, ds.example(0), method="influence")
+        for epsilon in (0.0, -1e-3):
+            with pytest.raises(ValueError):
+                rank_training_set(
+                    model, params, ds, ds.example(0), method="grad-effect", epsilon=epsilon
+                )
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        p=st.integers(1, 12),
+        method=st.sampled_from(METHODS),
+    )
+    def test_rows_score_independently(self, seed, n, p, method):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((p, p))
+        h = DampedHessian(A @ A.T + np.eye(p))  # SPD, smallest eigenvalue at least 1
+        G, g_test = rng.standard_normal((n, p)), rng.standard_normal(p)
+        kw = dict(epsilon=1e-3, hessian=h, lam=0.1)
+        together = attribution_scores(G, g_test, method, **kw)
+        alone = np.array(
+            [attribution_scores(G[i : i + 1], g_test, method, **kw)[0] for i in range(n)]
+        )
+        # a score that cancels to near zero carries rounding relative to the
+        # Cauchy-Schwarz bound on |score|, not to itself
+        V = np.linalg.solve(h.matrix + 0.1 * np.eye(p), G.T).T
+        bound = {
+            "grad-cos": np.ones(n),
+            "grad-effect": 1e-3 * np.linalg.norm(g_test) / np.linalg.norm(G, axis=1),
+            "influence": np.linalg.norm(V, axis=1) * np.linalg.norm(g_test),
+            "relatif": np.full(n, np.linalg.norm(g_test)),
+        }[method]
+        assert np.all(np.abs(together - alone) <= 1e-12 * (np.abs(alone) + bound))
