@@ -12,9 +12,17 @@ primitives so their second derivatives come for free. Convolution is lowered
 to a flat gather (im2col) plus a matmul, and maxpool to a flat gather of
 per-window argmax positions; gather/scatter are exact linear adjoints of one
 another, which keeps double backprop through both exact.
+
+Lifetime: a :class:`Graph` owns its nodes, and each node refers back to its
+graph only weakly, so a graph holds no reference cycle. Once the caller drops
+the graph, reference counting frees it together with every node and array it
+recorded, without waiting for the cyclic garbage collector. A node kept past
+that point still has its value, but can no longer record operations.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -32,18 +40,29 @@ def _as_value(x) -> np.ndarray:
 
 
 class Node:
-    """One recorded value. Do not construct directly; use Graph or the ops."""
+    """One recorded value. Do not construct directly; use Graph or the ops.
 
-    __slots__ = ("graph", "id", "kind", "parents", "value", "meta", "_vjp")
+    A node holds its graph by weak reference (the graph owns the node), so
+    ``node.graph`` raises :class:`GraphError` once the graph is released.
+    """
 
-    def __init__(self, graph, node_id, kind, parents, value, vjp=None, meta=None):
-        self.graph = graph
+    __slots__ = ("_graph", "id", "kind", "parents", "value", "meta", "_vjp", "__weakref__")
+
+    def __init__(self, graph_ref, node_id, kind, parents, value, vjp=None, meta=None):
+        self._graph = graph_ref
         self.id = node_id
         self.kind = kind
         self.parents = parents
         self.value = value
         self.meta = meta
         self._vjp = vjp
+
+    @property
+    def graph(self) -> Graph:
+        graph = self._graph()
+        if graph is None:
+            raise GraphError(f"the graph of node {self.id} ({self.kind}) has been released")
+        return graph
 
     @property
     def shape(self):
@@ -99,15 +118,18 @@ class Graph:
     """Append-only record of a computation.
 
     Node ids are assigned in creation order, so parents always precede
-    children; both backward sweeps below lean on that ordering.
+    children; both backward sweeps below lean on that ordering. The graph
+    owns its nodes; keep it referenced for as long as its nodes are used to
+    record operations or as ``backward`` roots.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
         self.leaf_ids: set[int] = set()
+        self._ref = weakref.ref(self)
 
     def _append(self, kind, parents, value, vjp=None, meta=None) -> Node:
-        node = Node(self, len(self.nodes), kind, parents, value, vjp, meta)
+        node = Node(self._ref, len(self.nodes), kind, parents, value, vjp, meta)
         self.nodes.append(node)
         return node
 
@@ -210,10 +232,11 @@ def div(a, b) -> Node:
         ga = _unbroadcast(div(g, b), a.shape) if needs[0] else None
         gb = None
         if needs[1]:
-            gb = _unbroadcast(neg(div(mul(g, out), b)), b.shape)
+            gb = _unbroadcast(neg(div(mul(g, out_ref()), b)), b.shape)
         return (ga, gb)
 
     out = a.graph._append("div", (a, b), a.value / b.value, vjp)
+    out_ref = weakref.ref(out)  # a strong reference would make the node a cycle
     return out
 
 
@@ -228,9 +251,10 @@ def power(a: Node, exponent: float) -> Node:
 
 def exp(a: Node) -> Node:
     def vjp(g, needs):
-        return (mul(g, out),)
+        return (mul(g, out_ref()),)
 
     out = a.graph._append("exp", (a,), np.exp(a.value), vjp)
+    out_ref = weakref.ref(out)  # a strong reference would make the node a cycle
     return out
 
 
@@ -411,6 +435,14 @@ def conv2d(x: Node, weight: Node, bias: Node | None = None, stride: int = 1) -> 
     return permute(reshape(out, (n, ho, wo, cout)), (0, 3, 1, 2))
 
 
+def _pool_windows(value: np.ndarray, k: int) -> np.ndarray:
+    """(n, c, h, w) values as (n, c, h//k, w//k, k*k) non-overlapping windows."""
+    n, c, h, w = value.shape
+    ho, wo = h // k, w // k
+    v = value[:, :, : ho * k, : wo * k]
+    return v.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
+
+
 def maxpool2d(x: Node, k: int) -> Node:
     """Max pooling with window and stride k; trailing rows/cols are dropped."""
     if x.value.ndim != 4:
@@ -419,9 +451,7 @@ def maxpool2d(x: Node, k: int) -> Node:
     ho, wo = h // k, w // k
     if ho == 0 or wo == 0:
         raise ShapeError(f"maxpool2d: window {k} larger than input {h}x{w}")
-    v = x.value[:, :, : ho * k, : wo * k]
-    windows = v.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
-    arg = windows.argmax(axis=-1)  # first max wins, i.e. lowest flat index
+    arg = _pool_windows(x.value, k).argmax(axis=-1)  # first max wins, i.e. lowest flat index
     u, vv = arg // k, arg % k
     ii = np.arange(ho)[None, None, :, None] * k + u
     jj = np.arange(wo)[None, None, None, :] * k + vv
@@ -559,12 +589,7 @@ def kink_margin(graph: Graph) -> float:
                 margin = min(margin, float(np.min(np.abs(values))))
         elif node.kind == "maxpool":
             k = node.meta["window"]
-            n, c, h, w = node.parents[0].shape
-            ho, wo = h // k, w // k
-            v = node.parents[0].value[:, :, : ho * k, : wo * k]
-            windows = (
-                v.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(-1, k * k)
-            )
+            windows = _pool_windows(node.parents[0].value, k).reshape(-1, k * k)
             if windows.shape[1] > 1:
                 top2 = np.partition(windows, -2, axis=1)[:, -2:]
                 gaps = top2[:, 1] - top2[:, 0]

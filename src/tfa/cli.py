@@ -190,15 +190,18 @@ def parse_float_list(text) -> list:
 
 def build_datasets(args, data_seed):
     if args.data == "synthetic":
-        spec = SyntheticShapesSpec(
-            size=args.size,
-            num_classes=args.classes,
-            noise=args.noise,
-            train_per_class=args.train_per_class,
-            holdout_per_class=args.holdout_per_class,
-            test_per_class=args.test_per_class,
-            seed=data_seed,
-        )
+        try:
+            spec = SyntheticShapesSpec(
+                size=args.size,
+                num_classes=args.classes,
+                noise=args.noise,
+                train_per_class=args.train_per_class,
+                holdout_per_class=args.holdout_per_class,
+                test_per_class=args.test_per_class,
+                seed=data_seed,
+            )
+        except ValueError as e:
+            raise UsageError(f"bad data flags: {e}") from e
         return generate_synthetic(spec)
     if not args.data_dir:
         raise UsageError("--data cifar10 needs --data-dir")
@@ -213,6 +216,20 @@ def build_datasets(args, data_seed):
     keep = sorted(set(range(len(train_ds))) - set(hold_idx))
     holdout = Dataset(train_ds.X[hold_idx], train_ds.y[hold_idx]) if hold_idx else None
     return Dataset(train_ds.X[keep], train_ds.y[keep]), holdout, test_ds
+
+
+def train_config(args, seed) -> TrainConfig:
+    try:
+        return TrainConfig(
+            lr=args.lr,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            seed=seed,
+            loss=args.loss,
+            lr_decay=args.lr_decay,
+        )
+    except ValueError as e:
+        raise UsageError(f"bad training flags: {e}") from e
 
 
 def data_manifest(args, data_seed) -> dict:
@@ -239,20 +256,12 @@ def data_manifest(args, data_seed) -> dict:
 
 def cmd_train(args) -> int:
     data_seed = child_seed(args.seed, "data")
-    train_seed = child_seed(args.seed, "train")
+    config = train_config(args, child_seed(args.seed, "train"))
     train_ds, holdout, test_ds = build_datasets(args, data_seed)
     input_shape = train_ds.X.shape[1:]
     num_classes = int(train_ds.y.max()) + 1
     arch = tiny_cnn(input_shape, num_classes)
     model = Model(arch)
-    config = TrainConfig(
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=train_seed,
-        loss=args.loss,
-        lr_decay=args.lr_decay,
-    )
     params, history = train(train_ds, arch, config)
 
     out = Path(args.out)
@@ -270,7 +279,7 @@ def cmd_train(args) -> int:
         "batch_size": args.batch_size,
         "lr_decay": args.lr_decay,
         "loss": args.loss,
-        "train_seed": train_seed,
+        "train_seed": config.seed,
         "num_params": model.num_params,
         "final_train_accuracy": history.accuracies[-1] if history.accuracies else 0.0,
         "test_accuracy": model.accuracy(params, test_ds),
@@ -311,7 +320,7 @@ class Run:
             self.train_ds, self.holdout, self.test_ds = build_datasets(
                 args, int(self.manifest["data_seed"])
             )
-        except (KeyError, ValueError, OSError) as e:
+        except (KeyError, ValueError, OSError, UsageError) as e:
             raise FormatError(f"cannot restore run from {self.path}: {e}") from e
 
     def test_example(self, index):
@@ -519,14 +528,7 @@ def cmd_patch_sweep(args) -> int:
             f"--patch-color has {len(color)} channels, images have {input_shape[0]}"
         )
     spec = PatchSpec(size=args.patch_size, color=color, target_class=args.target_class, fraction=0.0)
-    config = TrainConfig(
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=0,  # replaced per fraction inside the sweep
-        loss=args.loss,
-        lr_decay=args.lr_decay,
-    )
+    config = train_config(args, seed=0)  # seed replaced per fraction inside the sweep
     rows = patch_sweep(
         train_ds,
         test_ds,

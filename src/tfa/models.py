@@ -4,6 +4,12 @@ Architectures are declarative layer lists; parameters live in one flat
 float64 vector so attribution code can treat "the parameters" as a single
 differentiation target. Losses are recorded per example; minibatch training
 takes the explicit mean over a batched tensor.
+
+The plain-value passes (``Model.logits`` and ``Model.mean_loss``, and with
+them ``predict`` and ``accuracy``) record at most ``EVAL_ROWS`` examples per
+graph, so their memory stays flat in the dataset size. ``EVAL_ROWS`` equals
+the default training batch size, so those slices reuse the convolution
+indices that training has already cached for that batch shape.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from . import autodiff as ad
 from .rng import stream
 
 LOSS_KINDS = ("cross-entropy", "mse")
+EVAL_ROWS = 32  # examples per graph in plain-value passes; TrainConfig's default batch_size
 
 
 @dataclass(frozen=True)
@@ -332,9 +339,13 @@ class Model:
     # -- plain-value conveniences -------------------------------------------
 
     def logits(self, params: ParamVector, X: np.ndarray) -> np.ndarray:
-        graph = ad.Graph()
-        node, _ = self.record_forward(graph.constant(params.data), graph.constant(X))
-        return node.value
+        out = np.empty((len(X), self.arch.num_classes))
+        for start in range(0, len(X), EVAL_ROWS):
+            rows = slice(start, start + EVAL_ROWS)
+            graph = ad.Graph()
+            node, _ = self.record_forward(graph.constant(params.data), graph.constant(X[rows]))
+            out[rows] = node.value
+        return out
 
     def predict(self, params: ParamVector, X: np.ndarray) -> np.ndarray:
         return self.logits(params, X).argmax(axis=1)
@@ -343,6 +354,8 @@ class Model:
         return int(self.predict(params, np.asarray(x)[None])[0])
 
     def accuracy(self, params: ParamVector, dataset: Dataset) -> float:
+        if len(dataset) == 0:
+            raise ValueError("accuracy of an empty dataset is undefined")
         return float(np.mean(self.predict(params, dataset.X) == dataset.y))
 
     def loss(self, params: ParamVector, example: LabeledExample, kind: str = "cross-entropy") -> float:
@@ -353,11 +366,17 @@ class Model:
         return float(node.value)
 
     def mean_loss(self, params: ParamVector, dataset: Dataset, kind: str = "cross-entropy") -> float:
-        graph = ad.Graph()
-        node = self.record_batch_loss(
-            graph.constant(params.data), graph.constant(dataset.X), dataset.y, kind
-        )
-        return float(node.value)
+        n = len(dataset)
+        if n == 0:
+            raise ValueError("mean loss of an empty dataset is undefined")
+        per = np.empty(n)
+        for start in range(0, n, EVAL_ROWS):
+            rows = slice(start, start + EVAL_ROWS)
+            graph = ad.Graph()
+            per[rows] = self.record_per_example_loss(
+                graph.constant(params.data), graph.constant(dataset.X[rows]), dataset.y[rows], kind
+            ).value
+        return float(np.sum(per) / n)
 
     def param_grad(self, params: ParamVector, example: LabeledExample, kind: str = "cross-entropy") -> np.ndarray:
         """Flat gradient of one example's loss with respect to the parameters."""

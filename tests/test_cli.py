@@ -64,6 +64,17 @@ class TestExitCodes:
         assert code == 1
         assert "--epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--batch-size", "0"], ["--test-per-class", "0"], ["--lr", "0"]]
+    )
+    def test_invalid_train_value_is_usage_error(self, flag, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = cli.main(["train", "--size", "12", "--epochs", "1", *flag, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_cifar_without_data_dir_is_usage_error(self, tmp_path, capsys):
         code = cli.main(
             ["train", "--data", "cifar10", "--out", str(tmp_path / "r")]

@@ -252,3 +252,44 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(loss="hinge")
+
+
+class TestEvaluationSlices:
+    """Plain-value passes record at most EVAL_ROWS examples per graph."""
+
+    @staticmethod
+    def setup_70():
+        arch = tiny_cnn(num_classes=3)
+        model = Model(arch)
+        params = init_params(arch, seed=16)
+        rng = np.random.default_rng(17)
+        ds = Dataset(rng.uniform(0.0, 1.0, size=(70, 1, 12, 12)), rng.integers(0, 3, size=70))
+        return arch, model, params, ds
+
+    @pytest.mark.parametrize("kind", models.LOSS_KINDS)
+    def test_slices_match_one_graph(self, kind):
+        _, model, params, ds = self.setup_70()
+        graph = ad.Graph()
+        theta, X = graph.constant(params.data), graph.constant(ds.X)
+        logits, _ = model.record_forward(theta, X)
+        loss = model.record_batch_loss(theta, X, ds.y, kind)
+
+        np.testing.assert_allclose(model.logits(params, ds.X), logits.value, rtol=1e-12)
+        np.testing.assert_array_equal(model.predict(params, ds.X), logits.value.argmax(axis=1))
+        np.testing.assert_allclose(model.mean_loss(params, ds, kind), float(loss.value), rtol=1e-12)
+
+    def test_training_and_accuracy_cache_no_index_past_eval_rows(self, monkeypatch):
+        arch, model, _, ds = self.setup_70()
+        monkeypatch.setattr(ad, "_CONV_INDEX_CACHE", {})
+        params, _ = train(ds, arch, TrainConfig(lr=0.1, epochs=1, batch_size=32, seed=18))
+        model.accuracy(params, ds)
+        assert sorted({key[0] for key in ad._CONV_INDEX_CACHE}) == [6, 32]
+
+    def test_empty_dataset(self):
+        _, model, params, ds = self.setup_70()
+        empty = Dataset(ds.X[:0], ds.y[:0])
+        assert model.logits(params, empty.X).shape == (0, 3)
+        with pytest.raises(ValueError, match="empty dataset"):
+            model.mean_loss(params, empty)
+        with pytest.raises(ValueError, match="empty dataset"):
+            model.accuracy(params, empty)
