@@ -18,6 +18,8 @@ graph only weakly, so a graph holds no reference cycle. Once the caller drops
 the graph, reference counting frees it together with every node and array it
 recorded, without waiting for the cyclic garbage collector. A node kept past
 that point still has its value, but can no longer record operations.
+:meth:`Graph.truncate` releases the nodes after a mark in the same way, so
+several backward sweeps can share one recorded forward pass.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ class Graph:
     Node ids are assigned in creation order, so parents always precede
     children; both backward sweeps below lean on that ordering. The graph
     owns its nodes; keep it referenced for as long as its nodes are used to
-    record operations or as ``backward`` roots.
+    record operations or as ``backward`` roots. The only way to remove nodes
+    is :meth:`truncate`, which drops a suffix.
     """
 
     def __init__(self):
@@ -148,6 +151,27 @@ class Graph:
         if not np.all(np.isfinite(value)):
             raise ValueError("constant value contains non-finite entries")
         return self._append("const", (), value)
+
+    def truncate(self, length: int) -> None:
+        """Drop every node recorded after the first ``length``.
+
+        A dropped node keeps its value, but ``node.graph`` raises
+        :class:`GraphError`, as for a released graph, and its id is removed
+        from ``leaf_ids``; the next node recorded gets id ``length``. Nodes
+        before the mark are untouched, so ``length = len(graph.nodes)`` taken
+        after a forward pass lets each later sweep reuse that pass and then
+        free what it recorded.
+        """
+        if not 0 <= length <= len(self.nodes):
+            raise ValueError(f"cannot truncate a graph of {len(self.nodes)} nodes to {length}")
+        for node in self.nodes[length:]:
+            node._graph = _RELEASED
+        del self.nodes[length:]
+        self.leaf_ids = {i for i in self.leaf_ids if i < length}
+
+
+# a weak reference whose graph is already gone: what a truncated node holds
+_RELEASED = weakref.ref(Graph())
 
 
 def _lift(graph: Graph, x) -> Node:

@@ -33,7 +33,7 @@ from .outputs import format_value, read_key_value, write_csv, write_grid_artifac
 from .ridge import ToySetup, feature_contributions, representer_coefficients
 from .rng import child_seed
 from .saliency import channel_aggregate, smoothgrad_saliency
-from .tda import dense_hessian, rank_training_set
+from .tda import InsufficientDampingError, dense_hessian, rank_training_set
 
 
 class UsageError(Exception):
@@ -334,26 +334,32 @@ def cmd_rank(args) -> int:
     z_test = run.test_example(args.test_index)
     hessian = None
     lam = args.lam
+    smallest = None
     if args.method in ("influence", "relatif"):
+        if args.hessian_examples < 1:
+            raise UsageError(f"--hessian-examples must be at least 1 for {args.method}")
         subset = run.train_ds.subset(range(min(args.hessian_examples, len(run.train_ds))))
         hessian = dense_hessian(run.model, run.params, subset, run.loss)
+        smallest = float(np.linalg.eigvalsh(hessian.matrix)[0])
         if lam is None:
             # partially trained models have indefinite Hessians; damp past
             # the most negative eigenvalue so the solve stays well posed
-            smallest = float(np.linalg.eigvalsh(hessian.matrix)[0])
             lam = hessian.default_damping() + max(0.0, -1.1 * smallest)
-    ranking = rank_training_set(
-        run.model,
-        run.params,
-        run.train_ds,
-        z_test,
-        args.method,
-        test_index=args.test_index,
-        epsilon=args.epsilon,
-        hessian=hessian,
-        lam=lam,
-        kind=run.loss,
-    )
+    try:
+        ranking = rank_training_set(
+            run.model,
+            run.params,
+            run.train_ds,
+            z_test,
+            args.method,
+            test_index=args.test_index,
+            epsilon=args.epsilon,
+            hessian=hessian,
+            lam=lam,
+            kind=run.loss,
+        )
+    except InsufficientDampingError as e:
+        raise UsageError(f"--lam {args.lam}: {e}") from e
     rows = [(r.train_index, r.method, r.score) for r in ranking.records]
     table = run.path / "tables" / f"rank_test{args.test_index}_{args.method}.csv"
     write_csv(table, ("train_index", "method", "score"), rows)
@@ -365,6 +371,7 @@ def cmd_rank(args) -> int:
             "method": args.method,
             "epsilon": args.epsilon,
             "lam": "unused" if lam is None else lam,
+            "lambda_min": "unused" if smallest is None else smallest,
             "hessian_examples": args.hessian_examples if hessian is not None else 0,
             "skipped": len(ranking.skipped),
         },

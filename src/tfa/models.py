@@ -10,10 +10,17 @@ them ``predict`` and ``accuracy``) record at most ``EVAL_ROWS`` examples per
 graph, so their memory stays flat in the dataset size. ``EVAL_ROWS`` equals
 the default training batch size, so those slices reuse the convolution
 indices that training has already cached for that batch shape.
+
+Attribution ranks one training set many times at fixed parameters, so a
+``Model`` keeps the last matrix of per-example training gradients that
+``Model.param_grads`` built. The store holds one entry, keyed by the loss kind
+and the shapes and bytes of the parameters, inputs and labels; it lives and
+dies with the ``Model`` instance, and the matrix it hands out is read-only.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,6 +238,8 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
+        if indices.size == 0:
+            indices = indices.astype(np.intp)  # an empty list or range is a float array
         return Dataset(self.X[indices], self.y[indices])
 
     def class_indices(self, label: int) -> np.ndarray:
@@ -281,6 +290,7 @@ class Model:
             (s.layer, s.name): np.arange(s.offset, s.offset + int(np.prod(s.shape)))
             for s in self.layout
         }
+        self._grads = None  # (key, read-only G) of the last param_grads call
 
     def _param(self, theta: ad.Node, layer: int, name: str, shape: tuple) -> ad.Node:
         return ad.reshape(ad.take(theta, self._slice_index[(layer, name)]), shape)
@@ -384,6 +394,30 @@ class Model:
         theta = graph.leaf(params.data)
         loss = self.record_example_loss(theta, graph.constant(example.x), example.y, kind)
         return ad.grad(loss, theta)
+
+    def param_grads(self, params: ParamVector, dataset: Dataset, kind: str = "cross-entropy") -> np.ndarray:
+        """(N, p) matrix whose row i is ``param_grad`` of example i, read-only.
+
+        The rows come from the same ``param_grad`` calls, in order, so they
+        are bitwise equal to them. The model keeps the last matrix, keyed by
+        ``kind``, the array shapes and a digest of the bytes of ``params.data``,
+        ``dataset.X`` and ``dataset.y``: a repeat call returns the same matrix,
+        and any change to those arrays, in place or not, rebuilds it. The
+        matrix is freed with the model or by the next rebuild.
+        """
+        digest = hashlib.blake2b()
+        for a in (params.data, dataset.X, dataset.y):
+            digest.update(np.ascontiguousarray(a))
+        key = (kind, params.data.shape, dataset.X.shape, dataset.y.shape, digest.digest())
+        if self._grads is not None and self._grads[0] == key:
+            return self._grads[1]
+        self._grads = None  # free the old matrix before building the new one
+        G = np.empty((len(dataset), self.num_params))
+        for i in range(len(dataset)):
+            G[i] = self.param_grad(params, dataset.example(i), kind)
+        G.flags.writeable = False
+        self._grads = (key, G)
+        return G
 
     def batch_grad(self, params: ParamVector, dataset: Dataset, kind: str = "cross-entropy") -> np.ndarray:
         graph = ad.Graph()

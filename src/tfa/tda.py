@@ -132,23 +132,27 @@ def dense_hessian(
 ) -> DampedHessian:
     """Hessian of the mean loss over the dataset, column by column.
 
-    Each column j is the gradient of (gradient of the mean loss)_j, obtained
-    by differentiating through the recorded backward pass. The result is
+    The forward pass and the first backward are recorded once. Column j is
+    then the gradient of (gradient of the mean loss)_j, a second sweep on
+    that shared graph, which is truncated back to the first backward after
+    each column, so only one column's sweep is held at a time. The columns
+    are bitwise equal to sweeps on a fresh graph each. The result is
     symmetrized; the raw asymmetry is a few ulps of roundoff.
     """
     p = model.num_params
     if p > max_params:
         raise ValueError(f"{p} parameters exceeds the dense-Hessian cap {max_params}")
-    X = dataset.X
-    y = dataset.y
+    if len(dataset) == 0:
+        raise ValueError("Hessian of an empty dataset is undefined")
+    graph = ad.Graph()
+    theta = graph.leaf(params.data)
+    loss = model.record_batch_loss(theta, graph.constant(dataset.X), dataset.y, kind)
+    (g,) = ad.backward(loss, [theta])
+    mark = len(graph.nodes)
     H = np.empty((p, p))
     for j in range(p):
-        graph = ad.Graph()
-        theta = graph.leaf(params.data)
-        loss = model.record_batch_loss(theta, graph.constant(X), y, kind)
-        (g,) = ad.backward(loss, [theta])
-        gj = ad.take(g, np.array([j]))
-        H[:, j] = ad.grad(gj, theta)
+        H[:, j] = ad.grad(ad.take(g, np.array([j])), theta)
+        graph.truncate(mark)
     return DampedHessian((H + H.T) / 2.0)
 
 
@@ -292,14 +296,14 @@ def rank_training_set(
     """Score every training example against one test example and sort.
 
     Scores come from one attribution_scores call on the matrix of training
-    gradients, so positive = helpful for every method. Sorting is by
+    gradients, so positive = helpful for every method. That matrix comes from
+    model.param_grads, which the model keeps, so ranking the same set again
+    at the same parameters computes only the test gradient. Sorting is by
     descending score, ties broken by ascending train index. Degenerate
     training gradients are skipped with a warning.
     """
     g_test = query_gradient(model, params, z_test, kind, test_label)
-    G = np.empty((len(dataset), g_test.size))
-    for i in range(len(dataset)):
-        G[i] = model.param_grad(params, dataset.example(i), kind)
+    G = model.param_grads(params, dataset, kind)
     keep = np.linalg.norm(G, axis=1) > DEGENERATE_NORM
     skipped = np.flatnonzero(~keep).tolist()
     if skipped:

@@ -354,6 +354,55 @@ class TestBackwardContracts:
         assert c.id == len(graph.nodes) - 1
 
 
+class TestTruncate:
+    def test_dropped_nodes_are_released(self):
+        graph = ad.Graph()
+        x = graph.leaf(np.array([0.5, 2.0]))
+        mark = len(graph.nodes)
+        y = ad.exp(x)
+        z = graph.leaf(np.array([1.0]))
+        graph.truncate(mark)
+        for node in (y, z):
+            with pytest.raises(ad.GraphError, match="released"):
+                node.graph
+        np.testing.assert_array_equal(y.value, np.exp([0.5, 2.0]))
+        assert graph.nodes == [x]
+        assert all(i < mark for i in graph.leaf_ids)
+        assert x.graph is graph
+        assert ad.neg(x).id == mark
+
+    def test_truncate_bounds(self):
+        graph = ad.Graph()
+        graph.leaf(1.0)
+        for length in (-1, 2):
+            with pytest.raises(ValueError):
+                graph.truncate(length)
+        graph.truncate(1)
+        assert len(graph.nodes) == 1
+
+    def test_backward_after_truncate_matches_fresh_graph(self):
+        rng = np.random.default_rng(21)
+        x_val, w_val = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+
+        def record(graph):
+            x, w = graph.leaf(x_val), graph.leaf(w_val)
+            root = ad.reduce_sum(ad.mul(ad.relu(ad.matmul(x, w)), ad.exp(ad.matmul(x, w))))
+            (gw,) = ad.backward(root, [w])
+            return x, w, gw
+
+        shared = ad.Graph()
+        x, w, gw = record(shared)
+        mark = len(shared.nodes)
+        for j in range(w_val.size):
+            got = ad.grad(ad.take(gw, np.array([j])), x)
+            shared.truncate(mark)
+            fresh = ad.Graph()
+            fx, _, fgw = record(fresh)
+            expected = ad.grad(ad.take(fgw, np.array([j])), fx)
+            np.testing.assert_array_equal(got, expected)
+            assert len(shared.nodes) == mark
+
+
 class TestDoubleBackward:
     def test_grad_norm_squared_of_linear_is_twice_input(self):
         rng = np.random.default_rng(15)

@@ -14,7 +14,7 @@ import pytest
 
 from tfa import cli
 from tfa.outputs import read_key_value
-from tfa.tda import rank_training_set
+from tfa.tda import dense_hessian, rank_training_set
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +213,40 @@ class TestRank:
         assert code == 0
         manifest = read_key_value(run_dir / "manifest_rank_test1_relatif.txt")
         assert float(manifest["lam"]) > 0.0
+
+    def test_manifest_records_damping_and_smallest_eigenvalue(self, run_dir, capsys):
+        base = ["rank", "--run", str(run_dir), "--test-index", "2", "--hessian-examples", "20"]
+        assert cli.main(base + ["--method", "influence"]) == 0
+        manifest = read_key_value(run_dir / "manifest_rank_test2_influence.txt")
+        run = cli.Run(run_dir)
+        hessian = dense_hessian(run.model, run.params, run.train_ds.subset(range(20)))
+        smallest = float(np.linalg.eigvalsh(hessian.matrix)[0])
+        assert float(manifest["lambda_min"]) == smallest
+        assert float(manifest["lam"]) == hessian.default_damping() + max(0.0, -1.1 * smallest)
+        assert cli.main(base) == 0
+        assert read_key_value(run_dir / "manifest_rank_test2_grad-cos.txt")["lambda_min"] == "unused"
+
+    @pytest.mark.parametrize("method", ["influence", "relatif"])
+    @pytest.mark.parametrize("examples", ["0", "-3"])
+    def test_no_hessian_examples_is_usage_error(self, run_dir, method, examples, capsys):
+        code = cli.main(
+            ["rank", "--run", str(run_dir), "--test-index", "0", "--method", method,
+             "--hessian-examples", examples]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--hessian-examples" in err
+
+    def test_indefinite_user_damping_is_usage_error(self, run_dir, capsys):
+        code = cli.main(
+            ["rank", "--run", str(run_dir), "--test-index", "0", "--method", "influence",
+             "--hessian-examples", "10", "--lam", "-1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--lam" in err and "smallest eigenvalue" in err
 
     def test_mse_run_is_ranked_with_mse_gradients(self, tmp_path, capsys):
         out = tmp_path / "mse"

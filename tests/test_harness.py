@@ -181,6 +181,22 @@ class TestPairedInsertion:
     def test_rerun_is_bit_identical(self):
         assert self.run() == self.run()
 
+    def test_holdout_gradients_are_computed_once(self, monkeypatch):
+        model, params, _, holdout, test = shapes12()
+        model = Model(model.arch)  # a model whose gradient store is empty
+        holdout_calls = []
+        original = Model.param_grad
+
+        def counted(self, params, example, kind="cross-entropy"):
+            if np.shares_memory(example.x, holdout.X):
+                holdout_calls.append(example)
+            return original(self, params, example, kind)
+
+        monkeypatch.setattr(Model, "param_grad", counted)
+        config = InterventionConfig(k_percents=(30,), num_tests=2, top_m=2, samples=1, seed=9)
+        paired_insertion_experiment(model, params, holdout, test, config)
+        assert len(holdout_calls) == len(holdout)
+
     def test_empty_pool_rejected(self):
         model, params, _, holdout, test = shapes12()
         empty = Dataset(holdout.X[:0], holdout.y[:0])

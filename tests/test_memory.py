@@ -89,6 +89,15 @@ class TestWorkflowsLeaveNoCycles:
         model, params, ds = trained
         rank_training_set(model, params, ds, ds.example(0), "grad-cos")
 
+    def test_gradient_store_is_freed_with_its_model(self, trained, no_cyclic_garbage):
+        _, params, ds = trained
+        model = Model(cnn_343())
+        for q in (0, 1):  # the second ranking reads the stored matrix
+            rank_training_set(model, params, ds, ds.example(q), "grad-cos")
+        stored = weakref.ref(model.param_grads(params, ds))
+        del model
+        assert stored() is None
+
     def test_rank_relatif_with_dense_hessian(self, trained, no_cyclic_garbage):
         model, params, ds = trained
         hessian = dense_hessian(model, params, ds.subset(range(8)))

@@ -293,3 +293,55 @@ class TestEvaluationSlices:
             model.mean_loss(params, empty)
         with pytest.raises(ValueError, match="empty dataset"):
             model.accuracy(params, empty)
+
+
+class TestGradientStore:
+    """Model.param_grads keeps the last (N, p) gradient matrix, keyed by content."""
+
+    @staticmethod
+    def setup_9():
+        arch = tiny_cnn(num_classes=3)
+        params = init_params(arch, seed=19)
+        rng = np.random.default_rng(20)
+        ds = Dataset(rng.uniform(0.0, 1.0, size=(9, 1, 12, 12)), np.arange(9) % 3)
+        return arch, Model(arch), params, ds
+
+    def test_rows_equal_param_grad_bitwise(self):
+        _, model, params, ds = self.setup_9()
+        G = model.param_grads(params, ds)
+        assert G.shape == (len(ds), model.num_params)
+        for i in range(len(ds)):
+            np.testing.assert_array_equal(G[i], model.param_grad(params, ds.example(i)))
+        assert model.param_grads(params, ds) is G
+
+    def test_matrix_is_read_only(self):
+        _, model, params, ds = self.setup_9()
+        G = model.param_grads(params, ds)
+        assert not G.flags.writeable
+        with pytest.raises(ValueError):
+            G[0, 0] = 1.0
+
+    @pytest.mark.parametrize("change", ["params", "X", "y", "kind"])
+    def test_changed_input_rebuilds(self, change):
+        arch, model, params, ds = self.setup_9()
+        kind = "cross-entropy"
+        before = model.param_grads(params, ds, kind)
+        if change == "params":
+            params.data[0] += 0.1
+        elif change == "X":
+            ds.X[0, 0, 0, 0] = 1.0 - ds.X[0, 0, 0, 0]
+        elif change == "y":
+            ds.y[0] = 1
+        else:
+            kind = "mse"
+        after = model.param_grads(params, ds, kind)
+        assert after is not before
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, Model(arch).param_grads(params, ds, kind))
+
+    def test_empty_subset_is_an_empty_dataset(self):
+        _, model, params, ds = self.setup_9()
+        for empty in (ds.subset(range(0)), ds.subset([])):
+            assert len(empty) == 0
+            assert empty.X.shape == (0, 1, 12, 12)
+        assert model.param_grads(params, empty).shape == (0, model.num_params)

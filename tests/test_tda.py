@@ -12,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
+from tfa import autodiff as ad
 from tfa import models
 from tfa.models import (
     ArchitectureSpec,
+    Conv2d,
     Dataset,
     Dense,
     Flatten,
     LabeledExample,
+    MaxPool,
     Model,
     Relu,
     TrainConfig,
@@ -142,15 +145,43 @@ class TestGradEffect:
             grad_effect(model, params, ds.example(0), ds.example(1), epsilon=0.0)
 
 
+def fd_mlp():
+    """A 27-parameter ReLU MLP with 12 random examples, at its init."""
+    rng = np.random.default_rng(6)
+    arch = ArchitectureSpec(
+        layers=(Dense(3, 5), Relu(), Dense(5, 2)), input_shape=(3,), num_classes=2
+    )
+    model = Model(arch)
+    params = init_params(arch, seed=7)
+    ds = Dataset(rng.standard_normal((12, 3)), rng.integers(0, 2, size=12))
+    return model, params, ds
+
+
+def cnn_343():
+    """The single-block CNN of acceptance criterion 4: 343 parameters."""
+    return ArchitectureSpec(
+        layers=(Conv2d(1, 4, 3), Relu(), MaxPool(2), Flatten(), Dense(100, 3)),
+        input_shape=(1, 12, 12),
+        num_classes=3,
+    )
+
+
+def fresh_graph_hessian(model, params, dataset, kind="cross-entropy"):
+    """Oracle: every column records the forward pass and first backward anew."""
+    p = model.num_params
+    H = np.empty((p, p))
+    for j in range(p):
+        graph = ad.Graph()
+        theta = graph.leaf(params.data)
+        loss = model.record_batch_loss(theta, graph.constant(dataset.X), dataset.y, kind)
+        (g,) = ad.backward(loss, [theta])
+        H[:, j] = ad.grad(ad.take(g, np.array([j])), theta)
+    return (H + H.T) / 2.0
+
+
 class TestDenseHessian:
     def test_matches_finite_differences(self):
-        rng = np.random.default_rng(6)
-        arch = ArchitectureSpec(
-            layers=(Dense(3, 5), Relu(), Dense(5, 2)), input_shape=(3,), num_classes=2
-        )
-        model = Model(arch)
-        params = init_params(arch, seed=7)
-        ds = Dataset(rng.standard_normal((12, 3)), rng.integers(0, 2, size=12))
+        model, params, ds = fd_mlp()
         H = dense_hessian(model, params, ds).matrix
 
         step = 1e-5
@@ -176,6 +207,26 @@ class TestDenseHessian:
         ds = Dataset(np.zeros((2, 6)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):
             dense_hessian(model, params, ds, max_params=10)
+
+    def test_empty_dataset_rejected(self):
+        model, params, ds = fd_mlp()
+        with pytest.raises(ValueError, match="empty dataset"):
+            dense_hessian(model, params, ds.subset(range(0)))
+
+    def test_shared_graph_equals_fresh_graph_per_column_on_mlp(self, no_cyclic_garbage):
+        model, params, ds = fd_mlp()
+        expected = fresh_graph_hessian(model, params, ds)
+        np.testing.assert_array_equal(dense_hessian(model, params, ds).matrix, expected)
+
+    @pytest.mark.parametrize("kind", models.LOSS_KINDS)
+    def test_shared_graph_equals_fresh_graph_per_column_on_cnn(self, kind, no_cyclic_garbage):
+        rng = np.random.default_rng(22)
+        ds = Dataset(rng.uniform(0.0, 1.0, size=(16, 1, 12, 12)), np.arange(16) % 3)
+        params, _ = train(ds, cnn_343(), TrainConfig(lr=0.2, epochs=2, batch_size=8, seed=4))
+        model = Model(cnn_343())
+        assert model.num_params == 343
+        expected = fresh_graph_hessian(model, params, ds, kind)
+        np.testing.assert_array_equal(dense_hessian(model, params, ds, kind).matrix, expected)
 
 
 class TestInfluence:
@@ -362,6 +413,39 @@ class TestRanking:
                 rank_training_set(
                     model, params, ds, ds.example(0), method="grad-effect", epsilon=epsilon
                 )
+
+
+def count_param_grads(monkeypatch):
+    """Record the example of every Model.param_grad call from here on."""
+    examples = []
+    original = Model.param_grad
+
+    def counted(self, params, example, kind="cross-entropy"):
+        examples.append(example)
+        return original(self, params, example, kind)
+
+    monkeypatch.setattr(Model, "param_grad", counted)
+    return examples
+
+
+class TestGradientStore:
+    def test_influence_then_relatif_computes_training_gradients_once(self, monkeypatch):
+        model, params, ds = trained_blobs(seed=20, n_per=5, epochs=2)
+        h = dense_hessian(model, params, ds)
+        lam = h.default_damping() + max(0.0, -1.1 * float(np.linalg.eigvalsh(h.matrix)[0]))
+        calls = count_param_grads(monkeypatch)
+        for method in ("influence", "relatif"):
+            rank_training_set(model, params, ds, ds.example(0), method, hessian=h, lam=lam)
+        assert len(calls) == len(ds) + 2  # N training gradients and two queries
+
+    def test_grad_cos_for_two_test_images_computes_training_gradients_once(self, monkeypatch):
+        model, params, ds = trained_blobs(seed=21, n_per=5, epochs=2)
+        fresh = Model(model.arch)
+        expected = [rank_training_set(fresh, params, ds, ds.example(q)) for q in (1, 2)]
+        calls = count_param_grads(monkeypatch)
+        got = [rank_training_set(model, params, ds, ds.example(q)) for q in (1, 2)]
+        assert len(calls) == len(ds) + 2
+        assert got == expected
 
 
 class TestKernel:
