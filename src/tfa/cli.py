@@ -10,20 +10,30 @@ Every subcommand that writes artifacts drops a key=value manifest of its
 fully resolved configuration next to them, and all of its randomness
 derives from one master seed, so a rerun reproduces each output file byte
 for byte. Exit codes: 0 success, 1 usage error, 2 data or format error.
+
+A run directory's `manifest.txt` is its run record: `train` writes the
+seed and every data and training flag under its dest name (`--data-dir` as
+an absolute path), and `rank`, `saliency`, `insertion` and `explain` parse
+those entries back through the `train` flags to rebuild the same model and
+data, so the parser is the only schema of a run.
 """
 
 import argparse
+import os
 import sys
 import warnings
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .datasets import FormatError, SyntheticShapesSpec, generate_synthetic, load_cifar10_binary
+from .datasets import NUM_LABELS, FormatError, SyntheticShapesSpec, generate_synthetic, load_cifar10_binary
 from .harness import (
     InterventionConfig,
+    PairedResult,
     PatchSpec,
+    PatchSweepRow,
     explain_misclassification,
     paired_insertion_experiment,
     patch_sweep,
@@ -47,17 +57,69 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def checked(convert, ok, rule):
+    """An argparse type: `convert` the text and require `ok` of the value."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def split_list(text, convert) -> list:
+    return [convert(v) for v in str(text).split(",") if v.strip()]
+
+
+def checked_list(convert, ok, rule):
+    """checked() for a comma-separated list; keeps the text, which manifests record."""
+    check = checked(convert, ok, rule)
+
+    def parse(text):
+        if not split_list(text, check):
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return text
+
+    parse.__name__ = f"{convert.__name__} list"
+    return parse
+
+
+positive_int = checked(int, lambda v: v > 0, "positive")
+positive_float = checked(float, lambda v: v > 0, "positive")
+non_negative_float = checked(float, lambda v: v >= 0, "non-negative")
+percent_list = checked_list(int, lambda v: 0 < v <= 100, "in (0, 100]")
+unit_list = checked_list(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+label_list = checked_list(int, lambda v: 0 <= v < NUM_LABELS, f"a label in [0, {NUM_LABELS})")
+# manifest lines are split on line breaks and stripped; refuse what they cannot hold
+recordable_path = checked(
+    os.path.abspath, lambda p: [p] == p.splitlines() == [p.strip()], "a path with no line break or trailing space"
+)
+
+
+# The run record: the keys, by flag dest, that `train` and `patch-sweep`
+# write to manifest.txt, and that Run parses back through the `train` flags,
+# so each default, type and choice lives only in its add_argument call.
+RUN_KEYS = {
+    "synthetic": ("size", "classes", "noise", "train_per_class", "holdout_per_class", "test_per_class"),
+    "cifar10": ("data_dir", "cifar_classes", "per_class_cap", "holdout_per_class"),
+}
+TRAIN_KEYS = ("lr", "epochs", "batch_size", "lr_decay", "loss")
+
+
 def add_data_flags(p):
-    p.add_argument("--data", choices=("synthetic", "cifar10"), default="synthetic")
+    p.add_argument("--data", choices=tuple(RUN_KEYS), default="synthetic")
     p.add_argument("--size", type=int, default=32, help="synthetic image size")
     p.add_argument("--classes", type=int, default=3, help="synthetic class count")
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--train-per-class", type=int, default=200)
     p.add_argument("--holdout-per-class", type=int, default=20)
     p.add_argument("--test-per-class", type=int, default=40)
-    p.add_argument("--data-dir", help="directory with CIFAR-10 binary batches")
-    p.add_argument("--cifar-classes", default="0,1,2", help="comma-separated label subset")
-    p.add_argument("--per-class-cap", type=int, default=1000)
+    p.add_argument("--data-dir", type=recordable_path, help="directory with CIFAR-10 binary batches")
+    p.add_argument("--cifar-classes", type=label_list, default="0,1,2", help="comma-separated label subset")
+    p.add_argument("--per-class-cap", type=positive_int, default=1000)
 
 
 def add_train_flags(p):
@@ -68,16 +130,9 @@ def add_train_flags(p):
     p.add_argument("--loss", choices=("cross-entropy", "mse"), default="cross-entropy")
 
 
-def positive_float(text) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
 def add_smoothing_flags(p, samples_default=10):
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--samples", type=int, default=samples_default)
+    p.add_argument("--sigma", type=non_negative_float, default=0.05)
+    p.add_argument("--samples", type=positive_int, default=samples_default)
 
 
 def build_parser() -> Parser:
@@ -99,10 +154,10 @@ def build_parser() -> Parser:
     p.add_argument("--run", required=True, help="run directory from `tfa train`")
     p.add_argument("--test-index", type=int, required=True)
     p.add_argument("--method", choices=("grad-cos", "grad-effect", "influence", "relatif"), default="grad-cos")
-    p.add_argument("--top", type=int, default=10, help="rows to print per tail")
+    p.add_argument("--top", type=positive_int, default=10, help="rows to print per tail")
     p.add_argument("--epsilon", type=positive_float, default=1e-3)
     p.add_argument("--lam", type=float, help="Hessian damping (default: auto, kept positive definite)")
-    p.add_argument("--hessian-examples", type=int, default=200, help="training subset used for the dense Hessian")
+    p.add_argument("--hessian-examples", type=positive_int, default=200, help="training subset used for the dense Hessian")
 
     p = sub.add_parser("saliency", help="saliency map for one train/test pair")
     p.add_argument("--run", required=True)
@@ -114,9 +169,9 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("insertion", help="paired topk-vs-random insertion experiment")
     p.add_argument("--run", required=True)
-    p.add_argument("--ks", default="10,20,30,40,50,100", help="comma-separated k percents")
-    p.add_argument("--tests", type=int, default=20)
-    p.add_argument("--top-m", type=int, default=10)
+    p.add_argument("--ks", type=percent_list, default="10,20,30,40,50,100", help="comma-separated k percents")
+    p.add_argument("--tests", type=positive_int, default=20)
+    p.add_argument("--top-m", type=positive_int, default=10)
     p.add_argument("--lr-step", type=float, default=1e-3)
     add_smoothing_flags(p, samples_default=30)
     p.add_argument("--fill", choices=("dataset-mean", "zero"), default="dataset-mean")
@@ -125,20 +180,20 @@ def build_parser() -> Parser:
     p = sub.add_parser("explain", help="harmful/helpful report for one test example")
     p.add_argument("--run", required=True)
     p.add_argument("--test-index", type=int, required=True)
-    p.add_argument("--top-r", type=int, default=5)
+    p.add_argument("--top-r", type=positive_int, default=5)
     add_smoothing_flags(p)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("patch-sweep", help="shortcut-patch prevalence sweep")
     add_data_flags(p)
     add_train_flags(p)
-    p.add_argument("--fractions", default="0,0.1,0.25,0.4,0.55,0.7,0.85,0.95")
-    p.add_argument("--patch-size", type=int, default=5)
-    p.add_argument("--patch-color", default="0.95", help="comma-separated per-channel values")
+    p.add_argument("--fractions", type=unit_list, default="0,0.1,0.25,0.4,0.55,0.7,0.85,0.95")
+    p.add_argument("--patch-size", type=positive_int, default=5)
+    p.add_argument("--patch-color", type=unit_list, default="0.95", help="comma-separated per-channel values")
     p.add_argument("--target-class", type=int, default=0)
     p.add_argument("--probe-class", type=int, default=1)
-    p.add_argument("--probes", type=int, default=5)
-    p.add_argument("--harmful", type=int, default=10)
+    p.add_argument("--probes", type=positive_int, default=5)
+    p.add_argument("--harmful", type=positive_int, default=10)
     add_smoothing_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -174,21 +229,8 @@ def apply_config_file(parser, argv):
         action.set_defaults(**usable)
 
 
-def parse_int_list(text) -> list:
-    try:
-        return [int(v) for v in str(text).split(",") if v.strip()]
-    except ValueError as e:
-        raise UsageError(f"bad integer list {text!r}") from e
-
-
-def parse_float_list(text) -> list:
-    try:
-        return [float(v) for v in str(text).split(",") if v.strip()]
-    except ValueError as e:
-        raise UsageError(f"bad number list {text!r}") from e
-
-
 def build_datasets(args, data_seed):
+    """The tiny-CNN and the (train, holdout, test) splits that the data flags describe."""
     if args.data == "synthetic":
         try:
             spec = SyntheticShapesSpec(
@@ -202,10 +244,11 @@ def build_datasets(args, data_seed):
             )
         except ValueError as e:
             raise UsageError(f"bad data flags: {e}") from e
-        return generate_synthetic(spec)
+        train_ds, holdout, test_ds = generate_synthetic(spec)
+        return tiny_cnn(train_ds.X.shape[1:], args.classes), train_ds, holdout, test_ds
     if not args.data_dir:
         raise UsageError("--data cifar10 needs --data-dir")
-    classes = parse_int_list(args.cifar_classes)
+    classes = split_list(args.cifar_classes, int)
     train_ds, test_ds = load_cifar10_binary(args.data_dir, classes, args.per_class_cap)
     # carve a per-class holdout off the end of the training split
     hold_idx = []
@@ -215,7 +258,15 @@ def build_datasets(args, data_seed):
     hold_idx = sorted(int(i) for i in hold_idx)
     keep = sorted(set(range(len(train_ds))) - set(hold_idx))
     holdout = Dataset(train_ds.X[hold_idx], train_ds.y[hold_idx]) if hold_idx else None
-    return Dataset(train_ds.X[keep], train_ds.y[keep]), holdout, test_ds
+    train_ds = Dataset(train_ds.X[keep], train_ds.y[keep])
+    # the model has one output per listed class, so each needs training images
+    if np.bincount(train_ds.y, minlength=len(classes)).min() == 0 or not len(test_ds):
+        raise UsageError(
+            f"--cifar-classes {args.cifar_classes}, --per-class-cap {args.per_class_cap} and "
+            f"--holdout-per-class {args.holdout_per_class} leave a class with no training images "
+            "or an empty test split"
+        )
+    return tiny_cnn(train_ds.X.shape[1:], len(classes)), train_ds, holdout, test_ds
 
 
 def train_config(args, seed) -> TrainConfig:
@@ -232,35 +283,26 @@ def train_config(args, seed) -> TrainConfig:
         raise UsageError(f"bad training flags: {e}") from e
 
 
-def data_manifest(args, data_seed) -> dict:
-    entries = {"data": args.data}
-    if args.data == "synthetic":
-        entries.update(
-            size=args.size,
-            classes=args.classes,
-            noise=args.noise,
-            train_per_class=args.train_per_class,
-            holdout_per_class=args.holdout_per_class,
-            test_per_class=args.test_per_class,
-        )
-    else:
-        entries.update(
-            data_dir=args.data_dir,
-            cifar_classes=args.cifar_classes,
-            per_class_cap=args.per_class_cap,
-            holdout_per_class=args.holdout_per_class,
-        )
-    entries["data_seed"] = data_seed
-    return entries
+def run_record(args) -> dict:
+    """The seed, data and training flags of `args` as manifest entries, keyed by dest."""
+    record = {key: getattr(args, key) for key in ("seed", "data", *RUN_KEYS[args.data])}
+    record["data_seed"] = child_seed(args.seed, "data")  # derived; Run derives it again
+    record.update((key, getattr(args, key)) for key in TRAIN_KEYS)
+    return record
+
+
+def parse_run_record(manifest) -> argparse.Namespace:
+    """Inverse of run_record: parse a manifest's entries back through the `train` flags."""
+    keys = ("seed", "data", *RUN_KEYS.get(manifest["data"], ()), *TRAIN_KEYS)
+    argv = [f"--{key.replace('_', '-')}={manifest[key]}" for key in keys]
+    # --out is required by `train` but is not part of the record
+    return build_parser().parse_args(["train", *argv, "--out=."])
 
 
 def cmd_train(args) -> int:
-    data_seed = child_seed(args.seed, "data")
+    record = run_record(args)
     config = train_config(args, child_seed(args.seed, "train"))
-    train_ds, holdout, test_ds = build_datasets(args, data_seed)
-    input_shape = train_ds.X.shape[1:]
-    num_classes = int(train_ds.y.max()) + 1
-    arch = tiny_cnn(input_shape, num_classes)
+    arch, train_ds, _, test_ds = build_datasets(args, record["data_seed"])
     model = Model(arch)
     params, history = train(train_ds, arch, config)
 
@@ -269,16 +311,10 @@ def cmd_train(args) -> int:
     np.save(out / "params.npy", params.data)
     manifest = {
         "command": "train",
-        "seed": args.seed,
-        **data_manifest(args, data_seed),
+        **record,
         "arch": "tiny-cnn",
-        "input_shape": "x".join(str(d) for d in input_shape),
-        "num_classes": num_classes,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr_decay": args.lr_decay,
-        "loss": args.loss,
+        "input_shape": "x".join(str(d) for d in arch.input_shape),
+        "num_classes": arch.num_classes,
         "train_seed": config.seed,
         "num_params": model.num_params,
         "final_train_accuracy": history.accuracies[-1] if history.accuracies else 0.0,
@@ -300,26 +336,15 @@ class Run:
             raise FormatError(f"{self.path} has no manifest.txt (not a run directory?)")
         self.manifest = read_key_value(manifest_path)
         try:
-            input_shape = tuple(int(d) for d in self.manifest["input_shape"].split("x"))
-            self.arch = tiny_cnn(input_shape, int(self.manifest["num_classes"]))
+            args = parse_run_record(self.manifest)
+            self.config = train_config(args, child_seed(args.seed, "train"))
+            self.arch, self.train_ds, self.holdout, self.test_ds = build_datasets(
+                args, child_seed(args.seed, "data")
+            )
             self.model = Model(self.arch)
             self.params = ParamVector(np.load(self.path / "params.npy"), self.model.layout)
-            self.loss = self.manifest["loss"]
-            args = argparse.Namespace(
-                data=self.manifest["data"],
-                size=int(self.manifest.get("size", 32)),
-                classes=int(self.manifest.get("classes", 3)),
-                noise=float(self.manifest.get("noise", 0.05)),
-                train_per_class=int(self.manifest.get("train_per_class", 200)),
-                holdout_per_class=int(self.manifest.get("holdout_per_class", 20)),
-                test_per_class=int(self.manifest.get("test_per_class", 40)),
-                data_dir=self.manifest.get("data_dir"),
-                cifar_classes=self.manifest.get("cifar_classes", "0,1,2"),
-                per_class_cap=int(self.manifest.get("per_class_cap", 1000)),
-            )
-            self.train_ds, self.holdout, self.test_ds = build_datasets(
-                args, int(self.manifest["data_seed"])
-            )
+            if self.params.size != self.model.num_params:
+                raise ValueError(f"params.npy holds {self.params.size} values, the model has {self.model.num_params}")
         except (KeyError, ValueError, OSError, UsageError) as e:
             raise FormatError(f"cannot restore run from {self.path}: {e}") from e
 
@@ -336,10 +361,8 @@ def cmd_rank(args) -> int:
     lam = args.lam
     smallest = None
     if args.method in ("influence", "relatif"):
-        if args.hessian_examples < 1:
-            raise UsageError(f"--hessian-examples must be at least 1 for {args.method}")
         subset = run.train_ds.subset(range(min(args.hessian_examples, len(run.train_ds))))
-        hessian = dense_hessian(run.model, run.params, subset, run.loss)
+        hessian = dense_hessian(run.model, run.params, subset, run.config.loss)
         smallest = float(np.linalg.eigvalsh(hessian.matrix)[0])
         if lam is None:
             # partially trained models have indefinite Hessians; damp past
@@ -356,7 +379,7 @@ def cmd_rank(args) -> int:
             epsilon=args.epsilon,
             hessian=hessian,
             lam=lam,
-            kind=run.loss,
+            kind=run.config.loss,
         )
     except InsufficientDampingError as e:
         raise UsageError(f"--lam {args.lam}: {e}") from e
@@ -400,7 +423,7 @@ def cmd_saliency(args) -> int:
         sigma=sigma,
         samples=samples,
         seed=args.seed,
-        kind=run.loss,
+        kind=run.config.loss,
         train_index=args.train_index,
         test_index=args.test_index,
     )
@@ -427,7 +450,7 @@ def cmd_insertion(args) -> int:
     if run.holdout is None or len(run.holdout) == 0:
         raise FormatError("this run has no holdout pool; retrain with --holdout-per-class > 0")
     config = InterventionConfig(
-        k_percents=tuple(parse_int_list(args.ks)),
+        k_percents=tuple(split_list(args.ks, int)),
         num_tests=args.tests,
         top_m=args.top_m,
         lr_step=args.lr_step,
@@ -437,17 +460,10 @@ def cmd_insertion(args) -> int:
         fill=args.fill,
     )
     results = paired_insertion_experiment(
-        run.model, run.params, run.holdout, run.test_ds, config, kind=run.loss
+        run.model, run.params, run.holdout, run.test_ds, config, kind=run.config.loss
     )
     table = run.path / "tables" / "insertion.csv"
-    write_csv(
-        table,
-        ("k", "mean_random", "mean_topk", "mean_paired_delta", "ci_half_width", "pairs"),
-        [
-            (r.k, r.mean_random, r.mean_topk, r.mean_paired_delta, r.ci_half_width, r.pairs)
-            for r in results
-        ],
-    )
+    write_csv(table, [f.name for f in fields(PairedResult)], [astuple(r) for r in results])
     write_manifest(
         run.path / "manifest_insertion.txt",
         {
@@ -485,7 +501,7 @@ def cmd_explain(args) -> int:
             sigma=args.sigma,
             samples=args.samples,
             seed=args.seed,
-            kind=run.loss,
+            kind=run.config.loss,
             test_index=args.test_index,
         )
     for w in caught:
@@ -524,22 +540,26 @@ def cmd_explain(args) -> int:
 
 
 def cmd_patch_sweep(args) -> int:
-    data_seed = child_seed(args.seed, "data")
-    train_ds, _, test_ds = build_datasets(args, data_seed)
-    input_shape = train_ds.X.shape[1:]
-    arch = tiny_cnn(input_shape, int(train_ds.y.max()) + 1)
-    fractions = parse_float_list(args.fractions)
-    color = tuple(parse_float_list(args.patch_color))
-    if len(color) != input_shape[0]:
+    record = run_record(args)
+    config = train_config(args, seed=0)  # seed replaced per fraction inside the sweep
+    arch, train_ds, _, test_ds = build_datasets(args, record["data_seed"])
+    channels, height, width = arch.input_shape
+    color = tuple(split_list(args.patch_color, float))
+    if len(color) != channels:
+        raise UsageError(f"--patch-color has {len(color)} channels, images have {channels}")
+    if args.patch_size > min(height, width):
+        raise UsageError(f"--patch-size {args.patch_size} does not fit in {height}x{width} images")
+    classes = {args.target_class, args.probe_class}
+    if len(classes) != 2 or not classes <= set(range(arch.num_classes)):
         raise UsageError(
-            f"--patch-color has {len(color)} channels, images have {input_shape[0]}"
+            f"--target-class {args.target_class} and --probe-class {args.probe_class} "
+            f"must be two different classes in [0, {arch.num_classes})"
         )
     spec = PatchSpec(size=args.patch_size, color=color, target_class=args.target_class, fraction=0.0)
-    config = train_config(args, seed=0)  # seed replaced per fraction inside the sweep
     rows = patch_sweep(
         train_ds,
         test_ds,
-        fractions,
+        split_list(args.fractions, float),
         arch,
         config,
         spec,
@@ -553,32 +573,12 @@ def cmd_patch_sweep(args) -> int:
     )
     out = Path(args.out)
     table = out / "tables" / "patch_sweep.csv"
-    write_csv(
-        table,
-        (
-            "fraction",
-            "overall_accuracy",
-            "unpatched_target_accuracy",
-            "patched_probe_accuracy",
-            "patch_attribution_fraction",
-        ),
-        [
-            (
-                r.fraction,
-                r.overall_accuracy,
-                r.unpatched_target_accuracy,
-                r.patched_probe_accuracy,
-                r.patch_attribution_fraction,
-            )
-            for r in rows
-        ],
-    )
+    write_csv(table, [f.name for f in fields(PatchSweepRow)], [astuple(r) for r in rows])
     write_manifest(
         out / "manifest.txt",
         {
             "command": "patch-sweep",
-            "seed": args.seed,
-            **data_manifest(args, data_seed),
+            **record,
             "fractions": args.fractions,
             "patch_size": args.patch_size,
             "patch_color": args.patch_color,
@@ -588,11 +588,6 @@ def cmd_patch_sweep(args) -> int:
             "harmful": args.harmful,
             "sigma": args.sigma,
             "samples": args.samples,
-            "lr": args.lr,
-            "epochs": args.epochs,
-            "batch_size": args.batch_size,
-            "lr_decay": args.lr_decay,
-            "loss": args.loss,
         },
     )
     print(f"wrote {table}")

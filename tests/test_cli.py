@@ -6,14 +6,23 @@ recurring theme is byte-level reproducibility: a rerun with the same seed
 must recreate every artifact exactly.
 """
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tfa import cli
-from tfa.outputs import read_key_value
+from tfa.datasets import (
+    SyntheticShapesSpec,
+    encode_cifar10_bytes,
+    generate_synthetic,
+    load_cifar10_binary,
+)
+from tfa.outputs import read_key_value, write_manifest
 from tfa.tda import dense_hessian, rank_training_set
 
 
@@ -38,6 +47,26 @@ def run_dir(tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def cifar_dir(tmp_path_factory):
+    """A CIFAR-10 binary directory of 12 records per batch file, labels 0, 1, 2 in turn."""
+    out = tmp_path_factory.mktemp("cifar") / "batches"
+    out.mkdir()
+    rng = np.random.default_rng(0)
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+        X = rng.integers(0, 256, size=(12, 3, 32, 32)) / 255.0
+        (out / name).write_bytes(encode_cifar10_bytes(X, np.arange(12) % 3))
+    return out
+
+
+CIFAR_FLAGS = ["--data", "cifar10", "--holdout-per-class", "5", "--epochs", "1", "--batch-size", "8"]
+
+
+def read_rank_table(path):
+    lines = path.read_text().strip().splitlines()
+    return [(int(i), float(score)) for i, _, score in (l.split(",") for l in lines[1:])]
 
 
 class TestExitCodes:
@@ -73,6 +102,59 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["insertion", "--run", "RUN", "--tests", "0"], "--tests"),
+            (["insertion", "--run", "RUN", "--ks", "150"], "--ks"),
+            (["saliency", "--run", "RUN", "--train-index", "0", "--test-index", "0", "--samples", "0"], "--samples"),
+            (["saliency", "--run", "RUN", "--train-index", "0", "--test-index", "0", "--sigma", "-1"], "--sigma"),
+            (["explain", "--run", "RUN", "--test-index", "0", "--samples", "0"], "--samples"),
+            (["explain", "--run", "RUN", "--test-index", "0", "--top-r", "-1"], "--top-r"),
+            (["rank", "--run", "RUN", "--test-index", "0", "--top", "-1"], "--top"),
+            (["patch-sweep", "--size", "12", "--patch-size", "0", "--out", "OUT"], "--patch-size"),
+            (["patch-sweep", "--size", "12", "--patch-size", "13", "--out", "OUT"], "--patch-size"),
+            (["patch-sweep", "--size", "12", "--patch-color", "1.5", "--out", "OUT"], "--patch-color"),
+            (["patch-sweep", "--size", "12", "--fractions", "0,1.5", "--out", "OUT"], "--fractions"),
+            (["patch-sweep", "--size", "12", "--probe-class", "0", "--out", "OUT"], "--probe-class"),
+            (["patch-sweep", "--size", "12", "--probe-class", "3", "--out", "OUT"], "--probe-class"),
+            (["train", "--data", "cifar10", "--per-class-cap", "0", "--out", "OUT"], "--per-class-cap"),
+            (["train", "--data", "cifar10", "--cifar-classes", "0,10", "--out", "OUT"], "--cifar-classes"),
+            (["train", "--data", "cifar10", "--data-dir", "batches ", "--out", "OUT"], "--data-dir"),
+            (["train", "--data", "cifar10", "--data-dir", "a\nb", "--out", "OUT"], "--data-dir"),
+        ],
+    )
+    def test_bad_value_is_one_line_usage_error(self, argv, flag, run_dir, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a bad flag value reached the library")
+
+        for name in ("train", "patch_sweep", "paired_insertion_experiment", "explain_misclassification",
+                     "smoothgrad_saliency", "rank_training_set"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        out = tmp_path / "out"
+        argv = [{"RUN": str(run_dir), "OUT": str(out)}.get(a, a) for a in argv]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],  # 20 images per class and the default --holdout-per-class 20
+            ["--cifar-classes", "1,1", "--holdout-per-class", "2"],  # listed class 0 gets no image
+        ],
+    )
+    def test_cifar_class_without_training_images_is_usage_error(self, flags, cifar_dir, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = cli.main(["train", "--data", "cifar10", "--data-dir", str(cifar_dir), *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "no training images" in err and "--cifar-classes" in err
         assert not out.exists()
 
     def test_cifar_without_data_dir_is_usage_error(self, tmp_path, capsys):
@@ -254,8 +336,7 @@ class TestRank:
         flags += ["--test-per-class", "2", "--epochs", "2", "--loss", "mse", "--seed", "1"]
         assert cli.main(["train", *flags, "--out", str(out)]) == 0
         assert cli.main(["rank", "--run", str(out), "--test-index", "0"]) == 0
-        lines = (out / "tables" / "rank_test0_grad-cos.csv").read_text().strip().splitlines()
-        table = [(int(i), float(score)) for i, _, score in (l.split(",") for l in lines[1:])]
+        table = read_rank_table(out / "tables" / "rank_test0_grad-cos.csv")
         run = cli.Run(out)
         expected = rank_training_set(
             run.model, run.params, run.train_ds, run.test_example(0), kind="mse"
@@ -339,3 +420,123 @@ class TestExplain:
             tail, idx, _ = line.split(",")
             assert tail in ("helpful", "harmful")
             assert (run_dir / "maps" / f"explain_test1_train{idx}.pgm").exists()
+
+
+SYNTHETIC_KEYS = ("size", "classes", "noise", "train_per_class", "test_per_class")
+CIFAR_KEYS = ("data_dir", "cifar_classes", "per_class_cap")
+
+
+class TestRunRecord:
+    def test_cifar_run_round_trip(self, cifar_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        flags = [*CIFAR_FLAGS, "--data-dir", str(cifar_dir), "--cifar-classes", "2,0", "--seed", "4"]
+        assert cli.main(["train", *flags, "--out", str(out)]) == 0
+        manifest = read_key_value(out / "manifest.txt")
+        assert all(key in manifest for key in CIFAR_KEYS)
+        assert not any(key in manifest for key in SYNTHETIC_KEYS)
+        assert manifest["cifar_classes"] == "2,0"
+        assert manifest["num_classes"] == "2"
+        assert manifest["input_shape"] == "3x32x32"
+        assert cli.main(["rank", "--run", str(out), "--test-index", "1"]) == 0
+        run = cli.Run(out)
+        assert len(run.train_ds) == 2 * (20 - 5) and len(run.holdout) == 2 * 5
+        expected = rank_training_set(run.model, run.params, run.train_ds, run.test_example(1))
+        table = read_rank_table(out / "tables" / "rank_test1_grad-cos.csv")
+        assert table == [(r.train_index, r.score) for r in expected.records]
+
+    def test_parent_format_synthetic_manifest_restores_the_same_data(self, tmp_path):
+        (tmp_path / "manifest.txt").write_text(
+            "command=train\nseed=3\ndata=synthetic\nsize=12\nclasses=3\nnoise=0.05\n"
+            "train_per_class=15\nholdout_per_class=4\ntest_per_class=4\n"
+            "data_seed=18063667083137579888\narch=tiny-cnn\ninput_shape=1x12x12\nnum_classes=3\n"
+            "lr=0.2\nepochs=2\nbatch_size=32\nlr_decay=0.93\nloss=mse\n"
+            "train_seed=10770821970221957459\nnum_params=1299\n"
+            "final_train_accuracy=0.3333333333333333\ntest_accuracy=0.3333333333333333\n"
+        )
+        np.save(tmp_path / "params.npy", np.zeros(1299))
+        run = cli.Run(tmp_path)
+        spec = SyntheticShapesSpec(
+            size=12, num_classes=3, noise=0.05, train_per_class=15, holdout_per_class=4,
+            test_per_class=4, seed=18063667083137579888,
+        )
+        for restored, expected in zip((run.train_ds, run.holdout, run.test_ds), generate_synthetic(spec)):
+            assert np.array_equal(restored.X, expected.X) and np.array_equal(restored.y, expected.y)
+        assert (run.arch.input_shape, run.arch.num_classes, run.model.num_params) == ((1, 12, 12), 3, 1299)
+        config = run.config
+        assert (config.lr, config.epochs, config.batch_size, config.lr_decay) == (0.2, 2, 32, 0.93)
+        assert (config.loss, config.seed) == ("mse", 10770821970221957459)
+
+    def test_parent_format_cifar_manifest_restores_the_same_data(self, cifar_dir, tmp_path):
+        (tmp_path / "manifest.txt").write_text(
+            f"command=train\nseed=5\ndata=cifar10\ndata_dir={cifar_dir}\ncifar_classes=1,2\n"
+            "per_class_cap=12\nholdout_per_class=2\ndata_seed=10232721678932157264\n"
+            "arch=tiny-cnn\ninput_shape=3x32x32\nnum_classes=2\n"
+            "lr=0.25\nepochs=2\nbatch_size=8\nlr_decay=0.93\nloss=cross-entropy\n"
+            "train_seed=6628749420411780115\nnum_params=2546\n"
+            "final_train_accuracy=0.5\ntest_accuracy=0.5\n"
+        )
+        np.save(tmp_path / "params.npy", np.zeros(2546))
+        run = cli.Run(tmp_path)
+        train_ds, test_ds = load_cifar10_binary(cifar_dir, [1, 2], 12)
+        holdout = np.isin(np.arange(24), [20, 21, 22, 23])  # the last two of each class
+        assert np.array_equal(run.train_ds.X, train_ds.X[~holdout])
+        assert np.array_equal(run.train_ds.y, train_ds.y[~holdout])
+        assert np.array_equal(run.holdout.X, train_ds.X[holdout])
+        assert np.array_equal(run.test_ds.X, test_ds.X) and np.array_equal(run.test_ds.y, test_ds.y)
+        assert (run.arch.num_classes, run.model.num_params, run.config.batch_size) == (2, 2546, 8)
+        np.save(tmp_path / "params.npy", np.zeros(2545))
+        with pytest.raises(cli.FormatError, match="params.npy holds 2545 values"):
+            cli.Run(tmp_path)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=st.sampled_from(["synthetic", "cifar10"]),
+        seed=st.integers(0, 2**64 - 1),
+        counts=st.tuples(*[st.integers(1, 10**6)] * 5),
+        noise=st.floats(0.0, 1e6),
+        data_dir=st.text("ab-_.=,/ \n", min_size=1, max_size=12),
+        labels=st.lists(st.integers(0, 9), min_size=1, max_size=10),
+        lr=st.floats(1e-300, 1e300),
+        lr_decay=st.floats(1e-300, 1.0),
+        loss=st.sampled_from(["cross-entropy", "mse"]),
+    )
+    def test_record_parses_back_to_the_same_values(
+        self, tmp_path, data, seed, counts, noise, data_dir, labels, lr, lr_decay, loss
+    ):
+        size, train_per_class, holdout_per_class, cap, epochs = counts
+        flags = [
+            "train", "--data", data, "--seed", str(seed), "--size", str(size),
+            "--classes", str(2 + size % 2), "--noise", repr(noise),
+            "--train-per-class", str(train_per_class), "--holdout-per-class", str(holdout_per_class - 1),
+            "--test-per-class", str(cap), f"--data-dir={data_dir}",
+            "--cifar-classes", ",".join(map(str, labels)), "--per-class-cap", str(cap),
+            "--lr", repr(lr), "--epochs", str(epochs), "--batch-size", str(cap),
+            "--lr-decay", repr(lr_decay), "--loss", loss, "--out", "unused",
+        ]
+        try:
+            args = cli.build_parser().parse_args(flags)
+        except cli.UsageError as e:  # a path the record cannot hold is refused, not mangled
+            assert "--data-dir" in str(e)
+            return
+        record = cli.run_record(args)
+        write_manifest(tmp_path / "manifest.txt", record)
+        parsed = cli.parse_run_record(read_key_value(tmp_path / "manifest.txt"))
+        assert cli.run_record(parsed) == record
+        assert (parsed.lr, parsed.lr_decay) == (lr, lr_decay)
+        if data == "synthetic":
+            assert parsed.noise == noise
+        else:
+            assert parsed.data_dir == os.path.abspath(data_dir)
+
+    def test_relative_data_dir_is_recorded_absolute(self, cifar_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        monkeypatch.chdir(cifar_dir.parent)
+        flags = [*CIFAR_FLAGS, "--data-dir", cifar_dir.name, "--cifar-classes", "0,1"]
+        assert cli.main(["train", *flags, "--out", str(out)]) == 0
+        recorded = read_key_value(out / "manifest.txt")["data_dir"]
+        assert os.path.isabs(recorded) and os.path.samefile(recorded, cifar_dir)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert cli.main(["rank", "--run", str(out), "--test-index", "0"]) == 0
+        assert (out / "tables" / "rank_test0_grad-cos.csv").exists()
