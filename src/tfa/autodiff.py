@@ -77,44 +77,6 @@ class Node:
     def __repr__(self):
         return f"Node(id={self.id}, kind={self.kind!r}, shape={self.shape})"
 
-    # Arithmetic sugar. Non-node operands become constants on this graph.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_lift(self.graph, other)))
-
-    def __rsub__(self, other):
-        return add(_lift(self.graph, other), neg(self))
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_lift(self.graph, other), self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
 
 class Graph:
     """Append-only record of a computation.
@@ -128,7 +90,6 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.leaf_ids: set[int] = set()
         self._ref = weakref.ref(self)
 
     def _append(self, kind, parents, value, vjp=None, meta=None) -> Node:
@@ -141,9 +102,7 @@ class Graph:
         value = _as_value(value)
         if not np.all(np.isfinite(value)):
             raise ValueError("leaf value contains non-finite entries")
-        node = self._append("leaf", (), value)
-        self.leaf_ids.add(node.id)
-        return node
+        return self._append("leaf", (), value)
 
     def constant(self, value) -> Node:
         """Value held fixed under differentiation."""
@@ -156,18 +115,16 @@ class Graph:
         """Drop every node recorded after the first ``length``.
 
         A dropped node keeps its value, but ``node.graph`` raises
-        :class:`GraphError`, as for a released graph, and its id is removed
-        from ``leaf_ids``; the next node recorded gets id ``length``. Nodes
-        before the mark are untouched, so ``length = len(graph.nodes)`` taken
-        after a forward pass lets each later sweep reuse that pass and then
-        free what it recorded.
+        :class:`GraphError`, as for a released graph, and the next node
+        recorded gets id ``length``. Nodes before the mark are untouched, so
+        ``length = len(graph.nodes)`` taken after a forward pass lets each
+        later sweep reuse that pass and then free what it recorded.
         """
         if not 0 <= length <= len(self.nodes):
             raise ValueError(f"cannot truncate a graph of {len(self.nodes)} nodes to {length}")
         for node in self.nodes[length:]:
             node._graph = _RELEASED
         del self.nodes[length:]
-        self.leaf_ids = {i for i in self.leaf_ids if i < length}
 
 
 # a weak reference whose graph is already gone: what a truncated node holds

@@ -208,13 +208,18 @@ def build_parser() -> Parser:
 
 
 def apply_config_file(parser, argv):
-    """Pre-parse --config and install its pairs as subcommand defaults."""
+    """Pre-parse --config and install its pairs as subcommand defaults.
+
+    Keys are flag dest names; a key that no subcommand's flag takes is a
+    usage error.
+    """
     probe = Parser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
     pairs = read_key_value(known.config)
+    taken = set()
     # defaults attach to every subparser that knows the flag
     for action in parser._subparsers._group_actions[0].choices.values():
         usable = {}
@@ -226,7 +231,11 @@ def apply_config_file(parser, argv):
                         usable[dest] = value if act.type is None else act.type(value)
                     except (ValueError, argparse.ArgumentTypeError) as e:
                         raise UsageError(f"{known.config}: {key}: {e}") from e
+                    taken.add(key)
         action.set_defaults(**usable)
+    for key in pairs:
+        if key not in taken:
+            raise UsageError(f"{known.config}: {key}: no subcommand has this flag")
 
 
 def build_datasets(args, data_seed):

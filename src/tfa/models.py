@@ -242,9 +242,6 @@ class Dataset:
             indices = indices.astype(np.intp)  # an empty list or range is a float array
         return Dataset(self.X[indices], self.y[indices])
 
-    def class_indices(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.y == label)
-
     def mean_pixel(self) -> np.ndarray:
         """Per-channel mean over all examples and positions (images only)."""
         if self.X.ndim != 4:
@@ -334,6 +331,10 @@ class Model:
 
     def record_per_example_loss(self, theta: ad.Node, X: ad.Node, labels, kind: str) -> ad.Node:
         logits, _ = self.record_forward(theta, X)
+        return self.record_logits_loss(logits, labels, kind)
+
+    def record_logits_loss(self, logits: ad.Node, labels, kind: str) -> ad.Node:
+        """Per-example loss of recorded (N, K) logits; the one switch over LOSS_KINDS."""
         if kind == "cross-entropy":
             return ad.softmax_cross_entropy(logits, labels)
         if kind == "mse":
@@ -418,12 +419,6 @@ class Model:
         G.flags.writeable = False
         self._grads = (key, G)
         return G
-
-    def batch_grad(self, params: ParamVector, dataset: Dataset, kind: str = "cross-entropy") -> np.ndarray:
-        graph = ad.Graph()
-        theta = graph.leaf(params.data)
-        loss = self.record_batch_loss(theta, graph.constant(dataset.X), dataset.y, kind)
-        return ad.grad(loss, theta)
 
 
 def sgd_step(params: ParamVector, gradient: np.ndarray, lr: float) -> ParamVector:

@@ -8,22 +8,22 @@ the training loss as graph nodes, the cosine against the (constant) test
 gradient is recorded on top, and a second reverse sweep reaches the pixels.
 
 Noise-averaged maps follow the usual denoising recipe: resample the map at
-gaussian-perturbed copies of the training image and average. Sampling is
-order-independent by construction (per-sample child seeds, index-ordered
-reduction), so worker count never changes the result.
+gaussian-perturbed copies of the training image and average. Sample i draws
+its noise from its own child seed and the samples are summed in index order,
+so a map depends only on its seed. The noiseless map is the sigma = 0,
+one-sample case of the same function.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .models import LabeledExample, Model, ParamVector
-from .rng import child_seed, stream
-from .tda import DEGENERATE_NORM, DegenerateGradientError, query_gradient
+from .rng import stream
+from .tda import _checked_norm, query_gradient
 
 AGGREGATION_MODES = ("abs-sum", "l2")
 
@@ -59,8 +59,7 @@ def _pair_score_gradient(
     x = graph.leaf(x_train)
     loss = model.record_example_loss(theta, x, y_train, kind)
     (g_train,) = ad.backward(loss, [theta])
-    if float(np.linalg.norm(g_train.value)) <= DEGENERATE_NORM:
-        raise DegenerateGradientError("train", float(np.linalg.norm(g_train.value)))
+    _checked_norm(g_train.value, "train")
     score = ad.cosine(g_train, graph.constant(g_test))
     return ad.grad(score, x)
 
@@ -77,13 +76,12 @@ def tfa_saliency(
     test_index: int = -1,
 ) -> SaliencyMap:
     """Input-gradient of the train/test grad-cos score, signed, same shape
-    as the training input."""
-    g_test = query_gradient(model, params, z_test, kind, test_label)
-    norm = float(np.linalg.norm(g_test))
-    if norm <= DEGENERATE_NORM:
-        raise DegenerateGradientError("test", norm)
-    values = _pair_score_gradient(model, params, z_train.x, z_train.y, g_test, kind)
-    return SaliencyMap(values, train_index, test_index, method="tfa")
+    as the training input: smoothgrad_saliency at sigma 0 with one sample."""
+    sal = smoothgrad_saliency(
+        model, params, z_train, z_test, sigma=0.0, samples=1, seed=None, kind=kind,
+        test_label=test_label, train_index=train_index, test_index=test_index,
+    )
+    return replace(sal, method="tfa")
 
 
 def smoothgrad_saliency(
@@ -93,7 +91,7 @@ def smoothgrad_saliency(
     z_test: LabeledExample,
     sigma: float,
     samples: int,
-    seed: int,
+    seed: int | None,
     kind: str = "cross-entropy",
     test_label: str = "true",
     *,
@@ -104,42 +102,29 @@ def smoothgrad_saliency(
     """Average the saliency over gaussian-perturbed copies of the train image.
 
     sigma is the noise standard deviation in input units; sample i draws its
-    noise from the child seed (seed, "smoothgrad/i") so the average does not
-    depend on evaluation order or worker count. sigma = 0 reproduces the
-    noiseless map exactly, bit for bit.
+    noise from the child seed (seed, "smoothgrad/i"), and the samples are
+    summed in index order. sigma = 0 reproduces the noiseless map exactly,
+    bit for bit, and draws no noise. workers is accepted for existing callers
+    and has no effect: the samples run one after another, since a thread
+    pool measured slower than that on the tiny CNN.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if samples < 1:
         raise ValueError("need at least one sample")
     g_test = query_gradient(model, params, z_test, kind, test_label)
-    norm = float(np.linalg.norm(g_test))
-    if norm <= DEGENERATE_NORM:
-        raise DegenerateGradientError("test", norm)
-
+    _checked_norm(g_test, "test")
     if sigma == 0.0:
         values = _pair_score_gradient(model, params, z_train.x, z_train.y, g_test, kind)
-        return SaliencyMap(
-            values, train_index, test_index, "smoothgrad", sigma, samples, seed
-        )
-
-    def one(i: int) -> np.ndarray:
-        noise = stream(seed, f"smoothgrad/{i}").normal(0.0, sigma, size=z_train.x.shape)
-        return _pair_score_gradient(
-            model, params, z_train.x + noise, z_train.y, g_test, kind
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            maps = list(pool.map(one, range(samples)))
     else:
-        maps = [one(i) for i in range(samples)]
-    total = np.zeros_like(z_train.x)
-    for m in maps:  # fixed reduction order
-        total += m
-    return SaliencyMap(
-        total / samples, train_index, test_index, "smoothgrad", sigma, samples, seed
-    )
+        values = np.zeros_like(z_train.x)
+        for i in range(samples):
+            noise = stream(seed, f"smoothgrad/{i}").normal(0.0, sigma, size=z_train.x.shape)
+            values += _pair_score_gradient(
+                model, params, z_train.x + noise, z_train.y, g_test, kind
+            )
+        values /= samples
+    return SaliencyMap(values, train_index, test_index, "smoothgrad", sigma, samples, seed)
 
 
 def channel_aggregate(saliency, mode: str = "abs-sum") -> np.ndarray:
@@ -205,21 +190,15 @@ def layer_saliency(
         x = graph.constant(example.x[None])
         logits, acts = model.record_forward(theta, x)
         act = acts[layer_index]
-        if kind == "cross-entropy":
-            per = ad.softmax_cross_entropy(logits, np.array([example.y]))
-        else:
-            per = ad.mse_loss(logits, np.array([example.y]), model.arch.num_classes)
-        loss = ad.reshape(per, ())
-        return graph, act, ad.backward(loss, [act])[0]
+        per = model.record_logits_loss(logits, np.array([example.y]), kind)
+        return graph, act, ad.backward(ad.reshape(per, ()), [act])[0]
 
     _, _, g_test_act = activation_grad(z_test)
     g_test_flat = g_test_act.value.ravel()
-    if float(np.linalg.norm(g_test_flat)) <= DEGENERATE_NORM:
-        raise DegenerateGradientError("test", float(np.linalg.norm(g_test_flat)))
+    _checked_norm(g_test_flat, "test")
 
     graph, act, g_train_act = activation_grad(z_train)
-    if float(np.linalg.norm(g_train_act.value)) <= DEGENERATE_NORM:
-        raise DegenerateGradientError("train", float(np.linalg.norm(g_train_act.value)))
+    _checked_norm(g_train_act.value.ravel(), "train")
     score = ad.cosine(
         ad.reshape(g_train_act, (-1,)), graph.constant(g_test_flat)
     )

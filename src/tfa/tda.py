@@ -78,14 +78,13 @@ def query_gradient(
 
 @dataclass
 class DampedHessian:
-    """Dense symmetric Hessian of the mean training loss, plus damping.
+    """Dense symmetric Hessian of the mean training loss.
 
-    lambda_damp may stay None until a solve is requested; factorizations are
-    cached per damping value.
+    Damping is chosen per solve, default_damping() when none is given; the
+    Cholesky factorization of H + lam I is cached per damping value.
     """
 
     matrix: np.ndarray
-    lambda_damp: float | None = None
     _factors: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -106,7 +105,7 @@ class DampedHessian:
 
     def solve(self, v: np.ndarray, lam: float | None = None) -> np.ndarray:
         """(H + lam I)^-1 v by Cholesky; raises if not positive definite."""
-        lam = self._resolve_lam(lam)
+        lam = self.default_damping() if lam is None else float(lam)
         factor = self._factors.get(lam)
         if factor is None:
             try:
@@ -116,11 +115,6 @@ class DampedHessian:
                 raise InsufficientDampingError(lam, smallest + lam) from None
             self._factors[lam] = factor
         return cho_solve(factor, v)
-
-    def _resolve_lam(self, lam: float | None) -> float:
-        if lam is None:
-            lam = self.lambda_damp if self.lambda_damp is not None else self.default_damping()
-        return float(lam)
 
 
 def dense_hessian(

@@ -7,6 +7,9 @@ hand derivations and finite differences of first-order gradients.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tfa import autodiff as ad
 
@@ -53,23 +56,33 @@ class TestPrimitiveGradients:
                         err_msg=f"gradient mismatch for {name} arg {i}",
                     )
 
-    def test_broadcasting_add_mul_reduce_correctly(self):
-        rng = np.random.default_rng(1)
-        a_val = rng.standard_normal((4, 3))
-        b_val = rng.standard_normal((3,))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3, max_side=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_broadcasting_add_mul_reduce_correctly(self, shapes, seed):
+        (a_shape, b_shape), out_shape = shapes
+        rng = np.random.default_rng(seed)
+        a_val, b_val = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        w_val = rng.standard_normal(out_shape)
 
-        def f_b(b):
+        def reduce_to(g, shape):
+            """Closed-form adjoint of broadcasting: sum over the broadcast axes."""
+            g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+            return g.sum(axis=tuple(i for i, d in enumerate(shape) if d == 1), keepdims=True)
+
+        expected = {
+            "add": (reduce_to(w_val, a_shape), reduce_to(w_val, b_shape)),
+            "mul": (reduce_to(w_val * b_val, a_shape), reduce_to(w_val * a_val, b_shape)),
+        }
+        for name, op in (("add", ad.add), ("mul", ad.mul)):
             graph = ad.Graph()
-            a = graph.constant(a_val)
-            out = ad.mul(ad.add(a, graph.leaf(b)), graph.constant(2.0))
-            return float(ad.reduce_sum(out).value)
-
-        graph = ad.Graph()
-        b = graph.leaf(b_val)
-        root = ad.reduce_sum(ad.mul(ad.add(graph.constant(a_val), b), graph.constant(2.0)))
-        (gb,) = ad.backward(root, [b])
-        assert gb.shape == b_val.shape
-        np.testing.assert_allclose(gb.value, fd(f_b, b_val), rtol=1e-7)
+            a, b = graph.leaf(a_val), graph.leaf(b_val)
+            root = ad.reduce_sum(ad.mul(op(a, b), graph.constant(w_val)))
+            for g, want, shape in zip(ad.backward(root, [a, b]), expected[name], (a_shape, b_shape)):
+                assert g.shape == shape
+                np.testing.assert_allclose(g.value, want, rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_matmul_reshape_permute_match_fd(self):
         rng = np.random.default_rng(2)
@@ -94,18 +107,25 @@ class TestPrimitiveGradients:
             gb.value, fd(lambda v: float(build(a_val, v)[3].value), b_val), rtol=1e-6
         )
 
-    def test_take_scatter_are_adjoint(self):
-        rng = np.random.default_rng(4)
-        a_val = rng.standard_normal(10)
-        v_val = rng.standard_normal(6)
-        idx = rng.integers(0, 10, size=6)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x_shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+        index_shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_take_scatter_are_adjoint(self, x_shape, index_shape, seed):
+        rng = np.random.default_rng(seed)
+        x_val = rng.standard_normal(x_shape)
+        v_val = rng.standard_normal(index_shape)
+        idx = rng.integers(0, x_val.size, size=index_shape)
+        idx.flat[-1] = idx.flat[0]  # at least one repeat whenever there are two entries
 
         graph = ad.Graph()
-        taken = ad.take(graph.leaf(a_val), idx)
-        scattered = ad.scatter(graph.leaf(v_val), idx, 10)
-        lhs = float(np.dot(taken.value, v_val))
-        rhs = float(np.dot(a_val, scattered.value))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+        taken = ad.take(graph.leaf(x_val), idx)
+        scattered = ad.scatter(graph.leaf(v_val), idx, x_val.size)
+        lhs = float(np.sum(taken.value * v_val))
+        rhs = float(np.dot(x_val.ravel(), scattered.value))
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_take_gradient_accumulates_repeated_indices(self):
         graph = ad.Graph()
@@ -367,7 +387,6 @@ class TestTruncate:
                 node.graph
         np.testing.assert_array_equal(y.value, np.exp([0.5, 2.0]))
         assert graph.nodes == [x]
-        assert all(i < mark for i in graph.leaf_ids)
         assert x.graph is graph
         assert ad.neg(x).id == mark
 

@@ -267,6 +267,15 @@ class TestConfigFile:
         assert manifest["lr"] == "0.3"  # from the file
         assert manifest["epochs"] == "2"  # flag overrides the file
 
+    def test_unknown_key_is_one_line_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("c=3.0\nnn=3\n")  # nn: a typo for n
+        assert cli.main(["--config", str(cfg), "toy-ridge"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(cfg) in captured.err and "nn" in captured.err
+
     def test_missing_config_file_is_data_error(self, capsys):
         assert cli.main(["--config", "/no/such/file", "toy-ridge"]) == 2
 

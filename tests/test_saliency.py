@@ -279,6 +279,11 @@ class TestLayerSaliency:
         with pytest.raises(IndexError):
             layer_saliency(model, params, ds.example(0), ds.example(1), layer_index=9)
 
+    def test_rejects_unknown_loss_kind(self):
+        model, params, ds = trained_cnn()
+        with pytest.raises(ValueError, match="loss must be one of"):
+            layer_saliency(model, params, ds.example(0), ds.example(1), layer_index=1, kind="bogus")
+
     def test_rejects_vector_models(self):
         arch = ArchitectureSpec(layers=(Dense(4, 2),), input_shape=(4,), num_classes=2)
         model = Model(arch)
