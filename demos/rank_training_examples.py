@@ -9,8 +9,6 @@ change from one training step), and the two Hessian-based scores
 (influence function and RelatIF). Positive always means helpful.
 """
 
-import numpy as np
-
 from tfa import (
     Model,
     SyntheticShapesSpec,
@@ -42,17 +40,14 @@ for method in ("grad-cos", "grad-effect"):
     print("  most helpful:", [(r.train_index, round(r.score, 4)) for r in top])
     print("  most harmful:", [(r.train_index, round(r.score, 4)) for r in bottom])
 
-# the Hessian-based scores need the dense Hessian once; damp it enough to
-# stay positive definite at a non-minimum
+# the Hessian-based scores need the dense Hessian once; by default its solves
+# are damped past the most negative eigenvalue, so they stay positive
+# definite at a non-minimum
 hessian = dense_hessian(model, params, train_ds.subset(range(50)))
-smallest = float(np.linalg.eigvalsh(hessian.matrix)[0])
-lam = hessian.default_damping() + max(0.0, -1.1 * smallest)
-print(f"\ndamping lambda = {lam:.4f} (smallest Hessian eigenvalue {smallest:+.4f})")
+print(f"\ndamping lambda = {hessian.damping():.4f} (smallest Hessian eigenvalue {hessian.lambda_min:+.4f})")
 
 for method in ("influence", "relatif"):
-    ranking = rank_training_set(
-        model, params, train_ds, z_test, method, test_index=0, hessian=hessian, lam=lam
-    )
+    ranking = rank_training_set(model, params, train_ds, z_test, method, test_index=0, hessian=hessian)
     print(f"{method}:")
     print("  most helpful:", [(r.train_index, round(r.score, 4)) for r in ranking.helpful(3)])
     print("  most harmful:", [(r.train_index, round(r.score, 4)) for r in ranking.harmful(3)])

@@ -15,10 +15,17 @@ A run directory's `manifest.txt` is its run record: `train` writes the
 seed and every data and training flag under its dest name (`--data-dir` as
 an absolute path), and `rank`, `saliency`, `insertion` and `explain` parse
 those entries back through the `train` flags to rebuild the same model and
-data, so the parser is the only schema of a run.
+data, so the parser is the only schema of a run. The other manifests are
+likewise the parsed flags by dest, in parser order (`patch-sweep` puts its
+run record first), followed by the command's results; a result may stand
+for a flag's resolved value, such as `rank`'s damping. Only the flags that
+name where a command reads and writes (`--config`, `--run`, `--out`), those
+that shape no artifact (`rank --top`, `saliency --raw`) and the data flags of
+the other data kind go unrecorded.
 """
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -39,7 +46,7 @@ from .harness import (
     patch_sweep,
 )
 from .models import Dataset, Model, ParamVector, TrainConfig, tiny_cnn, train
-from .outputs import format_value, read_key_value, write_csv, write_grid_artifacts, write_manifest
+from .outputs import format_csv, read_key_value, write_csv, write_grid_artifacts, write_manifest
 from .ridge import ToySetup, feature_contributions, representer_coefficients
 from .rng import child_seed
 from .saliency import channel_aggregate, smoothgrad_saliency
@@ -88,8 +95,9 @@ def checked_list(convert, ok, rule):
 
 
 positive_int = checked(int, lambda v: v > 0, "positive")
-positive_float = checked(float, lambda v: v > 0, "positive")
-non_negative_float = checked(float, lambda v: v >= 0, "non-negative")
+finite_float = checked(float, math.isfinite, "finite")
+positive_float = checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
+non_negative_float = checked(float, lambda v: math.isfinite(v) and v >= 0, "non-negative and finite")
 percent_list = checked_list(int, lambda v: 0 < v <= 100, "in (0, 100]")
 unit_list = checked_list(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 label_list = checked_list(int, lambda v: 0 <= v < NUM_LABELS, f"a label in [0, {NUM_LABELS})")
@@ -113,7 +121,7 @@ def add_data_flags(p):
     p.add_argument("--data", choices=tuple(RUN_KEYS), default="synthetic")
     p.add_argument("--size", type=int, default=32, help="synthetic image size")
     p.add_argument("--classes", type=int, default=3, help="synthetic class count")
-    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--noise", type=finite_float, default=0.05)
     p.add_argument("--train-per-class", type=int, default=200)
     p.add_argument("--holdout-per-class", type=int, default=20)
     p.add_argument("--test-per-class", type=int, default=40)
@@ -123,10 +131,10 @@ def add_data_flags(p):
 
 
 def add_train_flags(p):
-    p.add_argument("--lr", type=float, default=0.25)
+    p.add_argument("--lr", type=finite_float, default=0.25)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr-decay", type=float, default=0.93)
+    p.add_argument("--lr-decay", type=finite_float, default=0.93)
     p.add_argument("--loss", choices=("cross-entropy", "mse"), default="cross-entropy")
 
 
@@ -156,7 +164,7 @@ def build_parser() -> Parser:
     p.add_argument("--method", choices=("grad-cos", "grad-effect", "influence", "relatif"), default="grad-cos")
     p.add_argument("--top", type=positive_int, default=10, help="rows to print per tail")
     p.add_argument("--epsilon", type=positive_float, default=1e-3)
-    p.add_argument("--lam", type=float, help="Hessian damping (default: auto, kept positive definite)")
+    p.add_argument("--lam", type=finite_float, help="Hessian damping (default: auto, kept positive definite)")
     p.add_argument("--hessian-examples", type=positive_int, default=200, help="training subset used for the dense Hessian")
 
     p = sub.add_parser("saliency", help="saliency map for one train/test pair")
@@ -172,7 +180,7 @@ def build_parser() -> Parser:
     p.add_argument("--ks", type=percent_list, default="10,20,30,40,50,100", help="comma-separated k percents")
     p.add_argument("--tests", type=positive_int, default=20)
     p.add_argument("--top-m", type=positive_int, default=10)
-    p.add_argument("--lr-step", type=float, default=1e-3)
+    p.add_argument("--lr-step", type=finite_float, default=1e-3)
     add_smoothing_flags(p, samples_default=30)
     p.add_argument("--fill", choices=("dataset-mean", "zero"), default="dataset-mean")
     p.add_argument("--seed", type=int, default=0)
@@ -200,9 +208,9 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("toy-ridge", help="closed-form representer tables for the planted toy")
     p.add_argument("--n", type=int, default=5, help="total examples (n-1 on the axis)")
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=1.0, help="test point (0, t)")
+    p.add_argument("--c", type=finite_float, default=2.0)
+    p.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
+    p.add_argument("--t", type=finite_float, default=1.0, help="test point (0, t)")
     p.add_argument("--out", help="optional directory for the CSV")
     return parser
 
@@ -210,15 +218,18 @@ def build_parser() -> Parser:
 def apply_config_file(parser, argv):
     """Pre-parse --config and install its pairs as subcommand defaults.
 
-    Keys are flag dest names; a key that no subcommand's flag takes is a
-    usage error.
+    Keys are flag dest names; a line that is not key=value, or a key that no
+    subcommand's flag takes, is a usage error.
     """
-    probe = Parser(add_help=False)
+    probe = Parser(add_help=False, allow_abbrev=False)  # `--c 3` is toy-ridge's --c
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
-    pairs = read_key_value(known.config)
+    try:
+        pairs = read_key_value(known.config)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     taken = set()
     # defaults attach to every subparser that knows the flag
     for action in parser._subparsers._group_actions[0].choices.values():
@@ -300,6 +311,16 @@ def run_record(args) -> dict:
     return record
 
 
+def parsed_flags(args, *unrecorded) -> dict:
+    """The subcommand's parsed flags by dest, in parser order, less `unrecorded`.
+
+    --config, --run and --out name where a command reads and writes, not
+    what it computes, so they are never included.
+    """
+    skip = {"config", "command", "run", "out", *unrecorded}
+    return {dest: value for dest, value in vars(args).items() if dest not in skip}
+
+
 def parse_run_record(manifest) -> argparse.Namespace:
     """Inverse of run_record: parse a manifest's entries back through the `train` flags."""
     keys = ("seed", "data", *RUN_KEYS.get(manifest["data"], ()), *TRAIN_KEYS)
@@ -343,8 +364,8 @@ class Run:
         manifest_path = self.path / "manifest.txt"
         if not manifest_path.exists():
             raise FormatError(f"{self.path} has no manifest.txt (not a run directory?)")
-        self.manifest = read_key_value(manifest_path)
         try:
+            self.manifest = read_key_value(manifest_path)
             args = parse_run_record(self.manifest)
             self.config = train_config(args, child_seed(args.seed, "train"))
             self.arch, self.train_ds, self.holdout, self.test_ds = build_datasets(
@@ -367,16 +388,9 @@ def cmd_rank(args) -> int:
     run = Run(args.run)
     z_test = run.test_example(args.test_index)
     hessian = None
-    lam = args.lam
-    smallest = None
     if args.method in ("influence", "relatif"):
         subset = run.train_ds.subset(range(min(args.hessian_examples, len(run.train_ds))))
         hessian = dense_hessian(run.model, run.params, subset, run.config.loss)
-        smallest = float(np.linalg.eigvalsh(hessian.matrix)[0])
-        if lam is None:
-            # partially trained models have indefinite Hessians; damp past
-            # the most negative eigenvalue so the solve stays well posed
-            lam = hessian.default_damping() + max(0.0, -1.1 * smallest)
     try:
         ranking = rank_training_set(
             run.model,
@@ -387,7 +401,7 @@ def cmd_rank(args) -> int:
             test_index=args.test_index,
             epsilon=args.epsilon,
             hessian=hessian,
-            lam=lam,
+            lam=args.lam,
             kind=run.config.loss,
         )
     except InsufficientDampingError as e:
@@ -395,18 +409,16 @@ def cmd_rank(args) -> int:
     rows = [(r.train_index, r.method, r.score) for r in ranking.records]
     table = run.path / "tables" / f"rank_test{args.test_index}_{args.method}.csv"
     write_csv(table, ("train_index", "method", "score"), rows)
+    lam = hessian.damping() if hessian is not None and args.lam is None else args.lam
+    results = {
+        "lam": "unused" if lam is None else lam,
+        "lambda_min": "unused" if hessian is None else hessian.lambda_min,
+        "hessian_examples": args.hessian_examples if hessian is not None else 0,
+        "skipped": len(ranking.skipped),
+    }
     write_manifest(
         run.path / f"manifest_rank_test{args.test_index}_{args.method}.txt",
-        {
-            "command": "rank",
-            "test_index": args.test_index,
-            "method": args.method,
-            "epsilon": args.epsilon,
-            "lam": "unused" if lam is None else lam,
-            "lambda_min": "unused" if smallest is None else smallest,
-            "hessian_examples": args.hessian_examples if hessian is not None else 0,
-            "skipped": len(ranking.skipped),
-        },
+        {"command": "rank", **parsed_flags(args, "top", *results), **results},
     )
     print(f"wrote {table}")
     top = min(args.top, len(ranking.records))
@@ -441,14 +453,7 @@ def cmd_saliency(args) -> int:
     write_grid_artifacts(stem, grid)
     write_manifest(
         run.path / f"manifest_saliency_train{args.train_index}_test{args.test_index}.txt",
-        {
-            "command": "saliency",
-            "train_index": args.train_index,
-            "test_index": args.test_index,
-            "sigma": sigma,
-            "samples": samples,
-            "seed": args.seed,
-        },
+        {"command": "saliency", **parsed_flags(args, "raw"), "sigma": sigma, "samples": samples},
     )
     print(f"wrote {stem}.pgm and {stem}.csv")
     return 0
@@ -473,20 +478,7 @@ def cmd_insertion(args) -> int:
     )
     table = run.path / "tables" / "insertion.csv"
     write_csv(table, [f.name for f in fields(PairedResult)], [astuple(r) for r in results])
-    write_manifest(
-        run.path / "manifest_insertion.txt",
-        {
-            "command": "insertion",
-            "ks": args.ks,
-            "tests": config.num_tests,
-            "top_m": config.top_m,
-            "lr_step": config.lr_step,
-            "sigma": config.sigma,
-            "samples": config.samples,
-            "fill": config.fill,
-            "seed": config.seed,
-        },
-    )
+    write_manifest(run.path / "manifest_insertion.txt", {"command": "insertion", **parsed_flags(args)})
     print(f"wrote {table}")
     for r in results:
         print(
@@ -529,11 +521,7 @@ def cmd_explain(args) -> int:
         run.path / f"manifest_explain_test{args.test_index}.txt",
         {
             "command": "explain",
-            "test_index": args.test_index,
-            "top_r": args.top_r,
-            "sigma": args.sigma,
-            "samples": args.samples,
-            "seed": args.seed,
+            **parsed_flags(args),
             "predicted_class": report.predicted_class,
             "true_class": report.true_class,
             "correctly_classified": report.correctly_classified,
@@ -583,22 +571,10 @@ def cmd_patch_sweep(args) -> int:
     out = Path(args.out)
     table = out / "tables" / "patch_sweep.csv"
     write_csv(table, [f.name for f in fields(PatchSweepRow)], [astuple(r) for r in rows])
-    write_manifest(
-        out / "manifest.txt",
-        {
-            "command": "patch-sweep",
-            **record,
-            "fractions": args.fractions,
-            "patch_size": args.patch_size,
-            "patch_color": args.patch_color,
-            "target_class": args.target_class,
-            "probe_class": args.probe_class,
-            "probes": args.probes,
-            "harmful": args.harmful,
-            "sigma": args.sigma,
-            "samples": args.samples,
-        },
-    )
+    # every data flag, recorded or not, is the run record's to write
+    data_flags = (key for keys in RUN_KEYS.values() for key in keys)
+    own = parsed_flags(args, "seed", "data", *data_flags, *TRAIN_KEYS)
+    write_manifest(out / "manifest.txt", {"command": "patch-sweep", **record, **own})
     print(f"wrote {table}")
     for r in rows:
         print(
@@ -620,10 +596,7 @@ def cmd_toy_ridge(args) -> int:
     rows = [
         (i, problem.y[i], alpha[i], beta[i, 0], beta[i, 1]) for i in range(len(alpha))
     ]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    print("\n".join(lines))
+    print(format_csv(header, rows), end="")
     prediction = float(alpha @ problem.y)
     print(f"# prediction alpha.y = {prediction!r}", file=sys.stderr)
     if args.out:

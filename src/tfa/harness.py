@@ -458,14 +458,7 @@ def patch_sweep(
     rows = []
     for f in fractions:
         tag = f"{f:.6f}"
-        spec_f = PatchSpec(
-            size=spec.size,
-            color=spec.color,
-            target_class=spec.target_class,
-            fraction=f,
-            corner=spec.corner,
-            seed=child_seed(seed, f"patch/choose/{tag}"),
-        )
+        spec_f = dataclasses.replace(spec, fraction=f, seed=child_seed(seed, f"patch/choose/{tag}"))
         train_ds = make_patched_dataset(base_train, spec_f)
         cfg = dataclasses.replace(train_config, seed=child_seed(seed, f"patch/train/{tag}"))
         params, _ = train(train_ds, arch, cfg)

@@ -20,14 +20,18 @@ def format_value(v) -> str:
     return str(v)
 
 
+def format_csv(header, rows) -> str:
+    """A CSV with a header row; fields are comma-joined, no quoting."""
+    lines = [",".join(header)]
+    lines += [",".join(format_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_csv(path, header, rows) -> None:
-    """Write a CSV with a header row; fields are comma-joined, no quoting."""
+    """Write format_csv(header, rows) to path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(format_csv(header, rows))
 
 
 def write_manifest(path, mapping) -> None:

@@ -70,7 +70,6 @@ def tfa_saliency(
     z_train: LabeledExample,
     z_test: LabeledExample,
     kind: str = "cross-entropy",
-    test_label: str = "true",
     *,
     train_index: int = -1,
     test_index: int = -1,
@@ -79,7 +78,7 @@ def tfa_saliency(
     as the training input: smoothgrad_saliency at sigma 0 with one sample."""
     sal = smoothgrad_saliency(
         model, params, z_train, z_test, sigma=0.0, samples=1, seed=None, kind=kind,
-        test_label=test_label, train_index=train_index, test_index=test_index,
+        train_index=train_index, test_index=test_index,
     )
     return replace(sal, method="tfa")
 
@@ -93,7 +92,6 @@ def smoothgrad_saliency(
     samples: int,
     seed: int | None,
     kind: str = "cross-entropy",
-    test_label: str = "true",
     *,
     train_index: int = -1,
     test_index: int = -1,
@@ -112,7 +110,7 @@ def smoothgrad_saliency(
         raise ValueError("sigma must be non-negative")
     if samples < 1:
         raise ValueError("need at least one sample")
-    g_test = query_gradient(model, params, z_test, kind, test_label)
+    g_test = query_gradient(model, params, z_test, kind)
     _checked_norm(g_test, "test")
     if sigma == 0.0:
         values = _pair_score_gradient(model, params, z_train.x, z_train.y, g_test, kind)

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigvalsh
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import autodiff as ad
 from .models import Dataset, LabeledExample, Model, ParamVector
@@ -60,28 +61,19 @@ def query_gradient(
     params: ParamVector,
     z_test: LabeledExample,
     kind: str = "cross-entropy",
-    test_label: str = "true",
 ) -> np.ndarray:
-    """Parameter gradient of the test example's loss.
-
-    test_label="true" differentiates the loss at the example's own label;
-    "predicted" uses the model's argmax label instead.
-    """
-    if test_label == "true":
-        label = z_test.y
-    elif test_label == "predicted":
-        label = model.predict_one(params, z_test.x)
-    else:
-        raise ValueError("test_label must be 'true' or 'predicted'")
-    return model.param_grad(params, LabeledExample(z_test.x, label), kind)
+    """Parameter gradient of the test example's loss at its own label."""
+    return model.param_grad(params, z_test, kind)
 
 
 @dataclass
 class DampedHessian:
     """Dense symmetric Hessian of the mean training loss.
 
-    Damping is chosen per solve, default_damping() when none is given; the
-    Cholesky factorization of H + lam I is cached per damping value.
+    Damping is chosen per solve, damping() when none is given; the Cholesky
+    factorization of H + lam I is cached per damping value. lambda_min, the
+    smallest eigenvalue, is computed on first use only, since a solve at a
+    given damping does not need it.
     """
 
     matrix: np.ndarray
@@ -103,16 +95,33 @@ class DampedHessian:
         """1e-3 * trace(H) / p; a scale-aware floor for the solves."""
         return 1e-3 * float(np.trace(self.matrix)) / self.dim
 
+    @cached_property
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue of H."""
+        return float(np.linalg.eigvalsh(self.matrix)[0])
+
+    def damping(self) -> float:
+        """default_damping() plus 1.1 |lambda_min| when H is indefinite.
+
+        A model that is not at a minimum has an indefinite Hessian; damping
+        past its most negative eigenvalue keeps H + lam I positive definite,
+        with smallest eigenvalue at least 0.099 |lambda_min|. On a positive
+        definite H this is default_damping() exactly.
+        """
+        return self.default_damping() + max(0.0, -1.1 * self.lambda_min)
+
     def solve(self, v: np.ndarray, lam: float | None = None) -> np.ndarray:
-        """(H + lam I)^-1 v by Cholesky; raises if not positive definite."""
-        lam = self.default_damping() if lam is None else float(lam)
+        """(H + lam I)^-1 v by Cholesky, lam defaulting to damping().
+
+        Raises InsufficientDampingError if H + lam I is not positive definite.
+        """
+        lam = self.damping() if lam is None else float(lam)
         factor = self._factors.get(lam)
         if factor is None:
             try:
                 factor = cho_factor(self.matrix + lam * np.eye(self.dim))
             except LinAlgError:
-                smallest = float(eigvalsh(self.matrix, subset_by_index=[0, 0])[0])
-                raise InsufficientDampingError(lam, smallest + lam) from None
+                raise InsufficientDampingError(lam, self.lambda_min + lam) from None
             self._factors[lam] = factor
         return cho_solve(factor, v)
 
@@ -195,10 +204,9 @@ def grad_cos(
     z_train: LabeledExample,
     z_test: LabeledExample,
     kind: str = "cross-entropy",
-    test_label: str = "true",
 ) -> float:
     """Cosine of the train/test loss-gradient pair; in [-1, 1]."""
-    g_test = query_gradient(model, params, z_test, kind, test_label)
+    g_test = query_gradient(model, params, z_test, kind)
     g_train = model.param_grad(params, z_train, kind)
     return float(attribution_scores(g_train[None, :], g_test, "grad-cos")[0])
 
@@ -210,7 +218,6 @@ def grad_effect(
     z_test: LabeledExample,
     epsilon: float = 1e-3,
     kind: str = "cross-entropy",
-    test_label: str = "true",
 ) -> float:
     """Predicted test-loss change from one step of size epsilon on z_train.
 
@@ -218,7 +225,7 @@ def grad_effect(
     that reduces the training example's loss by about epsilon. Negative
     output means the test loss is predicted to drop.
     """
-    g_test = query_gradient(model, params, z_test, kind, test_label)
+    g_test = query_gradient(model, params, z_test, kind)
     g_train = model.param_grad(params, z_train, kind)
     return _loss_change(g_train, g_test, "grad-effect", epsilon=epsilon)
 
@@ -285,7 +292,6 @@ def rank_training_set(
     hessian: DampedHessian | None = None,
     lam: float | None = None,
     kind: str = "cross-entropy",
-    test_label: str = "true",
 ) -> RankingResult:
     """Score every training example against one test example and sort.
 
@@ -296,7 +302,7 @@ def rank_training_set(
     descending score, ties broken by ascending train index. Degenerate
     training gradients are skipped with a warning.
     """
-    g_test = query_gradient(model, params, z_test, kind, test_label)
+    g_test = query_gradient(model, params, z_test, kind)
     G = model.param_grads(params, dataset, kind)
     keep = np.linalg.norm(G, axis=1) > DEGENERATE_NORM
     skipped = np.flatnonzero(~keep).tolist()

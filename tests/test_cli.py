@@ -124,6 +124,17 @@ class TestExitCodes:
             (["train", "--data", "cifar10", "--cifar-classes", "0,10", "--out", "OUT"], "--cifar-classes"),
             (["train", "--data", "cifar10", "--data-dir", "batches ", "--out", "OUT"], "--data-dir"),
             (["train", "--data", "cifar10", "--data-dir", "a\nb", "--out", "OUT"], "--data-dir"),
+            (["rank", "--run", "RUN", "--test-index", "0", "--method", "influence", "--lam", "nan"], "--lam"),
+            (["rank", "--run", "RUN", "--test-index", "0", "--method", "influence", "--lam", "inf"], "--lam"),
+            (["rank", "--run", "RUN", "--test-index", "0", "--epsilon", "inf"], "--epsilon"),
+            (["saliency", "--run", "RUN", "--train-index", "0", "--test-index", "0", "--sigma", "inf"], "--sigma"),
+            (["insertion", "--run", "RUN", "--lr-step", "nan"], "--lr-step"),
+            (["train", "--lr", "nan", "--out", "OUT"], "--lr"),
+            (["train", "--noise", "nan", "--out", "OUT"], "--noise"),
+            (["patch-sweep", "--lr-decay", "inf", "--out", "OUT"], "--lr-decay"),
+            (["toy-ridge", "--lambda", "nan"], "--lambda"),
+            (["toy-ridge", "--t", "nan"], "--t"),
+            (["toy-ridge", "--c=-inf"], "--c"),
         ],
     )
     def test_bad_value_is_one_line_usage_error(self, argv, flag, run_dir, tmp_path, monkeypatch, capsys):
@@ -276,6 +287,20 @@ class TestConfigFile:
         assert captured.err.count("\n") == 1
         assert str(cfg) in captured.err and "nn" in captured.err
 
+    def test_malformed_line_is_one_line_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("c=3.0\ngarbage\n")
+        assert cli.main(["--config", str(cfg), "toy-ridge"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{cfg}:2" in captured.err and "garbage" in captured.err
+
+    def test_flag_that_abbreviates_config_is_not_config(self, capsys):
+        assert cli.main(["toy-ridge", "--c", "3"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.split(",")[1] == "3.0"  # the planted example's label is c
+
     def test_missing_config_file_is_data_error(self, capsys):
         assert cli.main(["--config", "/no/such/file", "toy-ridge"]) == 2
 
@@ -316,6 +341,19 @@ class TestRank:
         assert float(manifest["lam"]) == hessian.default_damping() + max(0.0, -1.1 * smallest)
         assert cli.main(base) == 0
         assert read_key_value(run_dir / "manifest_rank_test2_grad-cos.txt")["lambda_min"] == "unused"
+
+    @pytest.mark.parametrize("method", ["influence", "relatif"])
+    def test_library_default_damping_ranks_as_the_cli(self, run_dir, method, capsys):
+        argv = ["rank", "--run", str(run_dir), "--test-index", "4", "--method", method]
+        assert cli.main([*argv, "--hessian-examples", "20"]) == 0
+        run = cli.Run(run_dir)
+        hessian = dense_hessian(run.model, run.params, run.train_ds.subset(range(20)))
+        assert np.linalg.eigvalsh(hessian.matrix)[0] < 0.0  # indefinite: the default must damp
+        expected = rank_training_set(
+            run.model, run.params, run.train_ds, run.test_example(4), method, hessian=hessian
+        )
+        table = read_rank_table(run_dir / "tables" / f"rank_test4_{method}.csv")
+        assert table == [(r.train_index, r.score) for r in expected.records]
 
     @pytest.mark.parametrize("method", ["influence", "relatif"])
     @pytest.mark.parametrize("examples", ["0", "-3"])
@@ -431,6 +469,35 @@ class TestExplain:
             assert (run_dir / "maps" / f"explain_test1_train{idx}.pgm").exists()
 
 
+class TestManifests:
+    @pytest.mark.parametrize(
+        "argv, manifest",
+        [
+            (["rank", "--run", "RUN", "--test-index", "5", "--method", "grad-effect"],
+             "{RUN}/manifest_rank_test5_grad-effect.txt"),
+            (["saliency", "--run", "RUN", "--train-index", "5", "--test-index", "5", "--raw"],
+             "{RUN}/manifest_saliency_train5_test5.txt"),
+            (["insertion", "--run", "RUN", "--ks", "100", "--tests", "1", "--top-m", "1", "--samples", "1"],
+             "{RUN}/manifest_insertion.txt"),
+            (["explain", "--run", "RUN", "--test-index", "5", "--top-r", "1", "--samples", "1"],
+             "{RUN}/manifest_explain_test5.txt"),
+            (["patch-sweep", "--size", "12", "--train-per-class", "4", "--holdout-per-class", "0",
+              "--test-per-class", "2", "--epochs", "1", "--fractions", "0", "--probes", "1", "--harmful", "1",
+              "--samples", "1", "--out", "OUT"],
+             "{OUT}/manifest.txt"),
+        ],
+    )
+    def test_every_flag_that_shapes_an_artifact_is_recorded(self, argv, manifest, run_dir, tmp_path, capsys):
+        places = {"RUN": str(run_dir), "OUT": str(tmp_path / "out")}
+        assert cli.main([places.get(a, a) for a in argv]) == 0
+        keys = read_key_value(manifest.format(**places))
+        subparser = cli.build_parser()._subparsers._group_actions[0].choices[argv[0]]
+        # --run and --out are locations, rank --top and saliency --raw shape no
+        # artifact, and the run record of a synthetic run holds no CIFAR-10 flag
+        unrecorded = {"help", "run", "out", "top", "raw", *CIFAR_KEYS}
+        assert {a.dest for a in subparser._actions} - unrecorded <= keys.keys()
+
+
 SYNTHETIC_KEYS = ("size", "classes", "noise", "train_per_class", "test_per_class")
 CIFAR_KEYS = ("data_dir", "cifar_classes", "per_class_cap")
 
@@ -452,6 +519,14 @@ class TestRunRecord:
         expected = rank_training_set(run.model, run.params, run.train_ds, run.test_example(1))
         table = read_rank_table(out / "tables" / "rank_test1_grad-cos.csv")
         assert table == [(r.train_index, r.score) for r in expected.records]
+
+    def test_malformed_manifest_line_is_data_error(self, run_dir, tmp_path, capsys):
+        (tmp_path / "manifest.txt").write_text((run_dir / "manifest.txt").read_text() + "garbage\n")
+        (tmp_path / "params.npy").write_bytes((run_dir / "params.npy").read_bytes())
+        assert cli.main(["rank", "--run", str(tmp_path), "--test-index", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot restore run" in err and "expected key=value" in err
 
     def test_parent_format_synthetic_manifest_restores_the_same_data(self, tmp_path):
         (tmp_path / "manifest.txt").write_text(

@@ -54,6 +54,13 @@ def small_mlp(d=6, hidden=8, k=3):
     )
 
 
+def random_symmetric(rng, eigenvalues):
+    """A symmetric matrix with the given spectrum in a random orthonormal basis."""
+    Q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))
+    H = (Q * np.asarray(eigenvalues)) @ Q.T
+    return (H + H.T) / 2.0
+
+
 def trained_blobs(seed=0, n_per=30, d=6, k=3, epochs=6):
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 2.0, size=(k, d))
@@ -99,23 +106,6 @@ class TestGradCos:
         with pytest.raises(DegenerateGradientError) as info:
             grad_cos(model, params, other, flat, kind="mse")
         assert info.value.side == "test"
-
-    def test_predicted_label_mode(self):
-        # heavily overlapping classes guarantee some misclassified points
-        rng = np.random.default_rng(42)
-        X = np.vstack(
-            [rng.normal(0.0, 1.0, size=(40, 4)), rng.normal(0.5, 1.0, size=(40, 4))]
-        )
-        ds = Dataset(X, np.array([0] * 40 + [1] * 40))
-        arch = small_mlp(d=4, k=2)
-        params, _ = train(ds, arch, TrainConfig(lr=0.1, epochs=3, batch_size=16, seed=0))
-        model = Model(arch)
-        wrong = np.flatnonzero(model.predict(params, ds.X) != ds.y)
-        assert len(wrong) > 0
-        z = ds.example(int(wrong[0]))
-        a = grad_cos(model, params, ds.example(0), z, test_label="true")
-        b = grad_cos(model, params, ds.example(0), z, test_label="predicted")
-        assert a != b
 
 
 class TestGradEffect:
@@ -272,6 +262,29 @@ class TestInfluence:
     def test_default_damping_scale(self):
         h = DampedHessian(np.diag([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(h.default_damping(), 1e-3 * 2.0, rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        negative=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4),
+        positive=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_default_solve_damps_past_the_most_negative_eigenvalue(self, negative, positive, seed):
+        rng = np.random.default_rng(seed)
+        H = random_symmetric(rng, [-v for v in negative] + positive)
+        p = H.shape[0]
+        v = rng.standard_normal(p)
+        h = DampedHessian(H)
+        x = h.solve(v)
+        assert np.array_equal(x, DampedHessian(H).solve(v, lam=h.damping()))
+        smallest = np.linalg.eigvalsh(H)[0]
+        assert np.linalg.eigvalsh(H + h.damping() * np.eye(p))[0] >= 0.099 * abs(smallest)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spectrum=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+    def test_positive_definite_damping_is_the_default(self, spectrum, seed):
+        h = DampedHessian(random_symmetric(np.random.default_rng(seed), spectrum))
+        assert h.damping() == h.default_damping()
 
     def test_sign_agrees_with_exact_ridge_refit(self):
         # ridge total objective ||Xw-y||^2 + lam||w||^2 has Hessian
