@@ -409,17 +409,17 @@ def cmd_rank(args) -> int:
     rows = [(r.train_index, r.method, r.score) for r in ranking.records]
     table = run.path / "tables" / f"rank_test{args.test_index}_{args.method}.csv"
     write_csv(table, ("train_index", "method", "score"), rows)
-    lam = hessian.damping() if hessian is not None and args.lam is None else args.lam
+    # a flag that shaped no score is recorded as unused
     results = {
-        "lam": "unused" if lam is None else lam,
+        "lam": "unused" if hessian is None else (hessian.damping() if args.lam is None else args.lam),
         "lambda_min": "unused" if hessian is None else hessian.lambda_min,
         "hessian_examples": args.hessian_examples if hessian is not None else 0,
         "skipped": len(ranking.skipped),
     }
-    write_manifest(
-        run.path / f"manifest_rank_test{args.test_index}_{args.method}.txt",
-        {"command": "rank", **parsed_flags(args, "top", *results), **results},
-    )
+    manifest = {"command": "rank", **parsed_flags(args, "top", *results), **results}
+    if args.method != "grad-effect":
+        manifest["epsilon"] = "unused"
+    write_manifest(run.path / f"manifest_rank_test{args.test_index}_{args.method}.txt", manifest)
     print(f"wrote {table}")
     top = min(args.top, len(ranking.records))
     for r in ranking.helpful(top):

@@ -188,9 +188,13 @@ def intervention_delta(
     Positive means the step hurt the test prediction.
     """
     before = model.loss(params, z_test, kind)
+    return _loss_after_step(model, params, z_masked, z_test, lr_step, kind) - before
+
+
+def _loss_after_step(model, params, z_masked, z_test, lr_step, kind) -> float:
+    """Test loss after one SGD step on the masked example; intervention_delta's minuend."""
     g = model.param_grad(params, z_masked, kind)
-    stepped = sgd_step(params, g, lr_step)
-    return model.loss(stepped, z_test, kind) - before
+    return model.loss(sgd_step(params, g, lr_step), z_test, kind)
 
 
 def paired_insertion_experiment(
@@ -227,6 +231,7 @@ def paired_insertion_experiment(
     deltas = {k: [] for k in config.k_percents}
     for t in sorted(int(i) for i in picked):
         z_test = test_set.example(t)
+        before = model.loss(params, z_test, kind)  # the pre-step loss of every delta below
         ranking = rank_training_set(model, params, holdout, z_test, "grad-cos", kind=kind)
         top = ranking.helpful(config.top_m)
         if not top:
@@ -255,13 +260,12 @@ def paired_insertion_experiment(
                     "random",
                     seed=stream(config.seed, f"insertion/rand/{t}/{m}/{k}"),
                 )
-                d_top = intervention_delta(
-                    model, params, LabeledExample(x_top, z_train.y), z_test, config.lr_step, kind
-                )
-                d_rand = intervention_delta(
-                    model, params, LabeledExample(x_rand, z_train.y), z_test, config.lr_step, kind
-                )
-                deltas[k].append((d_top, d_rand))
+                deltas[k].append(tuple(
+                    _loss_after_step(
+                        model, params, LabeledExample(x, z_train.y), z_test, config.lr_step, kind
+                    ) - before
+                    for x in (x_top, x_rand)
+                ))
 
     results = []
     for k in config.k_percents:

@@ -13,9 +13,10 @@ indices that training has already cached for that batch shape.
 
 Attribution ranks one training set many times at fixed parameters, so a
 ``Model`` keeps the last matrix of per-example training gradients that
-``Model.param_grads`` built. The store holds one entry, keyed by the loss kind
-and the shapes and bytes of the parameters, inputs and labels; it lives and
-dies with the ``Model`` instance, and the matrix it hands out is read-only.
+``Model.param_grads`` built, and the last query gradient of
+``tda.query_gradient``. Each store holds one entry, keyed by the loss kind and
+the shapes and bytes of the parameters, inputs and labels; it lives and dies
+with the ``Model`` instance, and the array it hands out is read-only.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ class Model:
             (s.layer, s.name): np.arange(s.offset, s.offset + int(np.prod(s.shape)))
             for s in self.layout
         }
-        self._grads = None  # (key, read-only G) of the last param_grads call
+        self._kept = {}  # slot -> (content key, read-only array); see _keep
 
     def _param(self, theta: ad.Node, layer: int, name: str, shape: tuple) -> ad.Node:
         return ad.reshape(ad.take(theta, self._slice_index[(layer, name)]), shape)
@@ -401,24 +402,31 @@ class Model:
 
         The rows come from the same ``param_grad`` calls, in order, so they
         are bitwise equal to them. The model keeps the last matrix, keyed by
-        ``kind``, the array shapes and a digest of the bytes of ``params.data``,
-        ``dataset.X`` and ``dataset.y``: a repeat call returns the same matrix,
-        and any change to those arrays, in place or not, rebuilds it. The
-        matrix is freed with the model or by the next rebuild.
+        ``kind`` and the bytes of ``params.data``, ``dataset.X`` and
+        ``dataset.y``: a repeat call returns the same matrix, any change to
+        those arrays, in place or not, rebuilds it, and the rebuild or the
+        model's end frees it.
         """
+        def build():
+            G = np.empty((len(dataset), self.num_params))
+            for i in range(len(dataset)):
+                G[i] = self.param_grad(params, dataset.example(i), kind)
+            return G
+        return self._keep("grads", build, kind, params.data, dataset.X, dataset.y)
+
+    def _keep(self, slot: str, build, kind: str, *arrays) -> np.ndarray:
+        """build() made read-only and kept in ``slot``, keyed by ``kind`` and the shapes and bytes of ``arrays``."""
         digest = hashlib.blake2b()
-        for a in (params.data, dataset.X, dataset.y):
+        for a in arrays:
             digest.update(np.ascontiguousarray(a))
-        key = (kind, params.data.shape, dataset.X.shape, dataset.y.shape, digest.digest())
-        if self._grads is not None and self._grads[0] == key:
-            return self._grads[1]
-        self._grads = None  # free the old matrix before building the new one
-        G = np.empty((len(dataset), self.num_params))
-        for i in range(len(dataset)):
-            G[i] = self.param_grad(params, dataset.example(i), kind)
-        G.flags.writeable = False
-        self._grads = (key, G)
-        return G
+        key = (kind, *(np.shape(a) for a in arrays), digest.digest())
+        if slot in self._kept and self._kept[slot][0] == key:
+            return self._kept[slot][1]
+        self._kept.pop(slot, None)  # free the stale array before the build
+        value = build()
+        value.flags.writeable = False
+        self._kept[slot] = (key, value)
+        return value
 
 
 def sgd_step(params: ParamVector, gradient: np.ndarray, lr: float) -> ParamVector:

@@ -5,8 +5,8 @@ gradients against the test-loss gradient g, oriented so positive = helpful:
 
     grad-cos     G_i g / (||G_i|| ||g||)
     grad-effect  epsilon G_i g / ||G_i||^2
-    influence    V_i g, where V = (H + lam I)^-1 G' (one solve, N right-hand sides)
-    relatif      V_i g / ||V_i||
+    influence    G_i u, where u = (H + lam I)^-1 g: one single-vector solve per query
+    relatif      G_i u / ||V_i||, where V = (H + lam I)^-1 G', its norms kept per (G, lam)
 
 The pair scorers are one-row calls of the kernel; grad_effect,
 influence_function and relatif keep the loss-change sign (negative =
@@ -18,6 +18,7 @@ rows with a warning; anywhere else it is an error.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,8 +63,13 @@ def query_gradient(
     z_test: LabeledExample,
     kind: str = "cross-entropy",
 ) -> np.ndarray:
-    """Parameter gradient of the test example's loss at its own label."""
-    return model.param_grad(params, z_test, kind)
+    """Parameter gradient of the test example's loss at its own label, read-only.
+
+    The model keeps the last one, keyed like Model.param_grads, so rankings
+    and saliency maps for one test image compute it once.
+    """
+    build = lambda: model.param_grad(params, z_test, kind)
+    return model._keep("query", build, kind, params.data, z_test.x, z_test.y)
 
 
 @dataclass
@@ -71,13 +77,14 @@ class DampedHessian:
     """Dense symmetric Hessian of the mean training loss.
 
     Damping is chosen per solve, damping() when none is given; the Cholesky
-    factorization of H + lam I is cached per damping value. lambda_min, the
-    smallest eigenvalue, is computed on first use only, since a solve at a
-    given damping does not need it.
+    factorization of H + lam I is cached per damping value, and next to it
+    the last response_norms. lambda_min, the smallest eigenvalue, is computed
+    on first use only, since a solve at a given damping does not need it.
     """
 
     matrix: np.ndarray
     _factors: dict = field(default_factory=dict, repr=False)
+    _norms: tuple | None = field(default=None, repr=False)  # (weakref to G, lam, norms)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -124,6 +131,20 @@ class DampedHessian:
                 raise InsufficientDampingError(lam, self.lambda_min + lam) from None
             self._factors[lam] = factor
         return cho_solve(factor, v)
+
+    def response_norms(self, G: np.ndarray, lam: float | None = None) -> np.ndarray:
+        """||(H + lam I)^-1 G_i|| for each row of G, by one N-column solve.
+
+        Kept, with G held weakly, for the next call with the same lam and the
+        same G if G is read-only and owns its data, as Model.param_grads's is.
+        """
+        kept = self._norms
+        if kept is not None and kept[0]() is G and kept[1] == lam:
+            return kept[2]
+        norms = np.linalg.norm(self.solve(G.T, lam).T, axis=1)
+        if G.base is None and not G.flags.writeable:
+            self._norms = (weakref.ref(G), lam, norms)
+        return norms
 
 
 def dense_hessian(
@@ -184,13 +205,13 @@ def attribution_scores(
         raise ValueError("epsilon must be positive")
     test_norm = _checked_norm(g_test, "test")
     norms = _checked_norm(G, "train")
-    V = hessian.solve(G.T, lam).T if method in ("influence", "relatif") else G
-    dots = np.einsum("ij,j->i", V, g_test)  # unlike a BLAS matvec, equal rows score equal
+    u = hessian.solve(g_test, lam) if method in ("influence", "relatif") else g_test
+    dots = np.einsum("ij,j->i", G, u)  # unlike a BLAS matvec, equal rows score equal
     if method == "grad-cos":
         return dots / (norms * test_norm)
     if method == "grad-effect":
         return epsilon * dots / norms**2
-    return dots / np.linalg.norm(V, axis=1) if method == "relatif" else dots
+    return dots / hessian.response_norms(G, lam) if method == "relatif" else dots
 
 
 def _loss_change(g_train: np.ndarray, g_test: np.ndarray, method: str, **kwargs) -> float:
@@ -297,10 +318,10 @@ def rank_training_set(
 
     Scores come from one attribution_scores call on the matrix of training
     gradients, so positive = helpful for every method. That matrix comes from
-    model.param_grads, which the model keeps, so ranking the same set again
-    at the same parameters computes only the test gradient. Sorting is by
-    descending score, ties broken by ascending train index. Degenerate
-    training gradients are skipped with a warning.
+    model.param_grads and the test gradient from query_gradient, and the
+    model keeps both: a repeat at the same parameters computes at most the
+    test gradient. Sorting is by descending score, ties broken by ascending
+    train index. Degenerate training gradients are skipped with a warning.
     """
     g_test = query_gradient(model, params, z_test, kind)
     G = model.param_grads(params, dataset, kind)

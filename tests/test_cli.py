@@ -342,6 +342,19 @@ class TestRank:
         assert cli.main(base) == 0
         assert read_key_value(run_dir / "manifest_rank_test2_grad-cos.txt")["lambda_min"] == "unused"
 
+    @pytest.mark.parametrize(
+        "method, lam, epsilon",
+        [("grad-cos", "unused", "unused"), ("grad-effect", "unused", 0.002), ("relatif", 5.0, "unused")],
+    )
+    def test_manifest_records_a_flag_that_shaped_nothing_as_unused(
+        self, run_dir, method, lam, epsilon, capsys
+    ):
+        argv = ["rank", "--run", str(run_dir), "--test-index", "3", "--method", method]
+        argv += ["--lam", "5", "--epsilon", "0.002", "--hessian-examples", "10"]
+        assert cli.main(argv) == 0
+        manifest = read_key_value(run_dir / f"manifest_rank_test3_{method}.txt")
+        assert [manifest["lam"], manifest["epsilon"]] == [str(lam), str(epsilon)]
+
     @pytest.mark.parametrize("method", ["influence", "relatif"])
     def test_library_default_damping_ranks_as_the_cli(self, run_dir, method, capsys):
         argv = ["rank", "--run", str(run_dir), "--test-index", "4", "--method", method]

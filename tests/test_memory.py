@@ -98,6 +98,16 @@ class TestWorkflowsLeaveNoCycles:
         del model
         assert stored() is None
 
+    def test_kept_relatif_norms_do_not_keep_the_gradient_store_alive(self, trained, no_cyclic_garbage):
+        _, params, ds = trained
+        model = Model(cnn_343())
+        hessian = dense_hessian(model, params, ds.subset(range(8)))
+        rank_training_set(model, params, ds, ds.example(0), "relatif", hessian=hessian)
+        stored = weakref.ref(model.param_grads(params, ds))
+        assert hessian._norms[0]() is stored()  # the norms are kept for this G
+        del model
+        assert stored() is None
+
     def test_rank_relatif_with_dense_hessian(self, trained, no_cyclic_garbage):
         model, params, ds = trained
         hessian = dense_hessian(model, params, ds.subset(range(8)))

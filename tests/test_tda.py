@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
 from tfa import autodiff as ad
-from tfa import models
+from tfa import models, tda
 from tfa.models import (
     ArchitectureSpec,
     Conv2d,
@@ -30,6 +30,7 @@ from tfa.models import (
     train,
 )
 from tfa.ridge import RidgeProblem, leave_one_out_delta, ridge_fit
+from tfa.saliency import smoothgrad_saliency
 from tfa.tda import (
     METHODS,
     AttributionRecord,
@@ -41,6 +42,7 @@ from tfa.tda import (
     grad_cos,
     grad_effect,
     influence_function,
+    query_gradient,
     rank_training_set,
     relatif,
 )
@@ -457,7 +459,7 @@ class TestGradientStore:
         calls = count_param_grads(monkeypatch)
         for method in ("influence", "relatif"):
             rank_training_set(model, params, ds, ds.example(0), method, hessian=h, lam=lam)
-        assert len(calls) == len(ds) + 2  # N training gradients and two queries
+        assert len(calls) == len(ds) + 1  # N training gradients and one query
 
     def test_grad_cos_for_two_test_images_computes_training_gradients_once(self, monkeypatch):
         model, params, ds = trained_blobs(seed=21, n_per=5, epochs=2)
@@ -467,6 +469,70 @@ class TestGradientStore:
         got = [rank_training_set(model, params, ds, ds.example(q)) for q in (1, 2)]
         assert len(calls) == len(ds) + 2
         assert got == expected
+
+    def test_saliency_after_ranking_computes_no_gradient_again(self, monkeypatch):
+        model, params, ds = trained_blobs(seed=22, n_per=5, epochs=2)
+        z_test = ds.example(0)
+        top = rank_training_set(model, params, ds, z_test).helpful(1)[0]
+        calls = count_param_grads(monkeypatch)
+        smoothgrad_saliency(
+            model, params, ds.example(top.train_index), z_test, sigma=0.05, samples=2, seed=0
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize("change", ["params", "x", "y", "kind"])
+    def test_query_gradient_is_kept_until_an_input_changes(self, change):
+        model, params, ds = trained_blobs(seed=23, n_per=5, epochs=2)
+        z, kind = ds.example(0), "cross-entropy"
+        g = query_gradient(model, params, z, kind)
+        assert not g.flags.writeable
+        np.testing.assert_array_equal(g, model.param_grad(params, z, kind))
+        assert query_gradient(model, params, z, kind) is g
+        if change == "params":
+            params.data += 0.05
+        elif change == "x":
+            z.x[0] += 0.1
+        elif change == "y":
+            z = LabeledExample(z.x, (z.y + 1) % 3)
+        else:
+            kind = "mse"
+        after = query_gradient(model, params, z, kind)
+        assert after is not g
+        assert not np.array_equal(after, g)
+        np.testing.assert_array_equal(after, model.param_grad(params, z, kind))
+
+    def test_three_queries_by_influence_and_relatif_make_one_training_solve(self, monkeypatch):
+        model, params, ds = trained_blobs(seed=24, n_per=5, epochs=2)
+        h = dense_hessian(model, params, ds)
+        columns = []
+        original = tda.cho_solve
+
+        def counted(factor, b, **kwargs):
+            columns.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+            return original(factor, b, **kwargs)
+
+        monkeypatch.setattr(tda, "cho_solve", counted)
+        for q in (0, 1, 2):
+            for method in ("influence", "relatif"):
+                rank_training_set(model, params, ds, ds.example(q), method, hessian=h)
+        assert sorted(columns) == [1] * 6 + [len(ds)]
+
+    def test_relatif_norms_are_rebuilt_for_new_gradients_and_damping(self):
+        model, params, ds = trained_blobs(seed=25, n_per=5, epochs=2)
+        h = dense_hessian(model, params, ds)
+        lam = h.damping()
+
+        def ranked(hessian, lam):
+            return rank_training_set(
+                model, params, ds, ds.example(0), "relatif", hessian=hessian, lam=lam
+            ).records
+
+        first = ranked(h, lam)
+        params.data += 0.05  # in place: the gradient store rebuilds G
+        rebuilt = ranked(h, lam)
+        assert rebuilt != first
+        assert rebuilt == ranked(DampedHessian(h.matrix), lam)
+        assert ranked(h, 3.0 * lam) == ranked(DampedHessian(h.matrix), 3.0 * lam)
 
 
 class TestKernel:
@@ -497,3 +563,24 @@ class TestKernel:
             "relatif": np.full(n, np.linalg.norm(g_test)),
         }[method]
         assert np.all(np.abs(together - alone) <= 1e-12 * (np.abs(alone) + bound))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        p=st.integers(1, 12),
+        method=st.sampled_from(("influence", "relatif")),
+    )
+    def test_influence_and_relatif_match_an_explicit_solve(self, seed, n, p, method):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((p, p))
+        h = DampedHessian(A @ A.T + np.eye(p))  # SPD, smallest eigenvalue at least 1
+        G, g_test = rng.standard_normal((n, p)), rng.standard_normal(p)
+        got = attribution_scores(G, g_test, method, hessian=h, lam=0.1)
+        V = np.linalg.solve(h.matrix + 0.1 * np.eye(p), G.T).T
+        V_norms = np.linalg.norm(V, axis=1)
+        expected = V @ g_test
+        bound = V_norms * np.linalg.norm(g_test)  # Cauchy-Schwarz bound on |score|
+        if method == "relatif":
+            expected, bound = expected / V_norms, bound / V_norms
+        assert np.all(np.abs(got - expected) <= 1e-12 * (np.abs(expected) + bound))
