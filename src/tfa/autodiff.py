@@ -11,7 +11,11 @@ operations (convolution, pooling, losses, cosine) are built from the
 primitives so their second derivatives come for free. Convolution is lowered
 to a flat gather (im2col) plus a matmul, and maxpool to a flat gather of
 per-window argmax positions; gather/scatter are exact linear adjoints of one
-another, which keeps double backprop through both exact.
+another, which keeps double backprop through both exact. Both read one window
+table per layer geometry (channels, height, width, kernel, stride): the flat
+indices of every window of one example, built once and shared by every batch
+size. A batch adds its example offsets, which live only while a graph holds
+them; a graph of fewer examples recorded meanwhile reads a prefix of them.
 
 Lifetime: a :class:`Graph` owns its nodes, and each node refers back to its
 graph only weakly, so a graph holds no reference cycle. Once the caller drops
@@ -375,27 +379,23 @@ def cosine(a: Node, b: Node) -> Node:
     return div(dot(a, b), mul(norm(a), norm(b)))
 
 
-_CONV_INDEX_CACHE: dict[tuple, np.ndarray] = {}
+# layer geometry -> [window table of one example, weak reference to the last
+# batch of its indices built]; a batch lives only while a graph holds it
+_WINDOW_TABLES: dict[tuple, list] = {}
 
 
-def _conv_indices(n, cin, h, w, kh, kw, stride):
-    key = (n, cin, h, w, kh, kw, stride)
-    hit = _CONV_INDEX_CACHE.get(key)
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    if hit is not None:
-        return hit, ho, wo
-    rows = np.arange(ho)[:, None, None, None] * stride + np.arange(kh)[None, None, :, None]
-    cols = np.arange(wo)[None, :, None, None] * stride + np.arange(kw)[None, None, None, :]
-    plane = rows * w + cols  # (ho, wo, kh, kw)
-    patch = np.arange(cin)[:, None, None, None, None] * (h * w) + plane[None]
-    # flatten in (cin, kh, kw) order to line up with the kernel reshape
-    patch = patch.transpose(1, 2, 0, 3, 4).reshape(ho * wo, cin * kh * kw)
-    idx = (np.arange(n)[:, None, None] * (cin * h * w) + patch[None]).reshape(
-        n * ho * wo, cin * kh * kw
-    )
-    _CONV_INDEX_CACHE[key] = idx
-    return idx, ho, wo
+def _window_table(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> list:
+    """[table, last batch]: the table holds the flat indices of every kh x kw
+    window of one (c, h, w) example, read-only, (ho, wo, c, kh*kw), row-major."""
+    key = (c, h, w, kh, kw, stride)
+    if key not in _WINDOW_TABLES:
+        ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+        rows = np.arange(ho)[:, None, None, None, None] * stride + np.arange(kh)[:, None]
+        cols = np.arange(wo)[:, None, None, None] * stride + np.arange(kw)
+        table = (np.arange(c)[:, None, None] * (h * w) + rows * w + cols).reshape(ho, wo, c, kh * kw)
+        table.flags.writeable = False
+        _WINDOW_TABLES[key] = [table, _RELEASED]  # no batch yet
+    return _WINDOW_TABLES[key]
 
 
 def conv2d(x: Node, weight: Node, bias: Node | None = None, stride: int = 1) -> Node:
@@ -408,20 +408,20 @@ def conv2d(x: Node, weight: Node, bias: Node | None = None, stride: int = 1) -> 
         raise ShapeError(f"conv2d: input has {cin} channels, kernel expects {cin_w}")
     if kh > h or kw > w:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{w}")
-    idx, ho, wo = _conv_indices(n, cin, h, w, kh, kw, stride)
-    cols = take(x, idx, kind="im2col")  # (n*ho*wo, cin*kh*kw)
+    entry = _window_table(cin, h, w, kh, kw, stride)
+    idx = entry[1]()  # live graphs share one batch; a smaller batch is its prefix
+    if idx is None or len(idx) < n:
+        idx = entry[0] + (np.arange(n) * (cin * h * w))[:, None, None, None, None]
+        idx.flags.writeable = False
+        entry[1] = weakref.ref(idx)
+    idx = idx[:n]
+    ho, wo = idx.shape[1:3]
+    # rows in (n, ho, wo) order, columns in (cin, kh, kw) order like the kernel reshape
+    cols = take(x, idx.reshape(n * ho * wo, cin * kh * kw), kind="im2col")
     out = matmul(cols, transpose(reshape(weight, (cout, cin * kh * kw))))
     if bias is not None:
         out = add(out, bias)
     return permute(reshape(out, (n, ho, wo, cout)), (0, 3, 1, 2))
-
-
-def _pool_windows(value: np.ndarray, k: int) -> np.ndarray:
-    """(n, c, h, w) values as (n, c, h//k, w//k, k*k) non-overlapping windows."""
-    n, c, h, w = value.shape
-    ho, wo = h // k, w // k
-    v = value[:, :, : ho * k, : wo * k]
-    return v.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
 
 
 def maxpool2d(x: Node, k: int) -> Node:
@@ -429,17 +429,15 @@ def maxpool2d(x: Node, k: int) -> Node:
     if x.value.ndim != 4:
         raise ShapeError(f"maxpool2d expects a 4-d input, got {x.shape}")
     n, c, h, w = x.shape
-    ho, wo = h // k, w // k
-    if ho == 0 or wo == 0:
+    if h < k or w < k:
         raise ShapeError(f"maxpool2d: window {k} larger than input {h}x{w}")
-    arg = _pool_windows(x.value, k).argmax(axis=-1)  # first max wins, i.e. lowest flat index
-    u, vv = arg // k, arg % k
-    ii = np.arange(ho)[None, None, :, None] * k + u
-    jj = np.arange(wo)[None, None, None, :] * k + vv
-    base = (np.arange(n)[:, None, None, None] * c + np.arange(c)[None, :, None, None]) * (h * w)
-    idx = base + ii * w + jj
-    node = take(x, idx, kind="maxpool")
-    node.meta = {"indices": idx, "window": k}
+    table = _window_table(c, h, w, k, k, k)[0]
+    windows = np.take(x.value.reshape(n, c * h * w), table, axis=1)  # (n, ho, wo, c, k*k)
+    arg = windows.argmax(axis=-1)  # first max wins, i.e. lowest flat index
+    idx = np.take_along_axis(table[None], arg[..., None], axis=-1)[..., 0]
+    idx = idx + (np.arange(n) * (c * h * w))[:, None, None, None]  # (n, ho, wo, c)
+    node = take(x, np.ascontiguousarray(idx.transpose(0, 3, 1, 2)), kind="maxpool")
+    node.meta = k
     return node
 
 
@@ -499,28 +497,19 @@ def backward(root: Node, wrt) -> list[Node]:
     _check_scalar(root, "backward root")
     targets = list(wrt)
 
-    ancestors: dict[int, Node] = {}
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        if n.id not in ancestors:
-            ancestors[n.id] = n
-            stack.extend(n.parents)
-
-    # reaches[id]: a target is reachable from this node via parent edges.
-    # Parents always have smaller ids, so one ascending pass suffices.
-    target_ids = {t.id for t in targets}
-    reaches: dict[int, bool] = {}
-    for nid in sorted(ancestors):
-        n = ancestors[nid]
-        reaches[nid] = nid in target_ids or any(reaches[p.id] for p in n.parents)
-
+    # reaches[id]: a target is reachable from this node via parent edges. Ids are
+    # list positions in topological order: one pass up marks, one pass down sweeps.
     graph = root.graph
+    nodes = graph.nodes[: root.id + 1]
+    target_ids = {t.id for t in targets}
+    reaches: list[bool] = []
+    for n in nodes:
+        reaches.append(n.id in target_ids or any(reaches[p.id] for p in n.parents))
+
     adjoint: dict[int, Node] = {root.id: graph.constant(np.ones_like(root.value))}
-    for nid in sorted(ancestors, reverse=True):
-        n = ancestors[nid]
-        g = adjoint.get(nid)
-        if g is None or not n.parents or not reaches[nid]:
+    for n in reversed(nodes):
+        g = adjoint.get(n.id)
+        if g is None:
             continue
         needs = tuple(reaches[p.id] for p in n.parents)
         if not any(needs):
@@ -569,8 +558,9 @@ def kink_margin(graph: Graph) -> float:
             if values.size:
                 margin = min(margin, float(np.min(np.abs(values))))
         elif node.kind == "maxpool":
-            k = node.meta["window"]
-            windows = _pool_windows(node.parents[0].value, k).reshape(-1, k * k)
+            (n, c, h, w), k = node.parents[0].shape, node.meta
+            table = _window_table(c, h, w, k, k, k)[0]
+            windows = np.take(node.parents[0].value.reshape(n, c * h * w), table, axis=1).reshape(-1, k * k)
             if windows.shape[1] > 1:
                 top2 = np.partition(windows, -2, axis=1)[:, -2:]
                 gaps = top2[:, 1] - top2[:, 0]

@@ -18,10 +18,12 @@ those entries back through the `train` flags to rebuild the same model and
 data, so the parser is the only schema of a run. The other manifests are
 likewise the parsed flags by dest, in parser order (`patch-sweep` puts its
 run record first), followed by the command's results; a result may stand
-for a flag's resolved value, such as `rank`'s damping. Only the flags that
-name where a command reads and writes (`--config`, `--run`, `--out`), those
-that shape no artifact (`rank --top`, `saliency --raw`) and the data flags of
-the other data kind go unrecorded.
+for a flag's resolved value, such as `rank`'s damping or a sigma 0 map's
+one sample, and a flag that shaped nothing, such as `saliency --seed` at
+sigma 0, is recorded as `unused`. Only the flags that name where a command
+reads and writes (`--config`, `--run`, `--out`), those that shape no
+artifact (`rank --top`, `saliency --raw`) and the data flags of the other
+data kind go unrecorded.
 """
 
 import argparse
@@ -451,10 +453,10 @@ def cmd_saliency(args) -> int:
     grid = channel_aggregate(sal)
     stem = run.path / "maps" / f"saliency_train{args.train_index}_test{args.test_index}"
     write_grid_artifacts(stem, grid)
-    write_manifest(
-        run.path / f"manifest_saliency_train{args.train_index}_test{args.test_index}.txt",
-        {"command": "saliency", **parsed_flags(args, "raw"), "sigma": sigma, "samples": samples},
-    )
+    manifest = {"command": "saliency", **parsed_flags(args, "raw"), "sigma": sigma, "samples": sal.samples}
+    if sal.seed is None:  # a sigma 0 map is one sample and draws no noise
+        manifest["seed"] = "unused"
+    write_manifest(run.path / f"manifest_saliency_train{args.train_index}_test{args.test_index}.txt", manifest)
     print(f"wrote {stem}.pgm and {stem}.csv")
     return 0
 

@@ -7,9 +7,7 @@ takes the explicit mean over a batched tensor.
 
 The plain-value passes (``Model.logits`` and ``Model.mean_loss``, and with
 them ``predict`` and ``accuracy``) record at most ``EVAL_ROWS`` examples per
-graph, so their memory stays flat in the dataset size. ``EVAL_ROWS`` equals
-the default training batch size, so those slices reuse the convolution
-indices that training has already cached for that batch shape.
+graph, so their memory stays flat in the dataset size.
 
 Attribution ranks one training set many times at fixed parameters, so a
 ``Model`` keeps the last matrix of per-example training gradients that
@@ -30,7 +28,7 @@ from . import autodiff as ad
 from .rng import stream
 
 LOSS_KINDS = ("cross-entropy", "mse")
-EVAL_ROWS = 32  # examples per graph in plain-value passes; TrainConfig's default batch_size
+EVAL_ROWS = 32  # examples per graph in plain-value passes, which bounds their memory
 
 
 @dataclass(frozen=True)
@@ -157,9 +155,6 @@ class ParamVector:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.data.copy(), self.layout)
 
 
 def _layout_for(arch: ArchitectureSpec) -> tuple[ParamSlice, ...]:

@@ -102,7 +102,8 @@ def smoothgrad_saliency(
     sigma is the noise standard deviation in input units; sample i draws its
     noise from the child seed (seed, "smoothgrad/i"), and the samples are
     summed in index order. sigma = 0 reproduces the noiseless map exactly,
-    bit for bit, and draws no noise. workers is accepted for existing callers
+    bit for bit, and draws no noise, so the map records one sample and no
+    seed, whatever was asked. workers is accepted for existing callers
     and has no effect: the samples run one after another, since a thread
     pool measured slower than that on the tiny CNN.
     """
@@ -114,6 +115,7 @@ def smoothgrad_saliency(
     _checked_norm(g_test, "test")
     if sigma == 0.0:
         values = _pair_score_gradient(model, params, z_train.x, z_train.y, g_test, kind)
+        samples, seed = 1, None
     else:
         values = np.zeros_like(z_train.x)
         for i in range(samples):

@@ -77,13 +77,13 @@ class DampedHessian:
     """Dense symmetric Hessian of the mean training loss.
 
     Damping is chosen per solve, damping() when none is given; the Cholesky
-    factorization of H + lam I is cached per damping value, and next to it
-    the last response_norms. lambda_min, the smallest eigenvalue, is computed
-    on first use only, since a solve at a given damping does not need it.
+    factorization of H + lam I is kept for the last damping only, as are the
+    last response_norms. lambda_min, the smallest eigenvalue, is computed on
+    first use only, since a solve at a given damping does not need it.
     """
 
     matrix: np.ndarray
-    _factors: dict = field(default_factory=dict, repr=False)
+    _factor: tuple | None = field(default=None, repr=False)  # (lam, Cholesky factor)
     _norms: tuple | None = field(default=None, repr=False)  # (weakref to G, lam, norms)
 
     def __post_init__(self):
@@ -123,14 +123,12 @@ class DampedHessian:
         Raises InsufficientDampingError if H + lam I is not positive definite.
         """
         lam = self.damping() if lam is None else float(lam)
-        factor = self._factors.get(lam)
-        if factor is None:
+        if self._factor is None or self._factor[0] != lam:
             try:
-                factor = cho_factor(self.matrix + lam * np.eye(self.dim))
+                self._factor = (lam, cho_factor(self.matrix + lam * np.eye(self.dim)))
             except LinAlgError:
                 raise InsufficientDampingError(lam, self.lambda_min + lam) from None
-            self._factors[lam] = factor
-        return cho_solve(factor, v)
+        return cho_solve(self._factor[1], v)
 
     def response_norms(self, G: np.ndarray, lam: float | None = None) -> np.ndarray:
         """||(H + lam I)^-1 G_i|| for each row of G, by one N-column solve.

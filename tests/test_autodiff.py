@@ -210,6 +210,75 @@ class TestConvAndPool:
         expected[0, 0, 2, 2] = 1.0  # the 5
         np.testing.assert_array_equal(g.value, expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        cin=st.integers(1, 3),
+        cout=st.integers(1, 3),
+        kh=st.integers(1, 3),
+        kw=st.integers(1, 3),
+        extra_h=st.integers(0, 4),
+        extra_w=st.integers(0, 4),
+        stride=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conv2d_forward_and_vjp_match_naive_loops(
+        self, n, cin, cout, kh, kw, extra_h, extra_w, stride, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, cin, kh + extra_h, kw + extra_w))
+        w = rng.standard_normal((cout, cin, kh, kw))
+        b = rng.standard_normal(cout)
+        graph = ad.Graph()
+        leaves = [graph.leaf(v) for v in (x, w, b)]
+        out = ad.conv2d(*leaves, stride=stride)
+        up = rng.standard_normal(out.shape)
+        grads = ad.backward(ad.reduce_sum(ad.mul(out, graph.constant(up))), leaves)
+
+        expected = [np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)]
+        for img, o, i, j in np.ndindex(up.shape):
+            window = (img, slice(None), slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw))
+            expected[0][window] += up[img, o, i, j] * w[o]
+            expected[1][o] += up[img, o, i, j] * x[window]
+            expected[2][o] += up[img, o, i, j]
+        np.testing.assert_allclose(out.value, self.naive_conv(x, w, b, stride), rtol=1e-12, atol=1e-12)
+        for got, want in zip(grads, expected):
+            np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 3),
+        k=st.integers(1, 3),
+        extra_h=st.integers(0, 4),
+        extra_w=st.integers(0, 4),
+        levels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_maxpool2d_forward_and_vjp_match_naive_loops_under_ties(
+        self, n, c, k, extra_h, extra_w, levels, seed
+    ):
+        # at most 3 distinct values, so every window of 4 or more entries ties
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, levels, size=(n, c, k + extra_h, k + extra_w)).astype(np.float64)
+        graph = ad.Graph()
+        leaf = graph.leaf(x)
+        out = ad.maxpool2d(leaf, k)
+        up = rng.standard_normal(out.shape)
+        (gx,) = ad.backward(ad.reduce_sum(ad.mul(out, graph.constant(up))), [leaf])
+
+        expected_out, expected_gx = np.zeros(out.shape), np.zeros_like(x)
+        for img, ch, i, j in np.ndindex(out.shape):
+            best = (i * k, j * k)  # the first maximum in row-major order wins
+            for u in range(i * k, i * k + k):
+                for v in range(j * k, j * k + k):
+                    if x[img, ch, u, v] > x[(img, ch, *best)]:
+                        best = (u, v)
+            expected_out[img, ch, i, j] = x[(img, ch, *best)]
+            expected_gx[(img, ch, *best)] += up[img, ch, i, j]
+        np.testing.assert_array_equal(out.value, expected_out)
+        np.testing.assert_array_equal(gx.value, expected_gx)
+
     def test_maxpool_floors_odd_sizes_and_ignores_trailing(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((1, 1, 5, 5))

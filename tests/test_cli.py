@@ -414,6 +414,15 @@ class TestSaliency:
         raw = stem.with_suffix(".pgm").read_bytes(), stem.with_suffix(".csv").read_bytes()
         assert raw == sigma_zero
 
+    def test_sigma_zero_manifest_records_one_sample_and_an_unused_seed(self, run_dir, capsys):
+        argv = ["saliency", "--run", str(run_dir), "--train-index", "2", "--test-index", "0"]
+        assert cli.main(argv + ["--sigma", "0", "--samples", "10", "--seed", "5"]) == 0
+        manifest = read_key_value(run_dir / "manifest_saliency_train2_test0.txt")
+        assert [manifest["sigma"], manifest["samples"], manifest["seed"]] == ["0.0", "1", "unused"]
+        assert cli.main(argv + ["--samples", "3", "--seed", "5"]) == 0
+        manifest = read_key_value(run_dir / "manifest_saliency_train2_test0.txt")
+        assert [manifest["sigma"], manifest["samples"], manifest["seed"]] == ["0.05", "3", "5"]
+
     def test_rerun_is_byte_identical(self, run_dir, capsys):
         base = [
             "saliency",

@@ -278,12 +278,32 @@ class TestEvaluationSlices:
         np.testing.assert_array_equal(model.predict(params, ds.X), logits.value.argmax(axis=1))
         np.testing.assert_allclose(model.mean_loss(params, ds, kind), float(loss.value), rtol=1e-12)
 
-    def test_training_and_accuracy_cache_no_index_past_eval_rows(self, monkeypatch):
+    def test_window_tables_are_kept_per_layer_geometry_not_batch_size(self, monkeypatch):
         arch, model, _, ds = self.setup_70()
-        monkeypatch.setattr(ad, "_CONV_INDEX_CACHE", {})
+        monkeypatch.setattr(ad, "_WINDOW_TABLES", {})
+        # batches of 32, 32 and 6 rows, in training, accuracy and one 70-row graph
         params, _ = train(ds, arch, TrainConfig(lr=0.1, epochs=1, batch_size=32, seed=18))
         model.accuracy(params, ds)
-        assert sorted({key[0] for key in ad._CONV_INDEX_CACHE}) == [6, 32]
+        graph = ad.Graph()
+        model.record_batch_loss(graph.constant(params.data), graph.constant(ds.X), ds.y, "cross-entropy")
+
+        geometries, shape = set(), arch.input_shape
+        for layer, out in zip(arch.layers, arch.layer_shapes()):
+            if isinstance(layer, Conv2d):
+                geometries.add((*shape, layer.kernel, layer.kernel, layer.stride))
+            elif isinstance(layer, MaxPool):
+                geometries.add((*shape, layer.kernel, layer.kernel, layer.kernel))
+            shape = out
+        assert len(ad._WINDOW_TABLES) == len(geometries) == 4
+        assert set(ad._WINDOW_TABLES) == geometries
+        # a smaller batch recorded meanwhile reads a prefix of the live batch's indices
+        small = ad.Graph()
+        model.record_batch_loss(small.constant(params.data), small.constant(ds.X[:6]), ds.y[:6], "cross-entropy")
+        im2col = [[node.meta for node in g.nodes if node.kind == "im2col"] for g in (graph, small)]
+        assert len(im2col[1]) == 2 and all(np.shares_memory(a, b) for a, b in zip(*im2col))
+        # and the indices of a batch live only as long as a graph holds them
+        del graph, small, im2col
+        assert all(last() is None for _, last in ad._WINDOW_TABLES.values())
 
     def test_empty_dataset(self):
         _, model, params, ds = self.setup_70()

@@ -9,6 +9,8 @@ ReLU/maxpool kinks.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tfa import autodiff as ad
 from tfa.models import (
@@ -20,6 +22,7 @@ from tfa.models import (
     LabeledExample,
     MaxPool,
     Model,
+    ParamVector,
     Relu,
     TrainConfig,
     init_params,
@@ -124,6 +127,45 @@ class TestSaliencyAgainstFiniteDifferences:
             ) / 2e-5
             np.testing.assert_allclose(sal.values.ravel()[j], fd, rtol=1e-4, atol=1e-10)
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        cin=st.integers(1, 2),
+        h=st.integers(6, 9),
+        w=st.integers(6, 9),
+        stride=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sigma_zero_map_matches_central_differences(self, cin, h, w, stride, seed):
+        rng = np.random.default_rng(seed)
+        ho, wo = ((h - 3) // stride + 1) // 2, ((w - 3) // stride + 1) // 2
+        arch = ArchitectureSpec(
+            layers=(Conv2d(cin, 3, 3, stride), Relu(), MaxPool(2), Flatten(), Dense(3 * ho * wo, 3)),
+            input_shape=(cin, h, w),
+            num_classes=3,
+        )
+        model = Model(arch)
+        params = ParamVector(0.5 * rng.standard_normal(model.num_params), init_params(arch, 0).layout)
+        z_train = LabeledExample(rng.uniform(0.0, 1.0, (cin, h, w)), int(rng.integers(3)))
+        z_test = LabeledExample(rng.uniform(0.0, 1.0, (cin, h, w)), int(rng.integers(3)))
+
+        # a one-pixel step moves each conv output by one weight times the step,
+        # and a pool gap by at most twice that: with |weights| far below 50, a
+        # margin of 100 steps keeps every relu mask and pool argmax in place
+        step = 1e-6
+        graph = ad.Graph()
+        model.record_example_loss(graph.leaf(params.data), graph.leaf(z_train.x), z_train.y, "cross-entropy")
+        assume(ad.kink_margin(graph) > 100 * step)
+
+        g_test = query_gradient(model, params, z_test)
+
+        def score(x):
+            g_train = model.param_grad(params, LabeledExample(x, z_train.y))
+            return float(g_train @ g_test / (np.linalg.norm(g_train) * np.linalg.norm(g_test)))
+
+        sal = smoothgrad_saliency(model, params, z_train, z_test, sigma=0.0, samples=1, seed=None)
+        fd = ad.finite_diff_gradient(score, z_train.x, step)
+        np.testing.assert_allclose(sal.values, fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
+
     def test_unread_pixels_get_exactly_zero(self):
         # maxpool on a 5x5 input floors to 2x2 windows: the last row and
         # column never reach the logits, so their saliency must be exact zero
@@ -174,6 +216,13 @@ class TestSmoothgrad:
                 model, params, z_train, z_test, sigma=0.0, samples=samples, seed=11
             )
             assert np.array_equal(smooth.values, plain.values)
+
+    def test_sigma_zero_records_one_sample_and_no_seed(self):
+        model, params, ds = trained_cnn()
+        smooth = smoothgrad_saliency(
+            model, params, ds.example(2), ds.example(3), sigma=0.0, samples=7, seed=11
+        )
+        assert (smooth.sigma, smooth.samples, smooth.seed) == (0.0, 1, None)
 
     def test_seeded_and_worker_invariant(self):
         model, params, ds = trained_cnn()

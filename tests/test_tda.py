@@ -265,6 +265,23 @@ class TestInfluence:
         h = DampedHessian(np.diag([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(h.default_damping(), 1e-3 * 2.0, rtol=1e-12)
 
+    def test_keeps_one_factor_for_the_last_damping(self, monkeypatch):
+        calls = []
+        original = tda.cho_factor
+
+        def counted(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(tda, "cho_factor", counted)
+        h = DampedHessian(np.diag([1.0, 2.0, 3.0]))
+        v = np.ones(3)
+        counts = []
+        for lam in (0.5, 0.5, 2.0, 0.5):
+            np.testing.assert_allclose(h.solve(v, lam=lam), v / (np.array([1.0, 2.0, 3.0]) + lam), rtol=1e-12)
+            counts.append(len(calls))
+        assert counts == [1, 1, 2, 3]
+
     @settings(max_examples=60, deadline=None)
     @given(
         negative=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4),
