@@ -9,13 +9,16 @@ that was itself built from parameter gradients.
 Everything is float64. Nonlinear primitives are kept to a minimum; composite
 operations (convolution, pooling, losses, cosine) are built from the
 primitives so their second derivatives come for free. Convolution is lowered
-to a flat gather (im2col) plus a matmul, and maxpool to a flat gather of
-per-window argmax positions; gather/scatter are exact linear adjoints of one
-another, which keeps double backprop through both exact. Both read one window
-table per layer geometry (channels, height, width, kernel, stride): the flat
-indices of every window of one example, built once and shared by every batch
-size. A batch adds its example offsets, which live only while a graph holds
-them; a graph of fewer examples recorded meanwhile reads a prefix of them.
+to a flat gather (im2col) plus a matmul; gather/scatter are exact linear
+adjoints of one another, which keeps double backprop through both exact. The
+gather reads one window table per layer geometry (channels, height, width,
+kernel, stride): the flat indices of every window of one example, built once
+and shared by every batch size. A batch adds its example offsets, which live
+only while a graph holds them; a graph of fewer examples recorded meanwhile
+reads a prefix of them. Maxpool takes each window's first maximum from the
+k*k strided views of its input; its VJP scatters through the flat argmax
+indices, which it builds the first time it runs and keeps, so a value-only
+forward pass builds none.
 
 Lifetime: a :class:`Graph` owns its nodes, and each node refers back to its
 graph only weakly, so a graph holds no reference cycle. Once the caller drops
@@ -253,12 +256,10 @@ def log(a: Node) -> Node:
 def relu(a: Node) -> Node:
     # Derivative at exactly 0 is taken to be 0; the mask is a constant of the
     # recorded forward values, so the second backward treats it as such.
-    mask = (a.value > 0.0).astype(np.float64)
-
     def vjp(g, needs):
-        return (mul(g, a.graph.constant(mask)),)
+        return (mul(g, a.graph.constant((a.value > 0.0).astype(np.float64))),)
 
-    return a.graph._append("relu", (a,), a.value * mask, vjp)
+    return a.graph._append("relu", (a,), a.value * (a.value > 0.0), vjp)
 
 
 def reduce_sum(a: Node, axis=None, keepdims: bool = False) -> Node:
@@ -424,21 +425,54 @@ def conv2d(x: Node, weight: Node, bias: Node | None = None, stride: int = 1) -> 
     return permute(reshape(out, (n, ho, wo, cout)), (0, 3, 1, 2))
 
 
+def _pool_views(x: np.ndarray, k: int) -> list:
+    """The k*k strided views of an (n, c, h, w) array, one per window offset in
+    row-major order, each (n, c, h // k, w // k); trailing rows/cols are dropped."""
+    ho, wo = x.shape[2] // k * k, x.shape[3] // k * k
+    return [x[:, :, i:ho:k, j:wo:k] for i in range(k) for j in range(k)]
+
+
+def _pool_indices(x: np.ndarray, k: int, value: np.ndarray) -> np.ndarray:
+    """Flat indices into x of each window's first maximum, (n, c, h // k, w // k).
+
+    value holds the window maxima. Scanning the views from the last offset
+    down, arg ends at the lowest offset whose entry equals the maximum, so ties
+    go to the lowest flat index.
+    """
+    views = _pool_views(x, k)
+    arg = np.zeros(value.shape, np.intp)
+    for v in views[-2::-1]:
+        arg += 1
+        arg *= v != value
+    n, c, h, w = x.shape
+    offsets = (np.arange(k)[:, None] * w + np.arange(k)).ravel()
+    rows = np.arange(value.shape[2]) * (k * w)
+    cols = np.arange(value.shape[3]) * k
+    return (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1) + (rows[:, None] + cols) + offsets[arg]
+
+
 def maxpool2d(x: Node, k: int) -> Node:
-    """Max pooling with window and stride k; trailing rows/cols are dropped."""
+    """Max pooling with window and stride k; trailing rows/cols are dropped.
+
+    The argmax indices the VJP scatters through are built at its first call.
+    """
     if x.value.ndim != 4:
         raise ShapeError(f"maxpool2d expects a 4-d input, got {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h < k or w < k:
         raise ShapeError(f"maxpool2d: window {k} larger than input {h}x{w}")
-    table = _window_table(c, h, w, k, k, k)[0]
-    windows = np.take(x.value.reshape(n, c * h * w), table, axis=1)  # (n, ho, wo, c, k*k)
-    arg = windows.argmax(axis=-1)  # first max wins, i.e. lowest flat index
-    idx = np.take_along_axis(table[None], arg[..., None], axis=-1)[..., 0]
-    idx = idx + (np.arange(n) * (c * h * w))[:, None, None, None]  # (n, ho, wo, c)
-    node = take(x, np.ascontiguousarray(idx.transpose(0, 3, 1, 2)), kind="maxpool")
-    node.meta = k
-    return node
+    views = _pool_views(x.value, k)
+    value = views[0]
+    for v in views[1:]:
+        value = np.where(v > value, v, value)  # strict: a tie keeps the first, and -0.0 vs 0.0 is a tie
+    kept = []  # the argmax indices, once built
+
+    def vjp(g, needs):
+        if not kept:
+            kept.append(_pool_indices(x.value, k, value))
+        return (reshape(scatter(g, kept[0], x.size), x.shape),)
+
+    return x.graph._append("maxpool", (x,), value, vjp, meta=k)
 
 
 def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
@@ -558,9 +592,8 @@ def kink_margin(graph: Graph) -> float:
             if values.size:
                 margin = min(margin, float(np.min(np.abs(values))))
         elif node.kind == "maxpool":
-            (n, c, h, w), k = node.parents[0].shape, node.meta
-            table = _window_table(c, h, w, k, k, k)[0]
-            windows = np.take(node.parents[0].value.reshape(n, c * h * w), table, axis=1).reshape(-1, k * k)
+            windows = np.stack(_pool_views(node.parents[0].value, node.meta), axis=-1)
+            windows = windows.reshape(-1, windows.shape[-1])
             if windows.shape[1] > 1:
                 top2 = np.partition(windows, -2, axis=1)[:, -2:]
                 gaps = top2[:, 1] - top2[:, 0]

@@ -336,7 +336,7 @@ def cmd_train(args) -> int:
     config = train_config(args, child_seed(args.seed, "train"))
     arch, train_ds, _, test_ds = build_datasets(args, record["data_seed"])
     model = Model(arch)
-    params, history = train(train_ds, arch, config)
+    params, _ = train(train_ds, arch, config, epoch_accuracy=False)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -349,7 +349,7 @@ def cmd_train(args) -> int:
         "num_classes": arch.num_classes,
         "train_seed": config.seed,
         "num_params": model.num_params,
-        "final_train_accuracy": history.accuracies[-1] if history.accuracies else 0.0,
+        "final_train_accuracy": model.accuracy(params, train_ds) if config.epochs else 0.0,
         "test_accuracy": model.accuracy(params, test_ds),
     }
     write_manifest(out / "manifest.txt", manifest)

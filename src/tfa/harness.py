@@ -465,7 +465,7 @@ def patch_sweep(
         spec_f = dataclasses.replace(spec, fraction=f, seed=child_seed(seed, f"patch/choose/{tag}"))
         train_ds = make_patched_dataset(base_train, spec_f)
         cfg = dataclasses.replace(train_config, seed=child_seed(seed, f"patch/train/{tag}"))
-        params, _ = train(train_ds, arch, cfg)
+        params, _ = train(train_ds, arch, cfg, epoch_accuracy=False)
 
         overall = model.accuracy(params, base_test)
         if len(target_test):

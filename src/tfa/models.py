@@ -349,7 +349,7 @@ class Model:
         out = np.empty((len(X), self.arch.num_classes))
         for start in range(0, len(X), EVAL_ROWS):
             rows = slice(start, start + EVAL_ROWS)
-            graph = ad.Graph()
+            graph = ad.Graph()  # `node` keeps the last slice alive meanwhile, as in train
             node, _ = self.record_forward(graph.constant(params.data), graph.constant(X[rows]))
             out[rows] = node.value
         return out
@@ -432,11 +432,13 @@ def sgd_step(params: ParamVector, gradient: np.ndarray, lr: float) -> ParamVecto
     return ParamVector(params.data - lr * gradient, params.layout)
 
 
-def train(dataset: Dataset, arch: ArchitectureSpec, config: TrainConfig):
+def train(dataset: Dataset, arch: ArchitectureSpec, config: TrainConfig, *, epoch_accuracy: bool = True):
     """Minibatch SGD from a fresh init; deterministic in config.seed.
 
     Returns (params, history) where history holds per-epoch mean training
-    loss and full-set accuracy.
+    loss and, unless epoch_accuracy is False, full-set accuracy after each
+    epoch. That pass is a large share of an epoch's time, so callers that do
+    not read it turn it off; the parameters do not depend on it.
     """
     model = Model(arch)
     params = init_params(arch, config.seed)
@@ -449,6 +451,9 @@ def train(dataset: Dataset, arch: ArchitectureSpec, config: TrainConfig):
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
+            # `loss` keeps the last step's graph alive until this one is
+            # recorded, so malloc reuses its memory; freed first, glibc trims
+            # the heap top and every step page-faults its arrays anew
             graph = ad.Graph()
             theta = graph.leaf(params.data)
             loss = model.record_batch_loss(
@@ -459,5 +464,6 @@ def train(dataset: Dataset, arch: ArchitectureSpec, config: TrainConfig):
             loss_sum += float(loss.value) * len(batch)
             seen += len(batch)
         history.losses.append(loss_sum / seen)
-        history.accuracies.append(model.accuracy(params, dataset))
+        if epoch_accuracy:
+            history.accuracies.append(model.accuracy(params, dataset))
     return params, history

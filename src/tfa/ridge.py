@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+
+from .tda import cho_factor, cho_solve
 
 
 @dataclass(frozen=True)

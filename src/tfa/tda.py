@@ -20,10 +20,9 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import autodiff as ad
 from .models import Dataset, LabeledExample, Model, ParamVector
@@ -31,6 +30,26 @@ from .models import Dataset, LabeledExample, Model, ParamVector
 METHODS = ("grad-cos", "grad-effect", "influence", "relatif")
 
 DEGENERATE_NORM = 1e-12
+
+
+@cache
+def _scipy_cho():
+    """scipy.linalg's (cho_factor, cho_solve), imported at the first call: that
+    import, with its own BLAS, takes longer than the rest of `import tfa`, and
+    only the influence and RelatIF solves and the ridge oracles factor a matrix."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    return cho_factor, cho_solve
+
+
+def cho_factor(a: np.ndarray):
+    """Cholesky factor of a symmetric matrix; np.linalg.LinAlgError if it is not positive definite."""
+    return _scipy_cho()[0](a)
+
+
+def cho_solve(factor, b: np.ndarray) -> np.ndarray:
+    """Solution x of A x = b, given cho_factor(A)."""
+    return _scipy_cho()[1](factor, b)
 
 
 class DegenerateGradientError(ValueError):
@@ -126,7 +145,7 @@ class DampedHessian:
         if self._factor is None or self._factor[0] != lam:
             try:
                 self._factor = (lam, cho_factor(self.matrix + lam * np.eye(self.dim)))
-            except LinAlgError:
+            except np.linalg.LinAlgError:
                 raise InsufficientDampingError(lam, self.lambda_min + lam) from None
         return cho_solve(self._factor[1], v)
 

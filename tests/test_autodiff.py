@@ -258,9 +258,15 @@ class TestConvAndPool:
     def test_maxpool2d_forward_and_vjp_match_naive_loops_under_ties(
         self, n, c, k, extra_h, extra_w, levels, seed
     ):
-        # at most 3 distinct values, so every window of 4 or more entries ties
+        # at most 3 distinct values, so every window of 4 or more entries ties;
+        # zeros carry random signs, and the first window ties -0.0 with 0.0
         rng = np.random.default_rng(seed)
         x = rng.integers(0, levels, size=(n, c, k + extra_h, k + extra_w)).astype(np.float64)
+        zeros = x == 0.0
+        x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        x[0, 0, :k, :k] = 0.0 * rng.choice([-1.0, 1.0], size=(k, k))
+        if k > 1:
+            x[0, 0, 0, 0], x[0, 0, k - 1, k - 1] = -0.0, 0.0
         graph = ad.Graph()
         leaf = graph.leaf(x)
         out = ad.maxpool2d(leaf, k)
@@ -276,7 +282,7 @@ class TestConvAndPool:
                         best = (u, v)
             expected_out[img, ch, i, j] = x[(img, ch, *best)]
             expected_gx[(img, ch, *best)] += up[img, ch, i, j]
-        np.testing.assert_array_equal(out.value, expected_out)
+        assert out.value.tobytes() == expected_out.tobytes()  # -0.0 and 0.0 differ in bytes
         np.testing.assert_array_equal(gx.value, expected_gx)
 
     def test_maxpool_floors_odd_sizes_and_ignores_trailing(self):

@@ -225,6 +225,22 @@ class TestTraining:
         assert np.array_equal(p1.data, p2.data)
         assert h1.losses == h2.losses
 
+    def test_epoch_accuracy_off_skips_only_the_accuracy_pass(self):
+        rng = np.random.default_rng(19)
+        ds = Dataset(rng.uniform(0.0, 1.0, size=(40, 1, 8, 8)), rng.integers(0, 2, size=40))
+        arch = ArchitectureSpec(
+            layers=(Conv2d(1, 4, 3), Relu(), MaxPool(2), Flatten(), Dense(36, 2)),
+            input_shape=(1, 8, 8),
+            num_classes=2,
+        )
+        config = TrainConfig(lr=0.1, epochs=2, batch_size=16, seed=20)
+        p1, h1 = train(ds, arch, config)
+        p2, h2 = train(ds, arch, config, epoch_accuracy=False)
+        assert p1.data.tobytes() == p2.data.tobytes()
+        assert h1.losses == h2.losses
+        assert len(h1.accuracies) == 2 and h2.accuracies == []
+        assert h1.accuracies[-1] == Model(arch).accuracy(p2, ds)
+
     def test_cnn_learns_a_simple_rule(self):
         # bright top half vs bright bottom half
         rng = np.random.default_rng(14)
@@ -287,14 +303,13 @@ class TestEvaluationSlices:
         graph = ad.Graph()
         model.record_batch_loss(graph.constant(params.data), graph.constant(ds.X), ds.y, "cross-entropy")
 
+        # only conv2d reads a table; maxpool2d reads strided views
         geometries, shape = set(), arch.input_shape
         for layer, out in zip(arch.layers, arch.layer_shapes()):
             if isinstance(layer, Conv2d):
                 geometries.add((*shape, layer.kernel, layer.kernel, layer.stride))
-            elif isinstance(layer, MaxPool):
-                geometries.add((*shape, layer.kernel, layer.kernel, layer.kernel))
             shape = out
-        assert len(ad._WINDOW_TABLES) == len(geometries) == 4
+        assert len(ad._WINDOW_TABLES) == len(geometries) == 2
         assert set(ad._WINDOW_TABLES) == geometries
         # a smaller batch recorded meanwhile reads a prefix of the live batch's indices
         small = ad.Graph()
@@ -304,6 +319,27 @@ class TestEvaluationSlices:
         # and the indices of a batch live only as long as a graph holds them
         del graph, small, im2col
         assert all(last() is None for _, last in ad._WINDOW_TABLES.values())
+
+    def test_value_only_passes_build_no_pool_indices(self, monkeypatch):
+        _, model, params, ds = self.setup_70()
+        built = []
+
+        def counted(*args):
+            built.append(1)
+            return pool_indices(*args)
+
+        pool_indices = ad._pool_indices
+        monkeypatch.setattr(ad, "_pool_indices", counted)
+        model.logits(params, ds.X)
+        model.accuracy(params, ds)
+        model.mean_loss(params, ds)
+        assert built == []
+        graph = ad.Graph()
+        theta = graph.leaf(params.data)
+        loss = model.record_batch_loss(theta, graph.constant(ds.X[:4]), ds.y[:4], "cross-entropy")
+        for _ in range(2):  # each pool builds its indices at its first VJP and keeps them
+            ad.backward(loss, [theta])
+        assert len(built) == 2
 
     def test_empty_dataset(self):
         _, model, params, ds = self.setup_70()

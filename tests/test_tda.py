@@ -6,12 +6,19 @@ the loss change (grad_effect), finite differences of parameter gradients
 analytic large-damping limit (influence scale, relatif vs grad-cos order).
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
+import tfa
 from tfa import autodiff as ad
 from tfa import models, tda
 from tfa.models import (
@@ -227,6 +234,65 @@ class TestDenseHessian:
         assert model.num_params == 343
         expected = fresh_graph_hessian(model, params, ds, kind)
         np.testing.assert_array_equal(dense_hessian(model, params, ds, kind).matrix, expected)
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        conv=st.booleans(),
+        width=st.integers(2, 4),
+        kind=st.sampled_from(models.LOSS_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_raw_columns_are_symmetric_to_roundoff(self, conv, width, kind, seed):
+        rng = np.random.default_rng(seed)
+        if conv:  # 7x7 -> conv 5x5 -> pool 2x2
+            layers = (Conv2d(1, width, 3), Relu(), MaxPool(2), Flatten(), Dense(4 * width, 3))
+            arch = ArchitectureSpec(layers, input_shape=(1, 7, 7), num_classes=3)
+            X = rng.uniform(0.0, 1.0, size=(4, 1, 7, 7))
+        else:
+            arch = ArchitectureSpec((Dense(3, width), Relu(), Dense(width, 3)), input_shape=(3,), num_classes=3)
+            X = rng.standard_normal((4, 3))
+        ds = Dataset(X, rng.integers(0, 3, size=4))
+        model = Model(arch)
+        params = models.ParamVector(rng.normal(0.0, 0.5, size=model.num_params), model.layout)
+        graph = ad.Graph()
+        model.record_batch_loss(graph.constant(params.data), graph.constant(ds.X), ds.y, kind)
+        assume(ad.kink_margin(graph) > 1e-4)
+
+        columns, grad = [], ad.grad
+
+        def recorded(root, target):  # dense_hessian's j-th ad.grad call is column j
+            columns.append(grad(root, target))
+            return columns[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "grad", recorded)
+            H = dense_hessian(model, params, ds, kind).matrix
+        raw = np.array(columns).T
+        np.testing.assert_array_equal(H, (raw + raw.T) / 2.0)
+        assert np.abs(raw - raw.T).max() <= 1e-12 * np.abs(raw).max()
+
+
+class TestScipyImport:
+    def test_scipy_loads_at_the_first_factorization_not_at_import(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import tfa, tfa.cli\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
+            "try:\n"
+            "    tfa.DampedHessian(np.diag([-1.0, 2.0])).solve(np.ones(2), lam=0.5)\n"
+            "    raise SystemExit('an indefinite H + lam I was factored')\n"
+            "except tfa.tda.InsufficientDampingError:\n"
+            "    pass\n"
+            "print(tfa.DampedHessian(np.diag([1.0, 2.0, 3.0])).solve(np.ones(3), lam=1.0).tolist())\n"
+        )
+        src = str(Path(tfa.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        np.testing.assert_allclose(json.loads(proc.stdout), [1 / 2, 1 / 3, 1 / 4], rtol=1e-15)
 
 
 class TestInfluence:
