@@ -14,7 +14,7 @@ supports differentiating through its own backward pass.
 
 __version__ = "0.1.0"
 
-from .autodiff import Graph, Node, backward, finite_diff_gradient, grad, kink_margin
+from .autodiff import Graph, Node, backward, grad, kink_margin
 from .datasets import (
     FormatError,
     SyntheticShapesSpec,
@@ -67,9 +67,7 @@ from .ridge import (
 from .rng import child_seed, stream
 from .saliency import (
     SaliencyMap,
-    bilinear_upsample,
     channel_aggregate,
-    layer_saliency,
     smoothgrad_saliency,
     tfa_saliency,
 )
@@ -82,8 +80,6 @@ from .tda import (
     dense_hessian,
     grad_cos,
     grad_effect,
-    influence_function,
     query_gradient,
     rank_training_set,
-    relatif,
 )

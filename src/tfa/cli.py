@@ -39,6 +39,7 @@ import numpy as np
 from . import __version__
 from .datasets import NUM_LABELS, FormatError, SyntheticShapesSpec, generate_synthetic, load_cifar10_binary
 from .harness import (
+    FILL_MODES,
     InterventionConfig,
     PairedResult,
     PatchSpec,
@@ -47,12 +48,12 @@ from .harness import (
     paired_insertion_experiment,
     patch_sweep,
 )
-from .models import Dataset, Model, ParamVector, TrainConfig, tiny_cnn, train
+from .models import LOSS_KINDS, Dataset, Model, ParamVector, TrainConfig, tiny_cnn, train
 from .outputs import format_csv, read_key_value, write_csv, write_grid_artifacts, write_manifest
 from .ridge import ToySetup, feature_contributions, representer_coefficients
 from .rng import child_seed
 from .saliency import channel_aggregate, smoothgrad_saliency
-from .tda import InsufficientDampingError, dense_hessian, rank_training_set
+from .tda import METHODS, InsufficientDampingError, dense_hessian, rank_training_set
 
 
 class UsageError(Exception):
@@ -97,6 +98,8 @@ def checked_list(convert, ok, rule):
 
 
 positive_int = checked(int, lambda v: v > 0, "positive")
+non_negative_int = checked(int, lambda v: v >= 0, "non-negative")
+at_least_two = checked(int, lambda v: v >= 2, "at least 2")
 finite_float = checked(float, math.isfinite, "finite")
 positive_float = checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
 non_negative_float = checked(float, lambda v: math.isfinite(v) and v >= 0, "non-negative and finite")
@@ -125,7 +128,7 @@ def add_data_flags(p):
     p.add_argument("--classes", type=int, default=3, help="synthetic class count")
     p.add_argument("--noise", type=finite_float, default=0.05)
     p.add_argument("--train-per-class", type=int, default=200)
-    p.add_argument("--holdout-per-class", type=int, default=20)
+    p.add_argument("--holdout-per-class", type=non_negative_int, default=20)
     p.add_argument("--test-per-class", type=int, default=40)
     p.add_argument("--data-dir", type=recordable_path, help="directory with CIFAR-10 binary batches")
     p.add_argument("--cifar-classes", type=label_list, default="0,1,2", help="comma-separated label subset")
@@ -137,7 +140,7 @@ def add_train_flags(p):
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr-decay", type=finite_float, default=0.93)
-    p.add_argument("--loss", choices=("cross-entropy", "mse"), default="cross-entropy")
+    p.add_argument("--loss", choices=LOSS_KINDS, default="cross-entropy")
 
 
 def add_smoothing_flags(p, samples_default=10):
@@ -163,7 +166,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("rank", help="rank training examples for one test example")
     p.add_argument("--run", required=True, help="run directory from `tfa train`")
     p.add_argument("--test-index", type=int, required=True)
-    p.add_argument("--method", choices=("grad-cos", "grad-effect", "influence", "relatif"), default="grad-cos")
+    p.add_argument("--method", choices=METHODS, default="grad-cos")
     p.add_argument("--top", type=positive_int, default=10, help="rows to print per tail")
     p.add_argument("--epsilon", type=positive_float, default=1e-3)
     p.add_argument("--lam", type=finite_float, help="Hessian damping (default: auto, kept positive definite)")
@@ -184,7 +187,7 @@ def build_parser() -> Parser:
     p.add_argument("--top-m", type=positive_int, default=10)
     p.add_argument("--lr-step", type=finite_float, default=1e-3)
     add_smoothing_flags(p, samples_default=30)
-    p.add_argument("--fill", choices=("dataset-mean", "zero"), default="dataset-mean")
+    p.add_argument("--fill", choices=FILL_MODES, default="dataset-mean")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("explain", help="harmful/helpful report for one test example")
@@ -209,9 +212,9 @@ def build_parser() -> Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("toy-ridge", help="closed-form representer tables for the planted toy")
-    p.add_argument("--n", type=int, default=5, help="total examples (n-1 on the axis)")
+    p.add_argument("--n", type=at_least_two, default=5, help="total examples (n-1 on the axis)")
     p.add_argument("--c", type=finite_float, default=2.0)
-    p.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=positive_float, default=1.0)
     p.add_argument("--t", type=finite_float, default=1.0, help="test point (0, t)")
     p.add_argument("--out", help="optional directory for the CSV")
     return parser
@@ -587,8 +590,6 @@ def cmd_patch_sweep(args) -> int:
 
 
 def cmd_toy_ridge(args) -> int:
-    if args.n < 2:
-        raise UsageError("--n must be at least 2")
     setup = ToySetup(axis_coords=(1.0,) * (args.n - 1), c=args.c, lam=args.lam)
     problem = setup.problem()
     x_test = setup.test_point(args.t)

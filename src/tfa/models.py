@@ -279,17 +279,18 @@ class Model:
         self.arch = arch
         self.layout = _layout_for(arch)
         self.num_params = sum(int(np.prod(s.shape)) for s in self.layout)
-        self._slice_index = {
-            (s.layer, s.name): np.arange(s.offset, s.offset + int(np.prod(s.shape)))
+        self._slices = {  # (layer, name) -> (flat indices, shape)
+            (s.layer, s.name): (np.arange(s.offset, s.offset + int(np.prod(s.shape))), s.shape)
             for s in self.layout
         }
         self._kept = {}  # slot -> (content key, read-only array); see _keep
 
-    def _param(self, theta: ad.Node, layer: int, name: str, shape: tuple) -> ad.Node:
-        return ad.reshape(ad.take(theta, self._slice_index[(layer, name)]), shape)
+    def _param(self, theta: ad.Node, layer: int, name: str) -> ad.Node:
+        index, shape = self._slices[(layer, name)]
+        return ad.reshape(ad.take(theta, index), shape)
 
-    def record_forward(self, theta: ad.Node, X: ad.Node):
-        """Record logits for a batched input; also returns per-layer activations.
+    def record_forward(self, theta: ad.Node, X: ad.Node) -> ad.Node:
+        """Record logits for a batched input.
 
         theta is the flat parameter node, X is (N, ...) matching input_shape.
         """
@@ -298,18 +299,14 @@ class Model:
                 f"input shape {X.shape[1:]} does not match {self.arch.input_shape}"
             )
         h = X
-        activations = []
         for i, layer in enumerate(self.arch.layers):
             if isinstance(layer, Dense):
-                w = self._param(theta, i, "weight", (layer.in_features, layer.out_features))
-                b = self._param(theta, i, "bias", (layer.out_features,))
+                w = self._param(theta, i, "weight")
+                b = self._param(theta, i, "bias")
                 h = ad.add(ad.matmul(h, w), b)
             elif isinstance(layer, Conv2d):
-                w = self._param(
-                    theta, i, "weight",
-                    (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel),
-                )
-                b = self._param(theta, i, "bias", (layer.out_channels,))
+                w = self._param(theta, i, "weight")
+                b = self._param(theta, i, "bias")
                 h = ad.conv2d(h, w, b, stride=layer.stride)
             elif isinstance(layer, Relu):
                 h = ad.relu(h)
@@ -317,8 +314,7 @@ class Model:
                 h = ad.maxpool2d(h, layer.kernel)
             elif isinstance(layer, Flatten):
                 h = ad.reshape(h, (h.shape[0], -1))
-            activations.append(h)
-        return h, activations
+        return h
 
     def record_batch_loss(self, theta: ad.Node, X: ad.Node, labels, kind: str) -> ad.Node:
         """Mean loss over a batch, as a scalar node."""
@@ -326,7 +322,7 @@ class Model:
         return ad.div(ad.reduce_sum(per), float(per.shape[0]))
 
     def record_per_example_loss(self, theta: ad.Node, X: ad.Node, labels, kind: str) -> ad.Node:
-        logits, _ = self.record_forward(theta, X)
+        logits = self.record_forward(theta, X)
         return self.record_logits_loss(logits, labels, kind)
 
     def record_logits_loss(self, logits: ad.Node, labels, kind: str) -> ad.Node:
@@ -350,7 +346,7 @@ class Model:
         for start in range(0, len(X), EVAL_ROWS):
             rows = slice(start, start + EVAL_ROWS)
             graph = ad.Graph()  # `node` keeps the last slice alive meanwhile, as in train
-            node, _ = self.record_forward(graph.constant(params.data), graph.constant(X[rows]))
+            node = self.record_forward(graph.constant(params.data), graph.constant(X[rows]))
             out[rows] = node.value
         return out
 

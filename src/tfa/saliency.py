@@ -11,12 +11,13 @@ Noise-averaged maps follow the usual denoising recipe: resample the map at
 gaussian-perturbed copies of the training image and average. Sample i draws
 its noise from its own child seed and the samples are summed in index order,
 so a map depends only on its seed. The noiseless map is the sigma = 0,
-one-sample case of the same function.
+one-sample case of the same function. channel_aggregate collapses a map to
+the non-negative pixel grid that the artifacts and harnesses read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +26,14 @@ from .models import LabeledExample, Model, ParamVector
 from .rng import stream
 from .tda import _checked_norm, query_gradient
 
-AGGREGATION_MODES = ("abs-sum", "l2")
-
 
 @dataclass
 class SaliencyMap:
-    """Signed per-input-entry attribution values plus provenance."""
+    """Signed per-input-entry attribution values plus provenance; sigma 0 marks a noiseless map."""
 
     values: np.ndarray
     train_index: int = -1
     test_index: int = -1
-    method: str = "tfa"
     sigma: float = 0.0
     samples: int = 1
     seed: int | None = None
@@ -76,11 +74,10 @@ def tfa_saliency(
 ) -> SaliencyMap:
     """Input-gradient of the train/test grad-cos score, signed, same shape
     as the training input: smoothgrad_saliency at sigma 0 with one sample."""
-    sal = smoothgrad_saliency(
+    return smoothgrad_saliency(
         model, params, z_train, z_test, sigma=0.0, samples=1, seed=None, kind=kind,
         train_index=train_index, test_index=test_index,
     )
-    return replace(sal, method="tfa")
 
 
 def smoothgrad_saliency(
@@ -124,84 +121,14 @@ def smoothgrad_saliency(
                 model, params, z_train.x + noise, z_train.y, g_test, kind
             )
         values /= samples
-    return SaliencyMap(values, train_index, test_index, "smoothgrad", sigma, samples, seed)
+    return SaliencyMap(values, train_index, test_index, sigma, samples, seed)
 
 
-def channel_aggregate(saliency, mode: str = "abs-sum") -> np.ndarray:
-    """Collapse a signed (C, H, W) map to a non-negative (H, W) grid."""
+def channel_aggregate(saliency) -> np.ndarray:
+    """Collapse a signed (C, H, W) map to a non-negative (H, W) grid: the sum of absolute values."""
     values = saliency.values if isinstance(saliency, SaliencyMap) else np.asarray(saliency)
     if values.ndim == 2:
         values = values[None]
     if values.ndim != 3:
         raise ValueError(f"expected a (C, H, W) map, got shape {values.shape}")
-    if mode == "abs-sum":
-        return np.abs(values).sum(axis=0)
-    if mode == "l2":
-        return np.sqrt((values**2).sum(axis=0))
-    raise ValueError(f"mode must be one of {AGGREGATION_MODES}")
-
-
-def bilinear_upsample(grid: np.ndarray, out_shape) -> np.ndarray:
-    """Corner-aligned bilinear interpolation of a 2-d grid."""
-    grid = np.asarray(grid, dtype=np.float64)
-    h, w = grid.shape
-    oh, ow = out_shape
-    rows = np.linspace(0.0, h - 1.0, oh) if oh > 1 else np.zeros(1)
-    cols = np.linspace(0.0, w - 1.0, ow) if ow > 1 else np.zeros(1)
-    r0 = np.clip(np.floor(rows).astype(int), 0, max(h - 2, 0))
-    c0 = np.clip(np.floor(cols).astype(int), 0, max(w - 2, 0))
-    r1 = np.minimum(r0 + 1, h - 1)
-    c1 = np.minimum(c0 + 1, w - 1)
-    fr = (rows - r0)[:, None]
-    fc = (cols - c0)[None, :]
-    top = grid[np.ix_(r0, c0)] * (1 - fc) + grid[np.ix_(r0, c1)] * fc
-    bottom = grid[np.ix_(r1, c0)] * (1 - fc) + grid[np.ix_(r1, c1)] * fc
-    return top * (1 - fr) + bottom * fr
-
-
-def layer_saliency(
-    model: Model,
-    params: ParamVector,
-    z_train: LabeledExample,
-    z_test: LabeledExample,
-    layer_index: int,
-    kind: str = "cross-entropy",
-) -> np.ndarray:
-    """Attribution at an internal spatial layer, upsampled to input size.
-
-    The score is the cosine between the test loss gradient at the test
-    image's activations and the train loss gradient at the train image's
-    activations, both taken at the chosen layer. Its gradient with respect
-    to the train activations is channel-averaged in absolute value and
-    bilinearly upsampled (corner-aligned) to the input resolution.
-    """
-    if not 0 <= layer_index < len(model.arch.layers):
-        raise IndexError(f"layer index {layer_index} out of range")
-    shape = model.arch.layer_shapes()[layer_index]
-    if len(shape) != 3:
-        raise ValueError(
-            f"layer {layer_index} produces shape {shape}; layer saliency needs a "
-            "spatial (C, H, W) activation"
-        )
-
-    def activation_grad(example: LabeledExample):
-        graph = ad.Graph()
-        theta = graph.constant(params.data)
-        x = graph.constant(example.x[None])
-        logits, acts = model.record_forward(theta, x)
-        act = acts[layer_index]
-        per = model.record_logits_loss(logits, np.array([example.y]), kind)
-        return graph, act, ad.backward(ad.reshape(per, ()), [act])[0]
-
-    _, _, g_test_act = activation_grad(z_test)
-    g_test_flat = g_test_act.value.ravel()
-    _checked_norm(g_test_flat, "test")
-
-    graph, act, g_train_act = activation_grad(z_train)
-    _checked_norm(g_train_act.value.ravel(), "train")
-    score = ad.cosine(
-        ad.reshape(g_train_act, (-1,)), graph.constant(g_test_flat)
-    )
-    grad_act = ad.backward(score, [act])[0].value[0]  # (C, H', W')
-    grid = np.abs(grad_act).mean(axis=0)
-    return bilinear_upsample(grid, model.arch.input_shape[1:])
+    return np.abs(values).sum(axis=0)

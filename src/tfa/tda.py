@@ -8,11 +8,12 @@ gradients against the test-loss gradient g, oriented so positive = helpful:
     influence    G_i u, where u = (H + lam I)^-1 g: one single-vector solve per query
     relatif      G_i u / ||V_i||, where V = (H + lam I)^-1 G', its norms kept per (G, lam)
 
-The pair scorers are one-row calls of the kernel; grad_effect,
-influence_function and relatif keep the loss-change sign (negative =
-helpful). One degenerate rule holds throughout: a gradient of norm at most
-DEGENERATE_NORM has no direction. rank_training_set skips such training
-rows with a warning; anywhere else it is an error.
+grad_cos and grad_effect score one train/test pair as a one-row call of
+the kernel; grad_effect keeps the loss-change sign (negative = helpful), the
+test-loss change that its step predicts. One degenerate rule holds
+throughout: a gradient of norm at most DEGENERATE_NORM has no direction.
+rank_training_set skips such training rows with a warning; anywhere else it
+is an error.
 """
 
 from __future__ import annotations
@@ -231,11 +232,6 @@ def attribution_scores(
     return dots / hessian.response_norms(G, lam) if method == "relatif" else dots
 
 
-def _loss_change(g_train: np.ndarray, g_test: np.ndarray, method: str, **kwargs) -> float:
-    """One pair's score on the loss-change convention: negative = helpful."""
-    return -float(attribution_scores(np.asarray(g_train)[None, :], g_test, method, **kwargs)[0])
-
-
 def grad_cos(
     model: Model,
     params: ParamVector,
@@ -265,35 +261,7 @@ def grad_effect(
     """
     g_test = query_gradient(model, params, z_test, kind)
     g_train = model.param_grad(params, z_train, kind)
-    return _loss_change(g_train, g_test, "grad-effect", epsilon=epsilon)
-
-
-def influence_function(
-    hessian: DampedHessian,
-    g_train: np.ndarray,
-    g_test: np.ndarray,
-    lam: float | None = None,
-) -> float:
-    """-g_test' (H + lam I)^-1 g_train.
-
-    This is the first-order change in test loss per unit of upweighting of
-    the training example: negative output = helpful example.
-    """
-    return _loss_change(g_train, g_test, "influence", hessian=hessian, lam=lam)
-
-
-def relatif(
-    hessian: DampedHessian,
-    g_train: np.ndarray,
-    g_test: np.ndarray,
-    lam: float | None = None,
-) -> float:
-    """Influence normalized by the parameter-space response to the example.
-
-    Dividing by ||(H + lam I)^-1 g_train|| removes the advantage of
-    large-gradient (typically high-loss or outlier) training examples.
-    """
-    return _loss_change(g_train, g_test, "relatif", hessian=hessian, lam=lam)
+    return -float(attribution_scores(g_train[None, :], g_test, "grad-effect", epsilon=epsilon)[0])
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from finite_diff import finite_diff_gradient
 from tfa import autodiff as ad
 
 
 def fd(f, x, step=1e-6):
-    return ad.finite_diff_gradient(f, x, step=step)
+    return finite_diff_gradient(f, x, step=step)
 
 
 class TestPrimitiveGradients:

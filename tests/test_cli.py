@@ -135,6 +135,9 @@ class TestExitCodes:
             (["toy-ridge", "--lambda", "nan"], "--lambda"),
             (["toy-ridge", "--t", "nan"], "--t"),
             (["toy-ridge", "--c=-inf"], "--c"),
+            (["train", "--data", "cifar10", "--holdout-per-class", "-3", "--out", "OUT"], "--holdout-per-class"),
+            (["toy-ridge", "--lambda", "0"], "--lambda"),
+            (["toy-ridge", "--lambda", "-1"], "--lambda"),
         ],
     )
     def test_bad_value_is_one_line_usage_error(self, argv, flag, run_dir, tmp_path, monkeypatch, capsys):

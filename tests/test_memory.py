@@ -26,7 +26,7 @@ from tfa.models import (
     TrainConfig,
     train,
 )
-from tfa.saliency import layer_saliency, smoothgrad_saliency
+from tfa.saliency import smoothgrad_saliency
 from tfa.tda import dense_hessian, rank_training_set
 
 
@@ -121,7 +121,3 @@ class TestWorkflowsLeaveNoCycles:
             model, params, ds.example(0), ds.example(1), sigma=0.05, samples=4, seed=0,
             workers=workers,
         )
-
-    def test_layer_saliency(self, trained, no_cyclic_garbage):
-        model, params, ds = trained
-        layer_saliency(model, params, ds.example(0), ds.example(1), layer_index=0)

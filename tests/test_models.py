@@ -287,7 +287,7 @@ class TestEvaluationSlices:
         _, model, params, ds = self.setup_70()
         graph = ad.Graph()
         theta, X = graph.constant(params.data), graph.constant(ds.X)
-        logits, _ = model.record_forward(theta, X)
+        logits = model.record_forward(theta, X)
         loss = model.record_batch_loss(theta, X, ds.y, kind)
 
         np.testing.assert_allclose(model.logits(params, ds.X), logits.value, rtol=1e-12)

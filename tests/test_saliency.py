@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from finite_diff import finite_diff_gradient
 from tfa import autodiff as ad
 from tfa.models import (
     ArchitectureSpec,
@@ -30,9 +31,7 @@ from tfa.models import (
 )
 from tfa.saliency import (
     SaliencyMap,
-    bilinear_upsample,
     channel_aggregate,
-    layer_saliency,
     smoothgrad_saliency,
     tfa_saliency,
 )
@@ -163,7 +162,7 @@ class TestSaliencyAgainstFiniteDifferences:
             return float(g_train @ g_test / (np.linalg.norm(g_train) * np.linalg.norm(g_test)))
 
         sal = smoothgrad_saliency(model, params, z_train, z_test, sigma=0.0, samples=1, seed=None)
-        fd = ad.finite_diff_gradient(score, z_train.x, step)
+        fd = finite_diff_gradient(score, z_train.x, step)
         np.testing.assert_allclose(sal.values, fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
 
     def test_unread_pixels_get_exactly_zero(self):
@@ -262,82 +261,22 @@ class TestSmoothgrad:
             smoothgrad_saliency(model, params, ds.example(0), ds.example(1), sigma=-0.1, samples=3, seed=0)
         with pytest.raises(ValueError):
             smoothgrad_saliency(model, params, ds.example(0), ds.example(1), sigma=0.1, samples=0, seed=0)
+        with pytest.raises(ValueError, match="loss must be one of"):
+            smoothgrad_saliency(model, params, ds.example(0), ds.example(1), sigma=0.0, samples=1, seed=None, kind="bogus")
 
 
 class TestChannelAggregate:
-    def test_abs_sum_and_l2(self):
+    def test_abs_sum(self):
         values = np.array([[[1.0, -2.0]], [[-3.0, 4.0]]])  # (2, 1, 2)
-        np.testing.assert_allclose(channel_aggregate(values, "abs-sum"), [[4.0, 6.0]])
-        np.testing.assert_allclose(
-            channel_aggregate(values, "l2"), [[np.sqrt(10.0), np.sqrt(20.0)]]
-        )
+        np.testing.assert_allclose(channel_aggregate(values), [[4.0, 6.0]])
 
     def test_single_channel_passthrough_shape(self):
         grid = channel_aggregate(np.array([[1.0, -1.0], [0.5, 0.0]]))
         np.testing.assert_allclose(grid, [[1.0, 1.0], [0.5, 0.0]])
 
-    def test_accepts_saliency_map_and_validates_mode(self):
+    def test_accepts_saliency_map_and_validates_shape(self):
         sal = SaliencyMap(np.ones((3, 2, 2)))
         assert channel_aggregate(sal).shape == (2, 2)
         assert np.all(channel_aggregate(sal) >= 0.0)
         with pytest.raises(ValueError):
-            channel_aggregate(sal, mode="max")
-        with pytest.raises(ValueError):
             channel_aggregate(np.ones((1, 2, 3, 4)))
-
-
-class TestBilinearUpsample:
-    def test_identity_at_same_size(self):
-        rng = np.random.default_rng(41)
-        grid = rng.standard_normal((5, 7))
-        np.testing.assert_array_equal(bilinear_upsample(grid, (5, 7)), grid)
-
-    def test_corners_align(self):
-        grid = np.array([[1.0, 2.0], [3.0, 4.0]])
-        up = bilinear_upsample(grid, (5, 5))
-        assert up[0, 0] == 1.0 and up[0, -1] == 2.0
-        assert up[-1, 0] == 3.0 and up[-1, -1] == 4.0
-
-    def test_linear_ramp_is_exact(self):
-        # bilinear interpolation reproduces an affine function exactly
-        rows = np.arange(3.0)[:, None]
-        cols = np.arange(4.0)[None, :]
-        grid = 2.0 * rows + 0.5 * cols + 1.0
-        up = bilinear_upsample(grid, (9, 10))
-        rr = np.linspace(0.0, 2.0, 9)[:, None]
-        cc = np.linspace(0.0, 3.0, 10)[None, :]
-        np.testing.assert_allclose(up, 2.0 * rr + 0.5 * cc + 1.0, rtol=1e-12)
-
-    def test_single_row_grid(self):
-        up = bilinear_upsample(np.array([[1.0, 3.0]]), (4, 3))
-        np.testing.assert_allclose(up, np.tile([1.0, 2.0, 3.0], (4, 1)))
-
-
-class TestLayerSaliency:
-    def test_shape_and_nonnegativity_on_cnn(self):
-        model, params, ds = trained_cnn()
-        grid = layer_saliency(model, params, ds.example(0), ds.example(1), layer_index=1)
-        assert grid.shape == (8, 8)
-        assert np.all(grid >= 0.0)
-        assert grid.max() > 0.0
-
-    def test_rejects_non_spatial_layers(self):
-        model, params, ds = trained_cnn()
-        with pytest.raises(ValueError):
-            layer_saliency(model, params, ds.example(0), ds.example(1), layer_index=3)
-        with pytest.raises(IndexError):
-            layer_saliency(model, params, ds.example(0), ds.example(1), layer_index=9)
-
-    def test_rejects_unknown_loss_kind(self):
-        model, params, ds = trained_cnn()
-        with pytest.raises(ValueError, match="loss must be one of"):
-            layer_saliency(model, params, ds.example(0), ds.example(1), layer_index=1, kind="bogus")
-
-    def test_rejects_vector_models(self):
-        arch = ArchitectureSpec(layers=(Dense(4, 2),), input_shape=(4,), num_classes=2)
-        model = Model(arch)
-        params = init_params(arch, seed=5)
-        a = LabeledExample(np.ones(4), 0)
-        b = LabeledExample(np.zeros(4), 1)
-        with pytest.raises(ValueError):
-            layer_saliency(model, params, a, b, layer_index=0)

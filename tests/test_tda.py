@@ -48,10 +48,8 @@ from tfa.tda import (
     dense_hessian,
     grad_cos,
     grad_effect,
-    influence_function,
     query_gradient,
     rank_training_set,
-    relatif,
 )
 
 
@@ -300,8 +298,8 @@ class TestInfluence:
         rng = np.random.default_rng(10)
         g_train, g_test = rng.standard_normal(5), rng.standard_normal(5)
         h = DampedHessian(np.eye(5))
-        value = influence_function(h, g_train, g_test, lam=0.0)
-        np.testing.assert_allclose(value, -float(g_test @ g_train), rtol=1e-12)
+        (value,) = attribution_scores(g_train[None, :], g_test, "influence", hessian=h, lam=0.0)
+        np.testing.assert_allclose(value, float(g_test @ g_train), rtol=1e-12)
 
     def test_large_damping_limit(self):
         rng = np.random.default_rng(11)
@@ -309,8 +307,8 @@ class TestInfluence:
         h = DampedHessian(A @ A.T)
         g_train, g_test = rng.standard_normal(6), rng.standard_normal(6)
         lam = 1e8
-        value = influence_function(h, g_train, g_test, lam=lam)
-        np.testing.assert_allclose(value, -float(g_test @ g_train) / lam, rtol=1e-6)
+        (value,) = attribution_scores(g_train[None, :], g_test, "influence", hessian=h, lam=lam)
+        np.testing.assert_allclose(value, float(g_test @ g_train) / lam, rtol=1e-6)
 
     def test_insufficient_damping_reports_spectrum(self):
         H = np.diag([1.0, -0.5])
@@ -374,7 +372,8 @@ class TestInfluence:
     def test_sign_agrees_with_exact_ridge_refit(self):
         # ridge total objective ||Xw-y||^2 + lam||w||^2 has Hessian
         # 2(X'X + lam I); per-example gradients are 2 r_i x_i. First-order
-        # theory: removal delta ~ -influence, so compare against -influence.
+        # theory: the removal delta (positive = the example helped) has the
+        # sign of the oriented influence score.
         rng = np.random.default_rng(12)
         agree = 0
         total = 0
@@ -391,12 +390,10 @@ class TestInfluence:
             r = X @ w - y
             r_test = float(x_test @ w - y_test)
             g_test = 2.0 * r_test * x_test
-            scores = np.array(
-                [influence_function(h, 2.0 * r[i] * X[i], g_test, lam=2.0) for i in range(n)]
-            )
+            scores = attribution_scores(2.0 * r[:, None] * X, g_test, "influence", hessian=h, lam=2.0)
             for i in np.argsort(-np.abs(scores))[:5]:
                 delta = leave_one_out_delta(problem, int(i), x_test, y_test)
-                agree += int(np.sign(-scores[i]) == np.sign(delta))
+                agree += int(np.sign(scores[i]) == np.sign(delta))
                 total += 1
         assert agree / total >= 0.9
 
@@ -407,17 +404,16 @@ class TestRelatif:
         A = rng.standard_normal((5, 5))
         h = DampedHessian(A @ A.T)
         g_train, g_test = rng.standard_normal(5), rng.standard_normal(5)
-        a = relatif(h, g_train, g_test, lam=0.5)
-        b = relatif(h, 10.0 * g_train, g_test, lam=0.5)
+        a, b = attribution_scores(np.stack([g_train, 10.0 * g_train]), g_test, "relatif", hessian=h, lam=0.5)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_identity_hessian_form(self):
         rng = np.random.default_rng(14)
         g_train, g_test = rng.standard_normal(5), rng.standard_normal(5)
         h = DampedHessian(np.eye(5))
-        value = relatif(h, g_train, g_test, lam=0.0)
+        (value,) = attribution_scores(g_train[None, :], g_test, "relatif", hessian=h, lam=0.0)
         np.testing.assert_allclose(
-            value, -float(g_test @ g_train) / np.linalg.norm(g_train), rtol=1e-12
+            value, float(g_test @ g_train) / np.linalg.norm(g_train), rtol=1e-12
         )
 
     def test_large_damping_ranking_matches_grad_cos(self):
@@ -477,12 +473,15 @@ class TestRanking:
             expected = sorted(range(len(ds)), key=lambda i: (-raw[i], i))
             assert [r.train_index for r in result.records] == expected
         # the oriented score equals the pair scorer, negated where that
-        # scorer reports a loss change
+        # scorer reports a loss change; influence and RelatIF are solved
+        # here directly, with np.linalg.solve on H + lam I
+        damped = h.matrix + lam * np.eye(model.num_params)
+        u = np.linalg.solve(damped, g_test)
         pair = {
             "grad-cos": lambda i: grad_cos(model, params, ds.example(i), z_test),
             "grad-effect": lambda i: -grad_effect(model, params, ds.example(i), z_test),
-            "influence": lambda i: -influence_function(h, grads[i], g_test, lam),
-            "relatif": lambda i: -relatif(h, grads[i], g_test, lam),
+            "influence": lambda i: float(grads[i] @ u),
+            "relatif": lambda i: float(grads[i] @ u) / np.linalg.norm(np.linalg.solve(damped, grads[i])),
         }[method]
         assert len(result.records) == len(ds)
         for record in result.records:
