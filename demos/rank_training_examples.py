@@ -33,7 +33,7 @@ z_test = test_ds.example(0)
 print(f"\ntest image: class {z_test.y}, predicted {model.predict_one(params, z_test.x)}")
 
 for method in ("grad-cos", "grad-effect"):
-    ranking = rank_training_set(model, params, train_ds, z_test, method, test_index=0)
+    ranking = rank_training_set(model, params, train_ds, z_test, method)
     top = ranking.helpful(3)
     bottom = ranking.harmful(3)
     print(f"\n{method}:")
@@ -47,7 +47,7 @@ hessian = dense_hessian(model, params, train_ds.subset(range(50)))
 print(f"\ndamping lambda = {hessian.damping():.4f} (smallest Hessian eigenvalue {hessian.lambda_min:+.4f})")
 
 for method in ("influence", "relatif"):
-    ranking = rank_training_set(model, params, train_ds, z_test, method, test_index=0, hessian=hessian)
+    ranking = rank_training_set(model, params, train_ds, z_test, method, hessian=hessian)
     print(f"{method}:")
     print("  most helpful:", [(r.train_index, round(r.score, 4)) for r in ranking.helpful(3)])
     print("  most harmful:", [(r.train_index, round(r.score, 4)) for r in ranking.harmful(3)])

@@ -36,19 +36,16 @@ model = Model(arch)
 
 # map the most helpful training image for test image 0
 z_test = test_ds.example(0)
-best = rank_training_set(model, params, train_ds, z_test, "grad-cos", test_index=0).helpful(1)[0]
+best = rank_training_set(model, params, train_ds, z_test, "grad-cos").helpful(1)[0]
 z_train = train_ds.example(best.train_index)
 print(f"most helpful for test 0: train {best.train_index} (grad-cos {best.score:+.4f})")
 
-raw = tfa_saliency(model, params, z_train, z_test, train_index=best.train_index, test_index=0)
-smooth = smoothgrad_saliency(
-    model, params, z_train, z_test, sigma=0.05, samples=25, seed=0,
-    train_index=best.train_index, test_index=0,
-)
+raw = tfa_saliency(model, params, z_train, z_test)
+smooth = smoothgrad_saliency(model, params, z_train, z_test, sigma=0.05, samples=25, seed=0)
 
 # noise shrinks under averaging: compare total variation of the two maps
 def roughness(values):
-    grid = channel_aggregate(type(raw)(values, 0, 0))
+    grid = channel_aggregate(values)
     return float(np.abs(np.diff(grid, axis=0)).sum() + np.abs(np.diff(grid, axis=1)).sum())
 
 print(f"raw map roughness      {roughness(raw.values):.4f}")

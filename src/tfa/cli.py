@@ -338,7 +338,7 @@ def cmd_train(args) -> int:
     record = run_record(args)
     config = train_config(args, child_seed(args.seed, "train"))
     arch, train_ds, _, test_ds = build_datasets(args, record["data_seed"])
-    model = Model(arch)
+    model = Model(arch, config.loss)
     params, _ = train(train_ds, arch, config, epoch_accuracy=False)
 
     out = Path(args.out)
@@ -376,7 +376,7 @@ class Run:
             self.arch, self.train_ds, self.holdout, self.test_ds = build_datasets(
                 args, child_seed(args.seed, "data")
             )
-            self.model = Model(self.arch)
+            self.model = Model(self.arch, self.config.loss)
             self.params = ParamVector(np.load(self.path / "params.npy"), self.model.layout)
             if self.params.size != self.model.num_params:
                 raise ValueError(f"params.npy holds {self.params.size} values, the model has {self.model.num_params}")
@@ -395,7 +395,7 @@ def cmd_rank(args) -> int:
     hessian = None
     if args.method in ("influence", "relatif"):
         subset = run.train_ds.subset(range(min(args.hessian_examples, len(run.train_ds))))
-        hessian = dense_hessian(run.model, run.params, subset, run.config.loss)
+        hessian = dense_hessian(run.model, run.params, subset)
     try:
         ranking = rank_training_set(
             run.model,
@@ -403,11 +403,9 @@ def cmd_rank(args) -> int:
             run.train_ds,
             z_test,
             args.method,
-            test_index=args.test_index,
             epsilon=args.epsilon,
             hessian=hessian,
             lam=args.lam,
-            kind=run.config.loss,
         )
     except InsufficientDampingError as e:
         raise UsageError(f"--lam {args.lam}: {e}") from e
@@ -449,9 +447,6 @@ def cmd_saliency(args) -> int:
         sigma=sigma,
         samples=samples,
         seed=args.seed,
-        kind=run.config.loss,
-        train_index=args.train_index,
-        test_index=args.test_index,
     )
     grid = channel_aggregate(sal)
     stem = run.path / "maps" / f"saliency_train{args.train_index}_test{args.test_index}"
@@ -478,9 +473,7 @@ def cmd_insertion(args) -> int:
         seed=args.seed,
         fill=args.fill,
     )
-    results = paired_insertion_experiment(
-        run.model, run.params, run.holdout, run.test_ds, config, kind=run.config.loss
-    )
+    results = paired_insertion_experiment(run.model, run.params, run.holdout, run.test_ds, config)
     table = run.path / "tables" / "insertion.csv"
     write_csv(table, [f.name for f in fields(PairedResult)], [astuple(r) for r in results])
     write_manifest(run.path / "manifest_insertion.txt", {"command": "insertion", **parsed_flags(args)})
@@ -507,7 +500,6 @@ def cmd_explain(args) -> int:
             sigma=args.sigma,
             samples=args.samples,
             seed=args.seed,
-            kind=run.config.loss,
             test_index=args.test_index,
         )
     for w in caught:
@@ -571,7 +563,6 @@ def cmd_patch_sweep(args) -> int:
         sigma=args.sigma,
         samples=args.samples,
         seed=child_seed(args.seed, "sweep"),
-        kind=args.loss,
     )
     out = Path(args.out)
     table = out / "tables" / "patch_sweep.csv"
@@ -593,8 +584,11 @@ def cmd_toy_ridge(args) -> int:
     setup = ToySetup(axis_coords=(1.0,) * (args.n - 1), c=args.c, lam=args.lam)
     problem = setup.problem()
     x_test = setup.test_point(args.t)
-    alpha = representer_coefficients(problem, x_test)
-    beta = feature_contributions(problem, x_test)
+    try:
+        alpha = representer_coefficients(problem, x_test)
+        beta = feature_contributions(problem, x_test)
+    except ValueError as e:
+        raise UsageError(f"--c {args.c} and --lambda {args.lam}: {e}") from e
     header = ("i", "y", "alpha", "beta_1", "beta_2")
     rows = [
         (i, problem.y[i], alpha[i], beta[i, 0], beta[i, 1]) for i in range(len(alpha))

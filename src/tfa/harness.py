@@ -25,7 +25,7 @@ from .tda import rank_training_set
 
 FILL_MODES = ("dataset-mean", "zero")
 MASK_MODES = ("topk", "random")
-CORNERS = ("bottom-right", "bottom-left", "top-right", "top-left")
+PATCH_TOP_PERCENT = 10  # patch_attribution_fraction reads this top share of a grid's pixels
 
 Z95 = 1.96  # normal-approximation 95% interval
 
@@ -77,13 +77,12 @@ class PairedResult:
 
 @dataclass(frozen=True)
 class PatchSpec:
-    """A square shortcut patch stamped onto target-class training images."""
+    """A square shortcut patch stamped onto the bottom-right corner of target-class training images."""
 
     size: int
     color: tuple
     target_class: int
     fraction: float
-    corner: str = "bottom-right"
     seed: int = 0
 
     def __post_init__(self):
@@ -91,8 +90,6 @@ class PatchSpec:
             raise ValueError("patch size must be at least one pixel")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("patch fraction must lie in [0, 1]")
-        if self.corner not in CORNERS:
-            raise ValueError(f"corner must be one of {CORNERS}")
         for v in self.color:
             if not 0.0 <= v <= 1.0:
                 raise ValueError("patch color channels must lie in [0, 1]")
@@ -137,6 +134,11 @@ def retained_pixel_count(k: float, height: int, width: int) -> int:
     return math.ceil(k / 100.0 * height * width)
 
 
+def _top_pixels(grid: np.ndarray, count: int) -> np.ndarray:
+    """Flat indices of the `count` largest grid values, ties to the lower flat index."""
+    return np.argsort(-grid.ravel(), kind="stable")[:count]
+
+
 def mask_insert(x, grid, k, fill, mode: str = "topk", seed=None) -> np.ndarray:
     """Keep the top (or a random) k% of pixels, fill the rest.
 
@@ -160,9 +162,7 @@ def mask_insert(x, grid, k, fill, mode: str = "topk", seed=None) -> np.ndarray:
 
     keep = retained_pixel_count(k, h, w)
     if mode == "topk":
-        # stable argsort on the negated grid: ties resolve to lower flat index
-        order = np.argsort(-grid.ravel(), kind="stable")
-        kept = order[:keep]
+        kept = _top_pixels(grid, keep)
     else:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         kept = rng.permutation(h * w)[:keep]
@@ -180,21 +180,20 @@ def intervention_delta(
     z_masked: LabeledExample,
     z_test: LabeledExample,
     lr_step: float,
-    kind: str = "cross-entropy",
 ) -> float:
     """Test-loss change from one SGD step on the masked example.
 
     The step starts from a copy; the caller's parameters are untouched.
     Positive means the step hurt the test prediction.
     """
-    before = model.loss(params, z_test, kind)
-    return _loss_after_step(model, params, z_masked, z_test, lr_step, kind) - before
+    before = model.loss(params, z_test)
+    return _loss_after_step(model, params, z_masked, z_test, lr_step) - before
 
 
-def _loss_after_step(model, params, z_masked, z_test, lr_step, kind) -> float:
+def _loss_after_step(model, params, z_masked, z_test, lr_step) -> float:
     """Test loss after one SGD step on the masked example; intervention_delta's minuend."""
-    g = model.param_grad(params, z_masked, kind)
-    return model.loss(sgd_step(params, g, lr_step), z_test, kind)
+    g = model.param_grad(params, z_masked)
+    return model.loss(sgd_step(params, g, lr_step), z_test)
 
 
 def paired_insertion_experiment(
@@ -203,7 +202,6 @@ def paired_insertion_experiment(
     holdout: Dataset,
     test_set: Dataset,
     config: InterventionConfig,
-    kind: str = "cross-entropy",
 ) -> list:
     """Run the paired topk-vs-random insertion intervention.
 
@@ -231,8 +229,8 @@ def paired_insertion_experiment(
     deltas = {k: [] for k in config.k_percents}
     for t in sorted(int(i) for i in picked):
         z_test = test_set.example(t)
-        before = model.loss(params, z_test, kind)  # the pre-step loss of every delta below
-        ranking = rank_training_set(model, params, holdout, z_test, "grad-cos", kind=kind)
+        before = model.loss(params, z_test)  # the pre-step loss of every delta below
+        ranking = rank_training_set(model, params, holdout, z_test, "grad-cos")
         top = ranking.helpful(config.top_m)
         if not top:
             raise ValueError("no usable holdout example for a sampled test image")
@@ -247,7 +245,6 @@ def paired_insertion_experiment(
                 sigma=config.sigma,
                 samples=config.samples,
                 seed=child_seed(config.seed, f"insertion/smooth/{t}/{m}"),
-                kind=kind,
             )
             grid = channel_aggregate(sal)
             for k in config.k_percents:
@@ -261,9 +258,8 @@ def paired_insertion_experiment(
                     seed=stream(config.seed, f"insertion/rand/{t}/{m}/{k}"),
                 )
                 deltas[k].append(tuple(
-                    _loss_after_step(
-                        model, params, LabeledExample(x, z_train.y), z_test, config.lr_step, kind
-                    ) - before
+                    _loss_after_step(model, params, LabeledExample(x, z_train.y), z_test, config.lr_step)
+                    - before
                     for x in (x_top, x_rand)
                 ))
 
@@ -300,7 +296,6 @@ def explain_misclassification(
     sigma: float = 0.05,
     samples: int = 10,
     seed: int = 0,
-    kind: str = "cross-entropy",
     test_index: int = -1,
 ) -> MisclassificationReport:
     """Rank the training set for one test example and map the extremes.
@@ -319,9 +314,7 @@ def explain_misclassification(
             RuntimeWarning,
             stacklevel=2,
         )
-    ranking = rank_training_set(
-        model, params, dataset, z_test, "grad-cos", test_index=test_index, kind=kind
-    )
+    ranking = rank_training_set(model, params, dataset, z_test, "grad-cos")
     r = min(top_r, len(ranking.records))
     helpful = tuple(ranking.helpful(r))
     harmful = tuple(ranking.harmful(r))
@@ -338,9 +331,6 @@ def explain_misclassification(
             sigma=sigma,
             samples=samples,
             seed=child_seed(seed, f"explain/map/{rec.train_index}"),
-            kind=kind,
-            train_index=rec.train_index,
-            test_index=test_index,
         )
     return MisclassificationReport(
         test_index=test_index,
@@ -354,13 +344,11 @@ def explain_misclassification(
 
 
 def patch_region(image_shape, spec: PatchSpec):
-    """Row and column slices covered by the patch inside an image."""
+    """Row and column slices covered by the patch in the bottom-right corner of an image."""
     h, w = image_shape[-2], image_shape[-1]
     if spec.size > h or spec.size > w:
         raise ValueError(f"patch of size {spec.size} does not fit in {h}x{w} image")
-    rows = slice(h - spec.size, h) if spec.corner.startswith("bottom") else slice(0, spec.size)
-    cols = slice(w - spec.size, w) if spec.corner.endswith("right") else slice(0, spec.size)
-    return rows, cols
+    return slice(h - spec.size, h), slice(w - spec.size, w)
 
 
 def apply_patch(x, spec: PatchSpec) -> np.ndarray:
@@ -397,21 +385,17 @@ def make_patched_dataset(dataset: Dataset, spec: PatchSpec) -> Dataset:
     return Dataset(X, dataset.y.copy())
 
 
-def patch_attribution_fraction(grid, spec: PatchSpec, top_share: float = 0.1) -> float:
-    """Share of the top-share most salient pixels that fall inside the patch.
+def patch_attribution_fraction(grid, spec: PatchSpec) -> float:
+    """Share of the grid's top PATCH_TOP_PERCENT percent of pixels that fall inside the patch.
 
-    Ties at the threshold resolve by ascending flat index, mirroring
-    mask_insert, so the measured set is deterministic.
+    The pixels are those mask_insert keeps at k = PATCH_TOP_PERCENT, ties at
+    the threshold going to the lower flat index, so the set is deterministic.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
         raise ValueError(f"expected a (H, W) grid, got shape {grid.shape}")
-    if not 0.0 < top_share <= 1.0:
-        raise ValueError("top_share must lie in (0, 1]")
     h, w = grid.shape
-    keep = math.ceil(top_share * h * w)
-    order = np.argsort(-grid.ravel(), kind="stable")
-    kept = order[:keep]
+    kept = _top_pixels(grid, retained_pixel_count(PATCH_TOP_PERCENT, h, w))
     inside = np.zeros((h, w), dtype=bool)
     rows, cols = patch_region(grid.shape, spec)
     inside[rows, cols] = True
@@ -431,9 +415,7 @@ def patch_sweep(
     harmful_count: int = 10,
     sigma: float = 0.05,
     samples: int = 10,
-    top_share: float = 0.1,
     seed: int = 0,
-    kind: str = "cross-entropy",
 ) -> list:
     """Retrain at each patch fraction and measure shortcut uptake.
 
@@ -445,15 +427,20 @@ def patch_sweep(
     up deterministically) are explained via their most harmful training
     examples, and the mean patch attribution fraction of those saliency
     grids is reported. Every per-fraction job derives its own seeds from
-    the fraction value, so the rows are independent of sweep order.
+    the fraction value, so the rows are independent of sweep order. The
+    model's loss kind is train_config.loss. The patch's color, size and
+    target class are checked against the architecture before any training.
     """
+    apply_patch(np.zeros(arch.input_shape), spec)  # raises on a color or size the images cannot take
+    if not 0 <= spec.target_class < arch.num_classes:
+        raise ValueError(f"target class {spec.target_class} is not in [0, {arch.num_classes})")
     if probe_class == spec.target_class:
         raise ValueError("probe class must differ from the patch target class")
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"fractions must lie in [0, 1], got {f}")
 
-    model = Model(arch)
+    model = Model(arch, train_config.loss)
     probe_pool = np.flatnonzero(base_test.y == probe_class)
     if len(probe_pool) == 0:
         raise ValueError("test set has no probe-class images")
@@ -490,7 +477,7 @@ def patch_sweep(
         fractions_seen = []
         for j in probe_rows:
             z_probe = LabeledExample(patched_probe_X[j], probe_class)
-            ranking = rank_training_set(model, params, train_ds, z_probe, "grad-cos", kind=kind)
+            ranking = rank_training_set(model, params, train_ds, z_probe, "grad-cos")
             for rec in ranking.harmful(min(harmful_count, len(ranking.records))):
                 sal = smoothgrad_saliency(
                     model,
@@ -500,10 +487,9 @@ def patch_sweep(
                     sigma=sigma,
                     samples=samples,
                     seed=child_seed(seed, f"patch/map/{tag}/{j}/{rec.train_index}"),
-                    kind=kind,
                 )
                 grid = channel_aggregate(sal)
-                fractions_seen.append(patch_attribution_fraction(grid, spec_f, top_share))
+                fractions_seen.append(patch_attribution_fraction(grid, spec_f))
 
         rows.append(
             PatchSweepRow(

@@ -12,9 +12,13 @@ graph, so their memory stays flat in the dataset size.
 Attribution ranks one training set many times at fixed parameters, so a
 ``Model`` keeps the last matrix of per-example training gradients that
 ``Model.param_grads`` built, and the last query gradient of
-``tda.query_gradient``. Each store holds one entry, keyed by the loss kind and
-the shapes and bytes of the parameters, inputs and labels; it lives and dies
-with the ``Model`` instance, and the array it hands out is read-only.
+``tda.query_gradient``. Each store holds one entry, keyed by the shapes and
+bytes of the parameters, inputs and labels; it lives and dies with the
+``Model`` instance, and the array it hands out is read-only.
+
+Every attribution is a gradient of the model's own training loss, so the loss
+kind is a property of the ``Model``: it is checked once, when the model is
+built, and every loss and gradient entry point reads ``Model.loss_kind``.
 """
 
 from __future__ import annotations
@@ -273,10 +277,13 @@ class TrainHistory:
 
 
 class Model:
-    """Recording and evaluation helpers for one architecture."""
+    """Recording and evaluation helpers for one architecture and loss kind."""
 
-    def __init__(self, arch: ArchitectureSpec):
+    def __init__(self, arch: ArchitectureSpec, loss_kind: str = "cross-entropy"):
+        if loss_kind not in LOSS_KINDS:
+            raise ValueError(f"loss must be one of {LOSS_KINDS}")
         self.arch = arch
+        self.loss_kind = loss_kind
         self.layout = _layout_for(arch)
         self.num_params = sum(int(np.prod(s.shape)) for s in self.layout)
         self._slices = {  # (layer, name) -> (flat indices, shape)
@@ -361,14 +368,14 @@ class Model:
             raise ValueError("accuracy of an empty dataset is undefined")
         return float(np.mean(self.predict(params, dataset.X) == dataset.y))
 
-    def loss(self, params: ParamVector, example: LabeledExample, kind: str = "cross-entropy") -> float:
+    def loss(self, params: ParamVector, example: LabeledExample) -> float:
         graph = ad.Graph()
         node = self.record_example_loss(
-            graph.constant(params.data), graph.constant(example.x), example.y, kind
+            graph.constant(params.data), graph.constant(example.x), example.y, self.loss_kind
         )
         return float(node.value)
 
-    def mean_loss(self, params: ParamVector, dataset: Dataset, kind: str = "cross-entropy") -> float:
+    def mean_loss(self, params: ParamVector, dataset: Dataset) -> float:
         n = len(dataset)
         if n == 0:
             raise ValueError("mean loss of an empty dataset is undefined")
@@ -377,40 +384,39 @@ class Model:
             rows = slice(start, start + EVAL_ROWS)
             graph = ad.Graph()
             per[rows] = self.record_per_example_loss(
-                graph.constant(params.data), graph.constant(dataset.X[rows]), dataset.y[rows], kind
+                graph.constant(params.data), graph.constant(dataset.X[rows]), dataset.y[rows], self.loss_kind
             ).value
         return float(np.sum(per) / n)
 
-    def param_grad(self, params: ParamVector, example: LabeledExample, kind: str = "cross-entropy") -> np.ndarray:
+    def param_grad(self, params: ParamVector, example: LabeledExample) -> np.ndarray:
         """Flat gradient of one example's loss with respect to the parameters."""
         graph = ad.Graph()
         theta = graph.leaf(params.data)
-        loss = self.record_example_loss(theta, graph.constant(example.x), example.y, kind)
+        loss = self.record_example_loss(theta, graph.constant(example.x), example.y, self.loss_kind)
         return ad.grad(loss, theta)
 
-    def param_grads(self, params: ParamVector, dataset: Dataset, kind: str = "cross-entropy") -> np.ndarray:
+    def param_grads(self, params: ParamVector, dataset: Dataset) -> np.ndarray:
         """(N, p) matrix whose row i is ``param_grad`` of example i, read-only.
 
         The rows come from the same ``param_grad`` calls, in order, so they
         are bitwise equal to them. The model keeps the last matrix, keyed by
-        ``kind`` and the bytes of ``params.data``, ``dataset.X`` and
-        ``dataset.y``: a repeat call returns the same matrix, any change to
-        those arrays, in place or not, rebuilds it, and the rebuild or the
-        model's end frees it.
+        the bytes of ``params.data``, ``dataset.X`` and ``dataset.y``: a
+        repeat call returns the same matrix, any change to those arrays, in
+        place or not, rebuilds it, and the rebuild or the model's end frees it.
         """
         def build():
             G = np.empty((len(dataset), self.num_params))
             for i in range(len(dataset)):
-                G[i] = self.param_grad(params, dataset.example(i), kind)
+                G[i] = self.param_grad(params, dataset.example(i))
             return G
-        return self._keep("grads", build, kind, params.data, dataset.X, dataset.y)
+        return self._keep("grads", build, params.data, dataset.X, dataset.y)
 
-    def _keep(self, slot: str, build, kind: str, *arrays) -> np.ndarray:
-        """build() made read-only and kept in ``slot``, keyed by ``kind`` and the shapes and bytes of ``arrays``."""
+    def _keep(self, slot: str, build, *arrays) -> np.ndarray:
+        """build() made read-only and kept in ``slot``, keyed by the shapes and bytes of ``arrays``."""
         digest = hashlib.blake2b()
         for a in arrays:
             digest.update(np.ascontiguousarray(a))
-        key = (kind, *(np.shape(a) for a in arrays), digest.digest())
+        key = (*(np.shape(a) for a in arrays), digest.digest())
         if slot in self._kept and self._kept[slot][0] == key:
             return self._kept[slot][1]
         self._kept.pop(slot, None)  # free the stale array before the build
@@ -436,7 +442,7 @@ def train(dataset: Dataset, arch: ArchitectureSpec, config: TrainConfig, *, epoc
     epoch. That pass is a large share of an epoch's time, so callers that do
     not read it turn it off; the parameters do not depend on it.
     """
-    model = Model(arch)
+    model = Model(arch, config.loss)
     params = init_params(arch, config.seed)
     history = TrainHistory()
     n = len(dataset)

@@ -39,8 +39,12 @@ class RidgeProblem:
             raise ValueError("ridge penalty must be positive")
 
     def normal_factor(self):
-        n, d = self.X.shape
-        return cho_factor(self.X.T @ self.X + self.lam * np.eye(d))
+        """Cholesky factor of X'X + lam I; ValueError if that matrix is not finite, as when X'X overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+            normal = self.X.T @ self.X + self.lam * np.eye(self.X.shape[1])
+        if not np.isfinite(normal).all():
+            raise ValueError("the normal matrix X'X + lam I is not finite; scale X or lam down")
+        return cho_factor(normal)
 
 
 def ridge_fit(problem: RidgeProblem) -> np.ndarray:

@@ -32,8 +32,6 @@ class SaliencyMap:
     """Signed per-input-entry attribution values plus provenance; sigma 0 marks a noiseless map."""
 
     values: np.ndarray
-    train_index: int = -1
-    test_index: int = -1
     sigma: float = 0.0
     samples: int = 1
     seed: int | None = None
@@ -49,13 +47,12 @@ def _pair_score_gradient(
     x_train: np.ndarray,
     y_train: int,
     g_test: np.ndarray,
-    kind: str,
 ) -> np.ndarray:
     """d/dx_train of cos(grad_theta loss(x_train), g_test)."""
     graph = ad.Graph()
     theta = graph.leaf(params.data)
     x = graph.leaf(x_train)
-    loss = model.record_example_loss(theta, x, y_train, kind)
+    loss = model.record_example_loss(theta, x, y_train, model.loss_kind)
     (g_train,) = ad.backward(loss, [theta])
     _checked_norm(g_train.value, "train")
     score = ad.cosine(g_train, graph.constant(g_test))
@@ -67,17 +64,10 @@ def tfa_saliency(
     params: ParamVector,
     z_train: LabeledExample,
     z_test: LabeledExample,
-    kind: str = "cross-entropy",
-    *,
-    train_index: int = -1,
-    test_index: int = -1,
 ) -> SaliencyMap:
     """Input-gradient of the train/test grad-cos score, signed, same shape
     as the training input: smoothgrad_saliency at sigma 0 with one sample."""
-    return smoothgrad_saliency(
-        model, params, z_train, z_test, sigma=0.0, samples=1, seed=None, kind=kind,
-        train_index=train_index, test_index=test_index,
-    )
+    return smoothgrad_saliency(model, params, z_train, z_test, sigma=0.0, samples=1, seed=None)
 
 
 def smoothgrad_saliency(
@@ -88,10 +78,7 @@ def smoothgrad_saliency(
     sigma: float,
     samples: int,
     seed: int | None,
-    kind: str = "cross-entropy",
     *,
-    train_index: int = -1,
-    test_index: int = -1,
     workers: int = 1,
 ) -> SaliencyMap:
     """Average the saliency over gaussian-perturbed copies of the train image.
@@ -108,20 +95,18 @@ def smoothgrad_saliency(
         raise ValueError("sigma must be non-negative")
     if samples < 1:
         raise ValueError("need at least one sample")
-    g_test = query_gradient(model, params, z_test, kind)
+    g_test = query_gradient(model, params, z_test)
     _checked_norm(g_test, "test")
     if sigma == 0.0:
-        values = _pair_score_gradient(model, params, z_train.x, z_train.y, g_test, kind)
+        values = _pair_score_gradient(model, params, z_train.x, z_train.y, g_test)
         samples, seed = 1, None
     else:
         values = np.zeros_like(z_train.x)
         for i in range(samples):
             noise = stream(seed, f"smoothgrad/{i}").normal(0.0, sigma, size=z_train.x.shape)
-            values += _pair_score_gradient(
-                model, params, z_train.x + noise, z_train.y, g_test, kind
-            )
+            values += _pair_score_gradient(model, params, z_train.x + noise, z_train.y, g_test)
         values /= samples
-    return SaliencyMap(values, train_index, test_index, sigma, samples, seed)
+    return SaliencyMap(values, sigma, samples, seed)
 
 
 def channel_aggregate(saliency) -> np.ndarray:

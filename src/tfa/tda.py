@@ -77,19 +77,14 @@ class InsufficientDampingError(RuntimeError):
         )
 
 
-def query_gradient(
-    model: Model,
-    params: ParamVector,
-    z_test: LabeledExample,
-    kind: str = "cross-entropy",
-) -> np.ndarray:
+def query_gradient(model: Model, params: ParamVector, z_test: LabeledExample) -> np.ndarray:
     """Parameter gradient of the test example's loss at its own label, read-only.
 
     The model keeps the last one, keyed like Model.param_grads, so rankings
     and saliency maps for one test image compute it once.
     """
-    build = lambda: model.param_grad(params, z_test, kind)
-    return model._keep("query", build, kind, params.data, z_test.x, z_test.y)
+    build = lambda: model.param_grad(params, z_test)
+    return model._keep("query", build, params.data, z_test.x, z_test.y)
 
 
 @dataclass
@@ -165,13 +160,7 @@ class DampedHessian:
         return norms
 
 
-def dense_hessian(
-    model: Model,
-    params: ParamVector,
-    dataset: Dataset,
-    kind: str = "cross-entropy",
-    max_params: int = 20_000,
-) -> DampedHessian:
+def dense_hessian(model: Model, params: ParamVector, dataset: Dataset, max_params: int = 20_000) -> DampedHessian:
     """Hessian of the mean loss over the dataset, column by column.
 
     The forward pass and the first backward are recorded once. Column j is
@@ -188,7 +177,7 @@ def dense_hessian(
         raise ValueError("Hessian of an empty dataset is undefined")
     graph = ad.Graph()
     theta = graph.leaf(params.data)
-    loss = model.record_batch_loss(theta, graph.constant(dataset.X), dataset.y, kind)
+    loss = model.record_batch_loss(theta, graph.constant(dataset.X), dataset.y, model.loss_kind)
     (g,) = ad.backward(loss, [theta])
     mark = len(graph.nodes)
     H = np.empty((p, p))
@@ -232,16 +221,10 @@ def attribution_scores(
     return dots / hessian.response_norms(G, lam) if method == "relatif" else dots
 
 
-def grad_cos(
-    model: Model,
-    params: ParamVector,
-    z_train: LabeledExample,
-    z_test: LabeledExample,
-    kind: str = "cross-entropy",
-) -> float:
+def grad_cos(model: Model, params: ParamVector, z_train: LabeledExample, z_test: LabeledExample) -> float:
     """Cosine of the train/test loss-gradient pair; in [-1, 1]."""
-    g_test = query_gradient(model, params, z_test, kind)
-    g_train = model.param_grad(params, z_train, kind)
+    g_test = query_gradient(model, params, z_test)
+    g_train = model.param_grad(params, z_train)
     return float(attribution_scores(g_train[None, :], g_test, "grad-cos")[0])
 
 
@@ -251,7 +234,6 @@ def grad_effect(
     z_train: LabeledExample,
     z_test: LabeledExample,
     epsilon: float = 1e-3,
-    kind: str = "cross-entropy",
 ) -> float:
     """Predicted test-loss change from one step of size epsilon on z_train.
 
@@ -259,15 +241,14 @@ def grad_effect(
     that reduces the training example's loss by about epsilon. Negative
     output means the test loss is predicted to drop.
     """
-    g_test = query_gradient(model, params, z_test, kind)
-    g_train = model.param_grad(params, z_train, kind)
+    g_test = query_gradient(model, params, z_test)
+    g_train = model.param_grad(params, z_train)
     return -float(attribution_scores(g_train[None, :], g_test, "grad-effect", epsilon=epsilon)[0])
 
 
 @dataclass(frozen=True)
 class AttributionRecord:
     train_index: int
-    test_index: int
     method: str
     score: float
 
@@ -293,11 +274,9 @@ def rank_training_set(
     z_test: LabeledExample,
     method: str = "grad-cos",
     *,
-    test_index: int = -1,
     epsilon: float = 1e-3,
     hessian: DampedHessian | None = None,
     lam: float | None = None,
-    kind: str = "cross-entropy",
 ) -> RankingResult:
     """Score every training example against one test example and sort.
 
@@ -308,8 +287,8 @@ def rank_training_set(
     test gradient. Sorting is by descending score, ties broken by ascending
     train index. Degenerate training gradients are skipped with a warning.
     """
-    g_test = query_gradient(model, params, z_test, kind)
-    G = model.param_grads(params, dataset, kind)
+    g_test = query_gradient(model, params, z_test)
+    G = model.param_grads(params, dataset)
     keep = np.linalg.norm(G, axis=1) > DEGENERATE_NORM
     skipped = np.flatnonzero(~keep).tolist()
     if skipped:
@@ -318,6 +297,6 @@ def rank_training_set(
         G = G[keep]
     scores = attribution_scores(G, g_test, method, epsilon=epsilon, hessian=hessian, lam=lam)
     pairs = zip(np.flatnonzero(keep).tolist(), scores.tolist())
-    records = [AttributionRecord(i, test_index, method, s) for i, s in pairs]
+    records = [AttributionRecord(i, method, s) for i, s in pairs]
     records.sort(key=lambda r: (-r.score, r.train_index))
     return RankingResult(records, skipped)

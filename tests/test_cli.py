@@ -138,6 +138,8 @@ class TestExitCodes:
             (["train", "--data", "cifar10", "--holdout-per-class", "-3", "--out", "OUT"], "--holdout-per-class"),
             (["toy-ridge", "--lambda", "0"], "--lambda"),
             (["toy-ridge", "--lambda", "-1"], "--lambda"),
+            (["toy-ridge", "--c", "1e200"], "--c"),  # X'X overflows
+            (["toy-ridge", "--c", "1e154", "--lambda", "1e308"], "--lambda"),  # X'X + lam I overflows
         ],
     )
     def test_bad_value_is_one_line_usage_error(self, argv, flag, run_dir, tmp_path, monkeypatch, capsys):
@@ -401,9 +403,8 @@ class TestRank:
         assert cli.main(["rank", "--run", str(out), "--test-index", "0"]) == 0
         table = read_rank_table(out / "tables" / "rank_test0_grad-cos.csv")
         run = cli.Run(out)
-        expected = rank_training_set(
-            run.model, run.params, run.train_ds, run.test_example(0), kind="mse"
-        )
+        assert run.model.loss_kind == "mse"
+        expected = rank_training_set(run.model, run.params, run.train_ds, run.test_example(0))
         assert table == [(r.train_index, r.score) for r in expected.records]
 
 

@@ -187,10 +187,10 @@ class TestPairedInsertion:
         holdout_calls = []
         original = Model.param_grad
 
-        def counted(self, params, example, kind="cross-entropy"):
+        def counted(self, params, example):
             if np.shares_memory(example.x, holdout.X):
                 holdout_calls.append(example)
-            return original(self, params, example, kind)
+            return original(self, params, example)
 
         monkeypatch.setattr(Model, "param_grad", counted)
         config = InterventionConfig(k_percents=(30,), num_tests=2, top_m=2, samples=1, seed=9)
@@ -258,7 +258,7 @@ class TestExplainMisclassification:
         assert set(report.maps) == listed
         for m in report.maps.values():
             assert m.values.shape == train_ds.X.shape[1:]
-            assert m.test_index == 2
+        assert report.test_index == 2
 
     def test_r_clips_to_dataset_size(self):
         model, params, train_ds, _, test = shapes12()
@@ -283,17 +283,6 @@ class TestPatching:
         untouched[0, 5:, 5:] = 0.0
         assert np.array_equal(untouched, x)
 
-    def test_all_four_corners(self):
-        corners = {
-            "top-left": (slice(0, 2), slice(0, 2)),
-            "top-right": (slice(0, 2), slice(4, 6)),
-            "bottom-left": (slice(4, 6), slice(0, 2)),
-            "bottom-right": (slice(4, 6), slice(4, 6)),
-        }
-        for corner, expected in corners.items():
-            spec = self.spec(size=2, corner=corner)
-            assert patch_region((1, 6, 6), spec) == expected
-
     def test_patch_must_fit_and_match_channels(self):
         with pytest.raises(ValueError):
             apply_patch(np.zeros((1, 4, 4)), self.spec(size=5))
@@ -307,8 +296,6 @@ class TestPatching:
             self.spec(size=0)
         with pytest.raises(ValueError):
             self.spec(color=(1.2,))
-        with pytest.raises(ValueError):
-            self.spec(corner="center")
 
     def test_fraction_zero_is_identity(self):
         _, _, train_ds, _, _ = shapes12()
@@ -369,11 +356,28 @@ class TestPatchAttributionFraction:
         spec = PatchSpec(size=2, color=(0.9,), target_class=0, fraction=0.5)
         with pytest.raises(ValueError):
             patch_attribution_fraction(np.zeros((4, 4, 4)), spec)
-        with pytest.raises(ValueError):
-            patch_attribution_fraction(np.zeros((4, 4)), spec, top_share=0.0)
 
 
 class TestPatchSweepSmoke:
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            dict(target_class=7),  # a 3-class model has no class 7
+            dict(color=(0.95, 0.95, 0.95)),  # three channels on one-channel images
+            dict(size=13),  # larger than the 12x12 images
+        ],
+    )
+    def test_bad_patch_is_rejected_before_any_training(self, patch, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("patch_sweep trained with a patch it cannot apply")
+
+        monkeypatch.setattr("tfa.harness.train", must_not_run)
+        _, _, train_ds, _, test = shapes12()
+        spec = PatchSpec(**{**dict(size=3, color=(0.95,), target_class=0, fraction=0.0), **patch})
+        cfg = TrainConfig(lr=0.2, epochs=1, batch_size=16, seed=5)
+        with pytest.raises(ValueError):
+            patch_sweep(train_ds, test, (0.0, 1.0), tiny_cnn((1, 12, 12), 3), cfg, spec, probe_class=1)
+
     def test_rows_and_validation(self):
         spec = SyntheticShapesSpec(
             size=12, noise=0.05, train_per_class=20, holdout_per_class=0, test_per_class=10, seed=5

@@ -1,10 +1,12 @@
 """Model construction, initialization, gradients, and training."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from tfa import autodiff as ad
-from tfa import models
+from tfa import harness, models, saliency, tda
 from tfa.models import (
     ArchitectureSpec,
     Conv2d,
@@ -104,10 +106,10 @@ class TestLossAndGrad:
     def test_mse_gradient_at_zero_weights(self):
         # with all weights zero the gradient is -(2/K) x on the true row
         arch = logistic(3, 2)
-        model = Model(arch)
+        model = Model(arch, "mse")
         params = models.ParamVector(np.zeros(model.num_params), model.layout)
         x = np.array([0.5, -1.0, 2.0])
-        g = model.param_grad(params, LabeledExample(x, 1), kind="mse")
+        g = model.param_grad(params, LabeledExample(x, 1))
         w_grad = g[:6].reshape(3, 2)
         b_grad = g[6:]
         expected = np.zeros((3, 2))
@@ -165,14 +167,14 @@ class TestExamples:
 class TestTraining:
     def test_sgd_step_decreases_convex_loss(self):
         arch = logistic(2, 2)
-        model = Model(arch)
+        model = Model(arch, "mse")
         params = init_params(arch, seed=5)
         ex = LabeledExample(np.array([1.0, -2.0]), 0)
-        before = model.loss(params, ex, kind="mse")
-        stepped = sgd_step(params, model.param_grad(params, ex, kind="mse"), lr=0.05)
-        assert model.loss(stepped, ex, kind="mse") < before
+        before = model.loss(params, ex)
+        stepped = sgd_step(params, model.param_grad(params, ex), lr=0.05)
+        assert model.loss(stepped, ex) < before
         # original untouched
-        assert model.loss(params, ex, kind="mse") == before
+        assert model.loss(params, ex) == before
 
     def test_sgd_step_rejects_bad_shapes(self):
         arch = logistic(2, 2)
@@ -284,7 +286,8 @@ class TestEvaluationSlices:
 
     @pytest.mark.parametrize("kind", models.LOSS_KINDS)
     def test_slices_match_one_graph(self, kind):
-        _, model, params, ds = self.setup_70()
+        arch, _, params, ds = self.setup_70()
+        model = Model(arch, kind)
         graph = ad.Graph()
         theta, X = graph.constant(params.data), graph.constant(ds.X)
         logits = model.record_forward(theta, X)
@@ -292,7 +295,7 @@ class TestEvaluationSlices:
 
         np.testing.assert_allclose(model.logits(params, ds.X), logits.value, rtol=1e-12)
         np.testing.assert_array_equal(model.predict(params, ds.X), logits.value.argmax(axis=1))
-        np.testing.assert_allclose(model.mean_loss(params, ds, kind), float(loss.value), rtol=1e-12)
+        np.testing.assert_allclose(model.mean_loss(params, ds), float(loss.value), rtol=1e-12)
 
     def test_window_tables_are_kept_per_layer_geometry_not_batch_size(self, monkeypatch):
         arch, model, _, ds = self.setup_70()
@@ -377,23 +380,30 @@ class TestGradientStore:
         with pytest.raises(ValueError):
             G[0, 0] = 1.0
 
-    @pytest.mark.parametrize("change", ["params", "X", "y", "kind"])
+    @pytest.mark.parametrize("change", ["params", "X", "y"])
     def test_changed_input_rebuilds(self, change):
         arch, model, params, ds = self.setup_9()
-        kind = "cross-entropy"
-        before = model.param_grads(params, ds, kind)
+        before = model.param_grads(params, ds)
         if change == "params":
             params.data[0] += 0.1
         elif change == "X":
             ds.X[0, 0, 0, 0] = 1.0 - ds.X[0, 0, 0, 0]
-        elif change == "y":
-            ds.y[0] = 1
         else:
-            kind = "mse"
-        after = model.param_grads(params, ds, kind)
+            ds.y[0] = 1
+        after = model.param_grads(params, ds)
         assert after is not before
         assert not np.array_equal(after, before)
-        np.testing.assert_array_equal(after, Model(arch).param_grads(params, ds, kind))
+        np.testing.assert_array_equal(after, Model(arch).param_grads(params, ds))
+
+    def test_each_model_keeps_the_gradients_of_its_own_loss_kind(self):
+        arch, model, params, ds = self.setup_9()
+        mse = Model(arch, "mse")
+        G, G_mse = model.param_grads(params, ds), mse.param_grads(params, ds)
+        assert not np.array_equal(G, G_mse)
+        for i in range(len(ds)):
+            np.testing.assert_array_equal(G_mse[i], mse.param_grad(params, ds.example(i)))
+        assert model.param_grads(params, ds) is G
+        assert mse.param_grads(params, ds) is G_mse
 
     def test_empty_subset_is_an_empty_dataset(self):
         _, model, params, ds = self.setup_9()
@@ -401,3 +411,29 @@ class TestGradientStore:
             assert len(empty) == 0
             assert empty.X.shape == (0, 1, 12, 12)
         assert model.param_grads(params, empty).shape == (0, model.num_params)
+
+
+class TestLossKind:
+    """The loss kind is set once, on the Model; no attribution entry point takes another."""
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError):
+            Model(logistic(2, 2), "bogus")
+
+    def test_default_is_cross_entropy(self):
+        assert Model(logistic(2, 2)).loss_kind == "cross-entropy"
+
+    def test_no_attribution_entry_point_takes_a_loss_kind(self):
+        entry_points = [Model.loss, Model.mean_loss, Model.param_grad, Model.param_grads]
+        for module in (tda, saliency, harness):
+            for name, value in vars(module).items():
+                if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isfunction(value):
+                    entry_points.append(value)
+                elif inspect.isclass(value):
+                    methods = inspect.getmembers(value, inspect.isfunction)
+                    entry_points += [f for n, f in methods if not n.startswith("_")]
+        assert len(entry_points) > 20
+        for f in entry_points:
+            assert "kind" not in inspect.signature(f).parameters, f.__qualname__

@@ -47,6 +47,14 @@ class TestRidgeFit:
         with pytest.raises(ValueError):
             RidgeProblem(np.ones((3, 2)), np.ones(3), 0.0)
 
+    def test_overflowing_normal_matrix_is_a_value_error(self):
+        problem = ToySetup(c=1e200).problem()  # c^2 overflows to inf in X'X
+        with np.errstate(all="raise"):  # and no floating-point warning escapes
+            with pytest.raises(ValueError, match="not finite"):
+                ridge_fit(problem)
+            with pytest.raises(ValueError, match="not finite"):
+                representer_coefficients(problem, np.array([0.0, 1.0]))
+
 
 class TestRepresenterIdentity:
     def test_prediction_equals_alpha_weighted_labels(self):

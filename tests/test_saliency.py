@@ -188,21 +188,21 @@ class TestSaliencyAgainstFiniteDifferences:
         # zero image, zero-ish gradients can still be fine; force the issue
         # with an mse-perfect example instead
         arch = ArchitectureSpec(layers=(Dense(2, 2),), input_shape=(2,), num_classes=2)
-        m2 = Model(arch)
+        m2 = Model(arch, "mse")
         from tfa.models import ParamVector, sgd_step
 
         p2 = init_params(arch, seed=4)
         fit = LabeledExample(np.array([0.3, -0.6]), 1)
         for _ in range(400):
-            g = m2.param_grad(p2, fit, kind="mse")
+            g = m2.param_grad(p2, fit)
             if np.linalg.norm(g) < 1e-13:
                 break
             p2 = sgd_step(p2, g, lr=0.4)
         other = LabeledExample(np.array([1.0, 0.5]), 0)
         with pytest.raises(DegenerateGradientError):
-            tfa_saliency(m2, p2, other, fit, kind="mse")
+            tfa_saliency(m2, p2, other, fit)
         with pytest.raises(DegenerateGradientError):
-            tfa_saliency(m2, p2, fit, other, kind="mse")
+            tfa_saliency(m2, p2, fit, other)
 
 
 class TestSmoothgrad:
@@ -250,9 +250,7 @@ class TestSmoothgrad:
         total = np.zeros_like(z_train.x)
         for i in range(samples):
             noise = stream(seed, f"smoothgrad/{i}").normal(0.0, sigma, size=z_train.x.shape)
-            total += _pair_score_gradient(
-                model, params, z_train.x + noise, z_train.y, g_test, "cross-entropy"
-            )
+            total += _pair_score_gradient(model, params, z_train.x + noise, z_train.y, g_test)
         np.testing.assert_allclose(combined.values, total / samples, rtol=1e-12)
 
     def test_parameter_validation(self):
@@ -261,8 +259,6 @@ class TestSmoothgrad:
             smoothgrad_saliency(model, params, ds.example(0), ds.example(1), sigma=-0.1, samples=3, seed=0)
         with pytest.raises(ValueError):
             smoothgrad_saliency(model, params, ds.example(0), ds.example(1), sigma=0.1, samples=0, seed=0)
-        with pytest.raises(ValueError, match="loss must be one of"):
-            smoothgrad_saliency(model, params, ds.example(0), ds.example(1), sigma=0.0, samples=1, seed=None, kind="bogus")
 
 
 class TestChannelAggregate:

@@ -98,20 +98,20 @@ class TestGradCos:
     def test_degenerate_gradient_names_the_side(self):
         # drive one example's mse loss to zero so its gradient vanishes
         arch = ArchitectureSpec(layers=(Dense(2, 2),), input_shape=(2,), num_classes=2)
-        model = Model(arch)
+        model = Model(arch, "mse")
         params = init_params(arch, seed=2)
         flat = LabeledExample(np.array([0.5, -0.25]), 0)
         for _ in range(400):
-            g = model.param_grad(params, flat, kind="mse")
+            g = model.param_grad(params, flat)
             if np.linalg.norm(g) < 1e-13:
                 break
             params = sgd_step(params, g, lr=0.4)
         other = LabeledExample(np.array([1.0, 1.0]), 1)
         with pytest.raises(DegenerateGradientError) as info:
-            grad_cos(model, params, flat, other, kind="mse")
+            grad_cos(model, params, flat, other)
         assert info.value.side == "train"
         with pytest.raises(DegenerateGradientError) as info:
-            grad_cos(model, params, other, flat, kind="mse")
+            grad_cos(model, params, other, flat)
         assert info.value.side == "test"
 
 
@@ -228,10 +228,10 @@ class TestDenseHessian:
         rng = np.random.default_rng(22)
         ds = Dataset(rng.uniform(0.0, 1.0, size=(16, 1, 12, 12)), np.arange(16) % 3)
         params, _ = train(ds, cnn_343(), TrainConfig(lr=0.2, epochs=2, batch_size=8, seed=4))
-        model = Model(cnn_343())
+        model = Model(cnn_343(), kind)
         assert model.num_params == 343
         expected = fresh_graph_hessian(model, params, ds, kind)
-        np.testing.assert_array_equal(dense_hessian(model, params, ds, kind).matrix, expected)
+        np.testing.assert_array_equal(dense_hessian(model, params, ds).matrix, expected)
 
 
     @settings(max_examples=25, deadline=None)
@@ -251,7 +251,7 @@ class TestDenseHessian:
             arch = ArchitectureSpec((Dense(3, width), Relu(), Dense(width, 3)), input_shape=(3,), num_classes=3)
             X = rng.standard_normal((4, 3))
         ds = Dataset(X, rng.integers(0, 3, size=4))
-        model = Model(arch)
+        model = Model(arch, kind)
         params = models.ParamVector(rng.normal(0.0, 0.5, size=model.num_params), model.layout)
         graph = ad.Graph()
         model.record_batch_loss(graph.constant(params.data), graph.constant(ds.X), ds.y, kind)
@@ -265,7 +265,7 @@ class TestDenseHessian:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ad, "grad", recorded)
-            H = dense_hessian(model, params, ds, kind).matrix
+            H = dense_hessian(model, params, ds).matrix
         raw = np.array(columns).T
         np.testing.assert_array_equal(H, (raw + raw.T) / 2.0)
         assert np.abs(raw - raw.T).max() <= 1e-12 * np.abs(raw).max()
@@ -438,9 +438,9 @@ class TestRelatif:
 class TestRanking:
     def test_sorted_descending_with_index_ties(self):
         records = [
-            AttributionRecord(2, 0, "grad-cos", 0.5),
-            AttributionRecord(0, 0, "grad-cos", 0.5),
-            AttributionRecord(1, 0, "grad-cos", 0.9),
+            AttributionRecord(2, "grad-cos", 0.5),
+            AttributionRecord(0, "grad-cos", 0.5),
+            AttributionRecord(1, "grad-cos", 0.9),
         ]
         records.sort(key=lambda r: (-r.score, r.train_index))
         assert [r.train_index for r in records] == [1, 0, 2]
@@ -489,11 +489,11 @@ class TestRanking:
 
     def test_degenerate_examples_skipped_with_warning(self):
         arch = ArchitectureSpec(layers=(Dense(2, 2),), input_shape=(2,), num_classes=2)
-        model = Model(arch)
+        model = Model(arch, "mse")
         params = init_params(arch, seed=18)
         flat = LabeledExample(np.array([0.5, -0.25]), 0)
         for _ in range(400):
-            g = model.param_grad(params, flat, kind="mse")
+            g = model.param_grad(params, flat)
             if np.linalg.norm(g) < 1e-13:
                 break
             params = sgd_step(params, g, lr=0.4)
@@ -501,9 +501,7 @@ class TestRanking:
             np.vstack([flat.x, [1.0, 1.0], [-1.0, 0.5]]), np.array([0, 1, 0])
         )
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            result = rank_training_set(
-                model, params, ds, LabeledExample(np.array([1.0, 1.0]), 1), kind="mse"
-            )
+            result = rank_training_set(model, params, ds, LabeledExample(np.array([1.0, 1.0]), 1))
         assert result.skipped == [0]
         assert len(result.records) == 2
 
@@ -525,9 +523,9 @@ def count_param_grads(monkeypatch):
     examples = []
     original = Model.param_grad
 
-    def counted(self, params, example, kind="cross-entropy"):
+    def counted(self, params, example):
         examples.append(example)
-        return original(self, params, example, kind)
+        return original(self, params, example)
 
     monkeypatch.setattr(Model, "param_grad", counted)
     return examples
@@ -562,26 +560,34 @@ class TestGradientStore:
         )
         assert calls == []
 
-    @pytest.mark.parametrize("change", ["params", "x", "y", "kind"])
+    @pytest.mark.parametrize("change", ["params", "x", "y"])
     def test_query_gradient_is_kept_until_an_input_changes(self, change):
         model, params, ds = trained_blobs(seed=23, n_per=5, epochs=2)
-        z, kind = ds.example(0), "cross-entropy"
-        g = query_gradient(model, params, z, kind)
+        z = ds.example(0)
+        g = query_gradient(model, params, z)
         assert not g.flags.writeable
-        np.testing.assert_array_equal(g, model.param_grad(params, z, kind))
-        assert query_gradient(model, params, z, kind) is g
+        np.testing.assert_array_equal(g, model.param_grad(params, z))
+        assert query_gradient(model, params, z) is g
         if change == "params":
             params.data += 0.05
         elif change == "x":
             z.x[0] += 0.1
-        elif change == "y":
-            z = LabeledExample(z.x, (z.y + 1) % 3)
         else:
-            kind = "mse"
-        after = query_gradient(model, params, z, kind)
+            z = LabeledExample(z.x, (z.y + 1) % 3)
+        after = query_gradient(model, params, z)
         assert after is not g
         assert not np.array_equal(after, g)
-        np.testing.assert_array_equal(after, model.param_grad(params, z, kind))
+        np.testing.assert_array_equal(after, model.param_grad(params, z))
+
+    def test_each_model_keeps_the_query_gradient_of_its_own_loss_kind(self):
+        model, params, ds = trained_blobs(seed=23, n_per=5, epochs=2)
+        mse = Model(model.arch, "mse")
+        z = ds.example(0)
+        g, g_mse = query_gradient(model, params, z), query_gradient(mse, params, z)
+        assert not np.array_equal(g, g_mse)
+        np.testing.assert_array_equal(g_mse, mse.param_grad(params, z))
+        assert query_gradient(model, params, z) is g
+        assert query_gradient(mse, params, z) is g_mse
 
     def test_three_queries_by_influence_and_relatif_make_one_training_solve(self, monkeypatch):
         model, params, ds = trained_blobs(seed=24, n_per=5, epochs=2)
