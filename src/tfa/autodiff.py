@@ -12,10 +12,10 @@ primitives so their second derivatives come for free. Convolution is lowered
 to a flat gather (im2col) plus a matmul; gather/scatter are exact linear
 adjoints of one another, which keeps double backprop through both exact. The
 gather reads one window table per layer geometry (channels, height, width,
-kernel, stride): the flat indices of every window of one example, built once
-and shared by every batch size. A batch adds its example offsets, which live
-only while a graph holds them; a graph of fewer examples recorded meanwhile
-reads a prefix of them. Maxpool takes each window's first maximum from the
+kernel): the flat indices of every window of one example, built once and
+shared by every batch size. A batch adds its example offsets, which live only
+while a graph holds them; a graph of fewer examples recorded meanwhile reads a
+prefix of them. Maxpool takes each window's first maximum from the
 k*k strided views of its input; its VJP scatters through the flat argmax
 indices, which it builds the first time it runs and keeps, so a value-only
 forward pass builds none.
@@ -385,22 +385,22 @@ def cosine(a: Node, b: Node) -> Node:
 _WINDOW_TABLES: dict[tuple, list] = {}
 
 
-def _window_table(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> list:
+def _window_table(c: int, h: int, w: int, kh: int, kw: int) -> list:
     """[table, last batch]: the table holds the flat indices of every kh x kw
     window of one (c, h, w) example, read-only, (ho, wo, c, kh*kw), row-major."""
-    key = (c, h, w, kh, kw, stride)
+    key = (c, h, w, kh, kw)
     if key not in _WINDOW_TABLES:
-        ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
-        rows = np.arange(ho)[:, None, None, None, None] * stride + np.arange(kh)[:, None]
-        cols = np.arange(wo)[:, None, None, None] * stride + np.arange(kw)
+        ho, wo = h - kh + 1, w - kw + 1
+        rows = np.arange(ho)[:, None, None, None, None] + np.arange(kh)[:, None]
+        cols = np.arange(wo)[:, None, None, None] + np.arange(kw)
         table = (np.arange(c)[:, None, None] * (h * w) + rows * w + cols).reshape(ho, wo, c, kh * kw)
         table.flags.writeable = False
         _WINDOW_TABLES[key] = [table, _RELEASED]  # no batch yet
     return _WINDOW_TABLES[key]
 
 
-def conv2d(x: Node, weight: Node, bias: Node | None = None, stride: int = 1) -> Node:
-    """Valid (no padding) 2-d convolution over a batched (N, C, H, W) input."""
+def conv2d(x: Node, weight: Node, bias: Node) -> Node:
+    """Valid (no padding), stride-1 2-d convolution of a batched (N, C, H, W) input, plus a per-channel bias."""
     if x.value.ndim != 4 or weight.value.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {weight.shape}")
     n, cin, h, w = x.shape
@@ -409,7 +409,7 @@ def conv2d(x: Node, weight: Node, bias: Node | None = None, stride: int = 1) -> 
         raise ShapeError(f"conv2d: input has {cin} channels, kernel expects {cin_w}")
     if kh > h or kw > w:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{w}")
-    entry = _window_table(cin, h, w, kh, kw, stride)
+    entry = _window_table(cin, h, w, kh, kw)
     idx = entry[1]()  # live graphs share one batch; a smaller batch is its prefix
     if idx is None or len(idx) < n:
         idx = entry[0] + (np.arange(n) * (cin * h * w))[:, None, None, None, None]
@@ -419,9 +419,7 @@ def conv2d(x: Node, weight: Node, bias: Node | None = None, stride: int = 1) -> 
     ho, wo = idx.shape[1:3]
     # rows in (n, ho, wo) order, columns in (cin, kh, kw) order like the kernel reshape
     cols = take(x, idx.reshape(n * ho * wo, cin * kh * kw), kind="im2col")
-    out = matmul(cols, transpose(reshape(weight, (cout, cin * kh * kw))))
-    if bias is not None:
-        out = add(out, bias)
+    out = add(matmul(cols, transpose(reshape(weight, (cout, cin * kh * kw)))), bias)
     return permute(reshape(out, (n, ho, wo, cout)), (0, 3, 1, 2))
 
 
@@ -496,14 +494,12 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     return add(lse, neg(picked))
 
 
-def mse_loss(logits: Node, labels: np.ndarray, num_classes: int) -> Node:
-    """Per-example mean squared error against one-hot targets."""
+def mse_loss(logits: Node, labels: np.ndarray) -> Node:
+    """Per-example mean squared error of (N, K) logits against one-hot targets over K classes."""
     if logits.value.ndim != 2:
         raise ShapeError(f"mse_loss expects (N, K) logits, got {logits.shape}")
     labels = np.asarray(labels)
     n, k = logits.shape
-    if k != num_classes:
-        raise ShapeError(f"logits have {k} columns, expected {num_classes}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range for {k} classes")
     onehot = np.zeros((n, k))

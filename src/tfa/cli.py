@@ -18,12 +18,12 @@ those entries back through the `train` flags to rebuild the same model and
 data, so the parser is the only schema of a run. The other manifests are
 likewise the parsed flags by dest, in parser order (`patch-sweep` puts its
 run record first), followed by the command's results; a result may stand
-for a flag's resolved value, such as `rank`'s damping or a sigma 0 map's
-one sample, and a flag that shaped nothing, such as `saliency --seed` at
-sigma 0, is recorded as `unused`. Only the flags that name where a command
-reads and writes (`--config`, `--run`, `--out`), those that shape no
-artifact (`rank --top`, `saliency --raw`) and the data flags of the other
-data kind go unrecorded.
+for a flag's resolved value, such as `rank`'s damping or the one sample of
+every sigma 0 map, and a flag that shaped nothing, such as the `--seed` of
+`saliency` and `explain` at sigma 0, is recorded as `unused`. Only the flags
+that name where a command reads and writes (`--config`, `--run`, `--out`),
+those that shape no artifact (`rank --top`, `saliency --raw`) and the data
+flags of the other data kind go unrecorded.
 """
 
 import argparse
@@ -326,6 +326,20 @@ def parsed_flags(args, *unrecorded) -> dict:
     return {dest: value for dest, value in vars(args).items() if dest not in skip}
 
 
+def smoothing_flags(args, *unrecorded, noise_seed=False) -> dict:
+    """parsed_flags with the smoothing flags as they shaped the maps.
+
+    A map at sigma 0 is one sample and draws no noise, so it records
+    samples=1, and seed=unused where --seed seeds only that noise (noise_seed).
+    """
+    flags = parsed_flags(args, *unrecorded)
+    if args.sigma == 0:
+        flags["samples"] = 1
+        if noise_seed:
+            flags["seed"] = "unused"
+    return flags
+
+
 def parse_run_record(manifest) -> argparse.Namespace:
     """Inverse of run_record: parse a manifest's entries back through the `train` flags."""
     keys = ("seed", "data", *RUN_KEYS.get(manifest["data"], ()), *TRAIN_KEYS)
@@ -424,10 +438,9 @@ def cmd_rank(args) -> int:
         manifest["epsilon"] = "unused"
     write_manifest(run.path / f"manifest_rank_test{args.test_index}_{args.method}.txt", manifest)
     print(f"wrote {table}")
-    top = min(args.top, len(ranking.records))
-    for r in ranking.helpful(top):
+    for r in ranking.helpful(args.top):
         print(f"  helpful train[{r.train_index}] score {r.score:+.4f}")
-    for r in ranking.harmful(top):
+    for r in ranking.harmful(args.top):
         print(f"  harmful train[{r.train_index}] score {r.score:+.4f}")
     return 0
 
@@ -438,22 +451,12 @@ def cmd_saliency(args) -> int:
         raise FormatError(f"train index {args.train_index} out of range [0, {len(run.train_ds)})")
     z_train = run.train_ds.example(args.train_index)
     z_test = run.test_example(args.test_index)
-    sigma, samples = (0.0, 1) if args.raw else (args.sigma, args.samples)
-    sal = smoothgrad_saliency(
-        run.model,
-        run.params,
-        z_train,
-        z_test,
-        sigma=sigma,
-        samples=samples,
-        seed=args.seed,
-    )
-    grid = channel_aggregate(sal)
+    if args.raw:
+        args.sigma = 0.0
+    sal = smoothgrad_saliency(run.model, run.params, z_train, z_test, args.sigma, args.samples, args.seed)
     stem = run.path / "maps" / f"saliency_train{args.train_index}_test{args.test_index}"
-    write_grid_artifacts(stem, grid)
-    manifest = {"command": "saliency", **parsed_flags(args, "raw"), "sigma": sigma, "samples": sal.samples}
-    if sal.seed is None:  # a sigma 0 map is one sample and draws no noise
-        manifest["seed"] = "unused"
+    write_grid_artifacts(stem, channel_aggregate(sal))
+    manifest = {"command": "saliency", **smoothing_flags(args, "raw", noise_seed=True)}
     write_manifest(run.path / f"manifest_saliency_train{args.train_index}_test{args.test_index}.txt", manifest)
     print(f"wrote {stem}.pgm and {stem}.csv")
     return 0
@@ -476,7 +479,7 @@ def cmd_insertion(args) -> int:
     results = paired_insertion_experiment(run.model, run.params, run.holdout, run.test_ds, config)
     table = run.path / "tables" / "insertion.csv"
     write_csv(table, [f.name for f in fields(PairedResult)], [astuple(r) for r in results])
-    write_manifest(run.path / "manifest_insertion.txt", {"command": "insertion", **parsed_flags(args)})
+    write_manifest(run.path / "manifest_insertion.txt", {"command": "insertion", **smoothing_flags(args)})
     print(f"wrote {table}")
     for r in results:
         print(
@@ -518,7 +521,7 @@ def cmd_explain(args) -> int:
         run.path / f"manifest_explain_test{args.test_index}.txt",
         {
             "command": "explain",
-            **parsed_flags(args),
+            **smoothing_flags(args, noise_seed=True),
             "predicted_class": report.predicted_class,
             "true_class": report.true_class,
             "correctly_classified": report.correctly_classified,
@@ -569,7 +572,7 @@ def cmd_patch_sweep(args) -> int:
     write_csv(table, [f.name for f in fields(PatchSweepRow)], [astuple(r) for r in rows])
     # every data flag, recorded or not, is the run record's to write
     data_flags = (key for keys in RUN_KEYS.values() for key in keys)
-    own = parsed_flags(args, "seed", "data", *data_flags, *TRAIN_KEYS)
+    own = smoothing_flags(args, "seed", "data", *data_flags, *TRAIN_KEYS)
     write_manifest(out / "manifest.txt", {"command": "patch-sweep", **record, **own})
     print(f"wrote {table}")
     for r in rows:

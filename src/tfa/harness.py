@@ -8,7 +8,8 @@ training set for a single wrong prediction and attaches saliency maps to
 the extremes of the ranking. The patch sweep plants a shortcut patch in a
 growing share of one class's training images and measures both the damage
 to patched probe images and how sharply the saliency maps localize the
-patch.
+patch. All three rank the training set for one test prediction with grad-cos
+and map the chosen training images through the same step, _maps.
 """
 
 import dataclasses
@@ -104,16 +105,10 @@ class PatchSweepRow:
     patch_attribution_fraction: float
 
     def __post_init__(self):
-        for name in (
-            "fraction",
-            "overall_accuracy",
-            "unpatched_target_accuracy",
-            "patched_probe_accuracy",
-            "patch_attribution_fraction",
-        ):
-            v = getattr(self, name)
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+                raise ValueError(f"{f.name} must lie in [0, 1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -196,6 +191,21 @@ def _loss_after_step(model, params, z_masked, z_test, lr_step) -> float:
     return model.loss(sgd_step(params, g, lr_step), z_test)
 
 
+def _maps(model, params, dataset, z_test, records, sigma, samples, seed, name) -> dict:
+    """{train index: SaliencyMap} of each listed record against z_test, in record order.
+
+    The map of training example i draws its noise from child_seed(seed,
+    f"{name}/{i}"), and an index listed twice is mapped once.
+    """
+    maps = {}
+    for rec in records:
+        i = rec.train_index
+        if i not in maps:
+            noise_seed = child_seed(seed, f"{name}/{i}")
+            maps[i] = smoothgrad_saliency(model, params, dataset.example(i), z_test, sigma, samples, noise_seed)
+    return maps
+
+
 def paired_insertion_experiment(
     model: Model,
     params,
@@ -234,29 +244,16 @@ def paired_insertion_experiment(
         top = ranking.helpful(config.top_m)
         if not top:
             raise ValueError("no usable holdout example for a sampled test image")
-        for rec in top:
-            m = rec.train_index
+        maps = _maps(
+            model, params, holdout, z_test, top, config.sigma, config.samples, config.seed, f"insertion/smooth/{t}"
+        )
+        for m, sal in maps.items():
             z_train = holdout.example(m)
-            sal = smoothgrad_saliency(
-                model,
-                params,
-                z_train,
-                z_test,
-                sigma=config.sigma,
-                samples=config.samples,
-                seed=child_seed(config.seed, f"insertion/smooth/{t}/{m}"),
-            )
             grid = channel_aggregate(sal)
             for k in config.k_percents:
                 x_top = mask_insert(z_train.x, grid, k, fill, "topk")
-                x_rand = mask_insert(
-                    z_train.x,
-                    grid,
-                    k,
-                    fill,
-                    "random",
-                    seed=stream(config.seed, f"insertion/rand/{t}/{m}/{k}"),
-                )
+                rand_seed = stream(config.seed, f"insertion/rand/{t}/{m}/{k}")
+                x_rand = mask_insert(z_train.x, grid, k, fill, "random", seed=rand_seed)
                 deltas[k].append(tuple(
                     _loss_after_step(model, params, LabeledExample(x, z_train.y), z_test, config.lr_step)
                     - before
@@ -266,8 +263,7 @@ def paired_insertion_experiment(
     results = []
     for k in config.k_percents:
         pairs = deltas[k]
-        top_vals = np.array([d for d, _ in pairs])
-        rand_vals = np.array([d for _, d in pairs])
+        top_vals, rand_vals = np.array(pairs).T
         diff = top_vals - rand_vals
         if len(pairs) > 1:
             half = Z95 * float(np.std(diff, ddof=1)) / math.sqrt(len(pairs))
@@ -315,23 +311,10 @@ def explain_misclassification(
             stacklevel=2,
         )
     ranking = rank_training_set(model, params, dataset, z_test, "grad-cos")
-    r = min(top_r, len(ranking.records))
-    helpful = tuple(ranking.helpful(r))
-    harmful = tuple(ranking.harmful(r))
-
-    maps = {}
-    for rec in (*helpful, *harmful):
-        if rec.train_index in maps:
-            continue  # helpful and harmful overlap when 2r exceeds the dataset
-        maps[rec.train_index] = smoothgrad_saliency(
-            model,
-            params,
-            dataset.example(rec.train_index),
-            z_test,
-            sigma=sigma,
-            samples=samples,
-            seed=child_seed(seed, f"explain/map/{rec.train_index}"),
-        )
+    helpful = tuple(ranking.helpful(top_r))
+    harmful = tuple(ranking.harmful(top_r))
+    # helpful and harmful overlap when 2 * top_r exceeds the dataset
+    maps = _maps(model, params, dataset, z_test, (*helpful, *harmful), sigma, samples, seed, "explain/map")
     return MisclassificationReport(
         test_index=test_index,
         predicted_class=predicted,
@@ -462,34 +445,20 @@ def patch_sweep(
         else:
             unpatched_target = 0.0
 
-        patched_probe_X = np.stack(
-            [apply_patch(base_test.X[i], spec_f) for i in probe_pool]
-        )
+        patched_probe_X = np.stack([apply_patch(base_test.X[i], spec_f) for i in probe_pool])
         probe_preds = model.predict(params, patched_probe_X)
         patched_probe_acc = float(np.mean(probe_preds == probe_class))
 
-        # probes: misclassified patched probe images first, then the rest
-        # in index order, up to probe_count
-        wrong = [int(j) for j in np.flatnonzero(probe_preds != probe_class)]
-        right = [int(j) for j in np.flatnonzero(probe_preds == probe_class)]
-        probe_rows = (wrong + right)[:probe_count]
+        # probes: misclassified patched probe images first, each group in
+        # index order, up to probe_count
+        probe_rows = np.argsort(probe_preds == probe_class, kind="stable")[:probe_count]
 
         fractions_seen = []
         for j in probe_rows:
             z_probe = LabeledExample(patched_probe_X[j], probe_class)
-            ranking = rank_training_set(model, params, train_ds, z_probe, "grad-cos")
-            for rec in ranking.harmful(min(harmful_count, len(ranking.records))):
-                sal = smoothgrad_saliency(
-                    model,
-                    params,
-                    train_ds.example(rec.train_index),
-                    z_probe,
-                    sigma=sigma,
-                    samples=samples,
-                    seed=child_seed(seed, f"patch/map/{tag}/{j}/{rec.train_index}"),
-                )
-                grid = channel_aggregate(sal)
-                fractions_seen.append(patch_attribution_fraction(grid, spec_f))
+            harmful = rank_training_set(model, params, train_ds, z_probe, "grad-cos").harmful(harmful_count)
+            maps = _maps(model, params, train_ds, z_probe, harmful, sigma, samples, seed, f"patch/map/{tag}/{j}")
+            fractions_seen += [patch_attribution_fraction(channel_aggregate(m), spec_f) for m in maps.values()]
 
         rows.append(
             PatchSweepRow(

@@ -45,8 +45,7 @@ class Dense:
 class Conv2d:
     in_channels: int
     out_channels: int
-    kernel: int
-    stride: int = 1
+    kernel: int  # square, stride 1, no padding
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,7 @@ class ArchitectureSpec:
                 c, h, w = shape
                 if layer.kernel > h or layer.kernel > w:
                     raise ValueError(f"layer {i}: kernel {layer.kernel} larger than input {h}x{w}")
-                ho = (h - layer.kernel) // layer.stride + 1
-                wo = (w - layer.kernel) // layer.stride + 1
-                shape = (layer.out_channels, ho, wo)
+                shape = (layer.out_channels, h - layer.kernel + 1, w - layer.kernel + 1)
             elif isinstance(layer, MaxPool):
                 if len(shape) != 3:
                     raise ValueError(f"layer {i}: maxpool needs a spatial input, got {shape}")
@@ -314,7 +311,7 @@ class Model:
             elif isinstance(layer, Conv2d):
                 w = self._param(theta, i, "weight")
                 b = self._param(theta, i, "bias")
-                h = ad.conv2d(h, w, b, stride=layer.stride)
+                h = ad.conv2d(h, w, b)
             elif isinstance(layer, Relu):
                 h = ad.relu(h)
             elif isinstance(layer, MaxPool):
@@ -329,15 +326,12 @@ class Model:
         return ad.div(ad.reduce_sum(per), float(per.shape[0]))
 
     def record_per_example_loss(self, theta: ad.Node, X: ad.Node, labels, kind: str) -> ad.Node:
+        """Per-example loss of a batched input, as an (N,) node; the one switch over LOSS_KINDS."""
         logits = self.record_forward(theta, X)
-        return self.record_logits_loss(logits, labels, kind)
-
-    def record_logits_loss(self, logits: ad.Node, labels, kind: str) -> ad.Node:
-        """Per-example loss of recorded (N, K) logits; the one switch over LOSS_KINDS."""
         if kind == "cross-entropy":
             return ad.softmax_cross_entropy(logits, labels)
         if kind == "mse":
-            return ad.mse_loss(logits, labels, self.arch.num_classes)
+            return ad.mse_loss(logits, labels)
         raise ValueError(f"loss must be one of {LOSS_KINDS}")
 
     def record_example_loss(self, theta: ad.Node, x: ad.Node, label: int, kind: str) -> ad.Node:

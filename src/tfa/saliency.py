@@ -36,10 +36,6 @@ class SaliencyMap:
     samples: int = 1
     seed: int | None = None
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 def _pair_score_gradient(
     model: Model,

@@ -31,6 +31,7 @@ from .models import Dataset, LabeledExample, Model, ParamVector
 METHODS = ("grad-cos", "grad-effect", "influence", "relatif")
 
 DEGENERATE_NORM = 1e-12
+DENSE_HESSIAN_MAX_PARAMS = 20_000  # a dense float64 Hessian of this many parameters takes 3.2 GB
 
 
 @cache
@@ -160,7 +161,7 @@ class DampedHessian:
         return norms
 
 
-def dense_hessian(model: Model, params: ParamVector, dataset: Dataset, max_params: int = 20_000) -> DampedHessian:
+def dense_hessian(model: Model, params: ParamVector, dataset: Dataset) -> DampedHessian:
     """Hessian of the mean loss over the dataset, column by column.
 
     The forward pass and the first backward are recorded once. Column j is
@@ -171,8 +172,8 @@ def dense_hessian(model: Model, params: ParamVector, dataset: Dataset, max_param
     symmetrized; the raw asymmetry is a few ulps of roundoff.
     """
     p = model.num_params
-    if p > max_params:
-        raise ValueError(f"{p} parameters exceeds the dense-Hessian cap {max_params}")
+    if p > DENSE_HESSIAN_MAX_PARAMS:
+        raise ValueError(f"{p} parameters exceeds the dense-Hessian cap {DENSE_HESSIAN_MAX_PARAMS}")
     if len(dataset) == 0:
         raise ValueError("Hessian of an empty dataset is undefined")
     graph = ad.Graph()

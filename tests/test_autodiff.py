@@ -146,17 +146,17 @@ class TestPrimitiveGradients:
 
 class TestConvAndPool:
     @staticmethod
-    def naive_conv(x, w, b, stride=1):
+    def naive_conv(x, w, b):
         n, cin, h, wd = x.shape
         cout, _, kh, kw = w.shape
-        ho = (h - kh) // stride + 1
-        wo = (wd - kw) // stride + 1
+        ho = h - kh + 1
+        wo = wd - kw + 1
         out = np.zeros((n, cout, ho, wo))
         for img in range(n):
             for o in range(cout):
                 for i in range(ho):
                     for j in range(wo):
-                        patch = x[img, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+                        patch = x[img, :, i : i + kh, j : j + kw]
                         out[img, o, i, j] = np.sum(patch * w[o]) + b[o]
         return out
 
@@ -165,10 +165,9 @@ class TestConvAndPool:
         x = rng.standard_normal((2, 3, 6, 5))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        for stride in (1, 2):
-            graph = ad.Graph()
-            out = ad.conv2d(graph.leaf(x), graph.constant(w), graph.constant(b), stride=stride)
-            np.testing.assert_allclose(out.value, self.naive_conv(x, w, b, stride), rtol=1e-12)
+        graph = ad.Graph()
+        out = ad.conv2d(graph.leaf(x), graph.constant(w), graph.constant(b))
+        np.testing.assert_allclose(out.value, self.naive_conv(x, w, b), rtol=1e-12)
 
     def test_conv2d_gradients_match_fd(self):
         rng = np.random.default_rng(6)
@@ -220,29 +219,26 @@ class TestConvAndPool:
         kw=st.integers(1, 3),
         extra_h=st.integers(0, 4),
         extra_w=st.integers(0, 4),
-        stride=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_conv2d_forward_and_vjp_match_naive_loops(
-        self, n, cin, cout, kh, kw, extra_h, extra_w, stride, seed
-    ):
+    def test_conv2d_forward_and_vjp_match_naive_loops(self, n, cin, cout, kh, kw, extra_h, extra_w, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, cin, kh + extra_h, kw + extra_w))
         w = rng.standard_normal((cout, cin, kh, kw))
         b = rng.standard_normal(cout)
         graph = ad.Graph()
         leaves = [graph.leaf(v) for v in (x, w, b)]
-        out = ad.conv2d(*leaves, stride=stride)
+        out = ad.conv2d(*leaves)
         up = rng.standard_normal(out.shape)
         grads = ad.backward(ad.reduce_sum(ad.mul(out, graph.constant(up))), leaves)
 
         expected = [np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)]
         for img, o, i, j in np.ndindex(up.shape):
-            window = (img, slice(None), slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw))
+            window = (img, slice(None), slice(i, i + kh), slice(j, j + kw))
             expected[0][window] += up[img, o, i, j] * w[o]
             expected[1][o] += up[img, o, i, j] * x[window]
             expected[2][o] += up[img, o, i, j]
-        np.testing.assert_allclose(out.value, self.naive_conv(x, w, b, stride), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.value, self.naive_conv(x, w, b), rtol=1e-12, atol=1e-12)
         for got, want in zip(grads, expected):
             np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=1e-12)
 
@@ -337,7 +333,7 @@ class TestLosses:
         logits_val = rng.standard_normal((2, 4))
         labels = np.array([1, 3])
         graph = ad.Graph()
-        loss = ad.mse_loss(graph.constant(logits_val), labels, 4)
+        loss = ad.mse_loss(graph.constant(logits_val), labels)
         onehot = np.eye(4)[labels]
         np.testing.assert_allclose(loss.value, ((logits_val - onehot) ** 2).mean(axis=1), rtol=1e-12)
 

@@ -9,6 +9,7 @@ must recreate every artifact exactly.
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -522,6 +523,37 @@ class TestManifests:
         # artifact, and the run record of a synthetic run holds no CIFAR-10 flag
         unrecorded = {"help", "run", "out", "top", "raw", *CIFAR_KEYS}
         assert {a.dest for a in subparser._actions} - unrecorded <= keys.keys()
+
+    @pytest.mark.parametrize(
+        "argv, manifest, noise_seed",
+        [
+            (["saliency", "--run", "RUN", "--train-index", "2", "--test-index", "0"],
+             "{RUN}/manifest_saliency_train2_test0.txt", True),
+            (["explain", "--run", "RUN", "--test-index", "1", "--top-r", "1"],
+             "{RUN}/manifest_explain_test1.txt", True),
+            (["insertion", "--run", "RUN", "--ks", "100", "--tests", "1", "--top-m", "1"],
+             "{RUN}/manifest_insertion.txt", False),
+            (["patch-sweep", "--size", "12", "--train-per-class", "4", "--holdout-per-class", "0",
+              "--test-per-class", "2", "--epochs", "1", "--fractions", "0", "--probes", "1", "--harmful", "1",
+              "--out", "OUT"],
+             "{OUT}/manifest.txt", False),
+        ],
+    )
+    def test_sigma_zero_manifest_records_no_samples_or_noise_seed_it_was_given(
+        self, argv, manifest, noise_seed, run_dir, tmp_path, capsys
+    ):
+        # a sigma 0 map is one sample and draws no noise, so --samples, and a
+        # --seed that seeds only noise, shape no artifact
+        places = {"RUN": str(run_dir), "OUT": str(tmp_path / "out")}
+        argv = [places.get(a, a) for a in argv] + ["--sigma", "0"]
+        path, written = Path(manifest.format(**places)), []
+        for samples, seed in (("1", "3"), ("4", "8" if noise_seed else "3")):
+            assert cli.main([*argv, "--samples", samples, "--seed", seed]) == 0
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        keys = read_key_value(path)
+        assert keys["samples"] == "1"
+        assert (keys["seed"] == "unused") == noise_seed
 
 
 SYNTHETIC_KEYS = ("size", "classes", "noise", "train_per_class", "test_per_class")

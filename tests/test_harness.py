@@ -8,10 +8,12 @@ paired means decompose, patched subsets hit their exact quota).
 """
 
 import functools
+import inspect
 
 import numpy as np
 import pytest
 
+from tfa import harness
 from tfa.datasets import SyntheticShapesSpec, generate_synthetic
 from tfa.harness import (
     InterventionConfig,
@@ -39,6 +41,7 @@ from tfa.models import (
     tiny_cnn,
     train,
 )
+from tfa.rng import child_seed
 
 
 @functools.lru_cache(maxsize=None)
@@ -411,3 +414,81 @@ class TestPatchSweepSmoke:
             patch_sweep(
                 train_ds, test_ds, (1.5,), arch, cfg, patch, probe_class=1, probe_count=1
             )
+
+
+def _row_of(X, x) -> int:
+    """The one row of X whose bytes equal x."""
+    (row,) = np.flatnonzero((X == x).reshape(len(X), -1).all(axis=1))
+    return int(row)
+
+
+class TestMapSeeds:
+    """Every map an experiment makes is seeded by child_seed(seed, f"{name}/{train_index}")."""
+
+    @pytest.fixture
+    def rankings(self, monkeypatch):
+        """Spy on the harness: per ranking, in call order, (model, params, dataset,
+        z_test, ranking, [(train_index, seed) of every map made for it])."""
+        log = []
+        real_rank, real_map = harness.rank_training_set, harness.smoothgrad_saliency
+
+        def rank(model, params, dataset, z_test, *args, **kwargs):
+            ranking = real_rank(model, params, dataset, z_test, *args, **kwargs)
+            log.append((model, params, dataset, z_test, ranking, []))
+            return ranking
+
+        def smoothgrad(*args, **kwargs):
+            call = inspect.signature(real_map).bind(*args, **kwargs).arguments
+            _, _, dataset, z_test, _, maps = log[-1]
+            assert call["z_test"] is z_test  # maps follow the ranking they explain
+            maps.append((_row_of(dataset.X, call["z_train"].x), call["seed"]))
+            return real_map(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "rank_training_set", rank)
+        monkeypatch.setattr(harness, "smoothgrad_saliency", smoothgrad)
+        return log
+
+    @pytest.mark.parametrize("size, top_r", [(None, 3), (5, 4)])  # 2r > 5 overlaps the tails
+    def test_explain_maps_each_listed_index_once(self, rankings, size, top_r):
+        model, params, train_ds, _, test = shapes12()
+        dataset = train_ds if size is None else train_ds.subset(range(size))
+        report = explain_misclassification(
+            model, params, dataset, test.example(2), top_r=top_r, samples=1, seed=11
+        )
+        [(*_, ranking, maps)] = rankings
+        listed = dict.fromkeys(r.train_index for r in (*ranking.helpful(top_r), *ranking.harmful(top_r)))
+        assert maps == [(i, child_seed(11, f"explain/map/{i}")) for i in listed]
+        assert list(report.maps) == list(listed)
+
+    def test_insertion_maps_the_top_m_of_each_test(self, rankings):
+        model, params, _, holdout, test = shapes12()
+        config = InterventionConfig(k_percents=(50,), num_tests=3, top_m=2, samples=1, seed=9)
+        paired_insertion_experiment(model, params, holdout, test, config)
+        tests = [_row_of(test.X, z_test.x) for _, _, _, z_test, _, _ in rankings]
+        assert len(tests) == 3 and tests == sorted(tests)
+        for t, (*_, ranking, maps) in zip(tests, rankings):
+            top = [r.train_index for r in ranking.helpful(2)]
+            assert maps == [(i, child_seed(9, f"insertion/smooth/{t}/{i}")) for i in top]
+
+    def test_patch_sweep_maps_the_harmful_tail_of_each_probe(self, rankings):
+        spec = SyntheticShapesSpec(
+            size=12, noise=0.05, train_per_class=12, holdout_per_class=0, test_per_class=6, seed=5
+        )
+        train_ds, _, test_ds = generate_synthetic(spec)
+        patch = PatchSpec(size=3, color=(0.95,), target_class=0, fraction=0.0)
+        cfg = TrainConfig(lr=0.2, epochs=2, batch_size=16, seed=5)
+        fractions = (0.0, 1.0)
+        patch_sweep(
+            train_ds, test_ds, fractions, tiny_cnn((1, 12, 12), 3), cfg, patch,
+            probe_class=1, probe_count=2, harmful_count=3, samples=1, seed=7,
+        )
+        probes = np.stack([apply_patch(test_ds.X[i], patch) for i in np.flatnonzero(test_ds.y == 1)])
+        assert len(rankings) == 2 * len(fractions)
+        for n, (model, params, _, z_probe, ranking, maps) in enumerate(rankings):
+            tag = f"{fractions[n // 2]:.6f}"
+            # misclassified probes first, each group in index order
+            order = np.argsort(model.predict(params, probes) == 1, kind="stable")
+            j = _row_of(probes, z_probe.x)
+            assert j == order[n % 2]
+            harmful = [r.train_index for r in ranking.harmful(3)]
+            assert maps == [(i, child_seed(7, f"patch/map/{tag}/{j}/{i}")) for i in harmful]

@@ -131,14 +131,13 @@ class TestSaliencyAgainstFiniteDifferences:
         cin=st.integers(1, 2),
         h=st.integers(6, 9),
         w=st.integers(6, 9),
-        stride=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_sigma_zero_map_matches_central_differences(self, cin, h, w, stride, seed):
+    def test_sigma_zero_map_matches_central_differences(self, cin, h, w, seed):
         rng = np.random.default_rng(seed)
-        ho, wo = ((h - 3) // stride + 1) // 2, ((w - 3) // stride + 1) // 2
+        ho, wo = (h - 2) // 2, (w - 2) // 2
         arch = ArchitectureSpec(
-            layers=(Conv2d(cin, 3, 3, stride), Relu(), MaxPool(2), Flatten(), Dense(3 * ho * wo, 3)),
+            layers=(Conv2d(cin, 3, 3), Relu(), MaxPool(2), Flatten(), Dense(3 * ho * wo, 3)),
             input_shape=(cin, h, w),
             num_classes=3,
         )

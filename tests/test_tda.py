@@ -206,12 +206,13 @@ class TestDenseHessian:
         np.testing.assert_array_equal(H, H.T)
 
     def test_parameter_cap_enforced(self):
-        arch = small_mlp()
+        arch = small_mlp(d=2000, hidden=10)
         model = Model(arch)
+        assert model.num_params > tda.DENSE_HESSIAN_MAX_PARAMS
         params = init_params(arch, seed=9)
-        ds = Dataset(np.zeros((2, 6)), np.zeros(2, dtype=int))
-        with pytest.raises(ValueError):
-            dense_hessian(model, params, ds, max_params=10)
+        ds = Dataset(np.zeros((2, 2000)), np.zeros(2, dtype=int))
+        with pytest.raises(ValueError, match="cap"):
+            dense_hessian(model, params, ds)
 
     def test_empty_dataset_rejected(self):
         model, params, ds = fd_mlp()
