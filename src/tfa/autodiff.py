@@ -473,20 +473,26 @@ def maxpool2d(x: Node, k: int) -> Node:
     return x.graph._append("maxpool", (x,), value, vjp, meta=k)
 
 
-def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
-    """Per-example cross-entropy of (N, K) logits against integer labels.
-
-    Stabilized by subtracting the rowwise max as a constant, which leaves the
-    value and both derivative orders exact.
-    """
+def _checked_labels(loss: str, logits: Node, labels):
+    """(labels, N, K) for (N, K) logits, with labels an array of shape (N,) in [0, K)."""
     if logits.value.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy expects (N, K) logits, got {logits.shape}")
+        raise ShapeError(f"{loss} expects (N, K) logits, got {logits.shape}")
     labels = np.asarray(labels)
     n, k = logits.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match {n} rows")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range for {k} classes")
+    return labels, n, k
+
+
+def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
+    """Per-example cross-entropy of (N, K) logits against integer labels.
+
+    Stabilized by subtracting the rowwise max as a constant, which leaves the
+    value and both derivative orders exact.
+    """
+    labels, n, k = _checked_labels("softmax_cross_entropy", logits, labels)
     m = logits.value.max(axis=1, keepdims=True)
     shifted = add(logits, logits.graph.constant(-m))
     lse = add(log(reduce_sum(exp(shifted), axis=1)), logits.graph.constant(m[:, 0]))
@@ -496,12 +502,7 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
 
 def mse_loss(logits: Node, labels: np.ndarray) -> Node:
     """Per-example mean squared error of (N, K) logits against one-hot targets over K classes."""
-    if logits.value.ndim != 2:
-        raise ShapeError(f"mse_loss expects (N, K) logits, got {logits.shape}")
-    labels = np.asarray(labels)
-    n, k = logits.shape
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"label out of range for {k} classes")
+    labels, n, k = _checked_labels("mse_loss", logits, labels)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
     diff = add(logits, logits.graph.constant(-onehot))

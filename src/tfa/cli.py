@@ -14,16 +14,19 @@ for byte. Exit codes: 0 success, 1 usage error, 2 data or format error.
 A run directory's `manifest.txt` is its run record: `train` writes the
 seed and every data and training flag under its dest name (`--data-dir` as
 an absolute path), and `rank`, `saliency`, `insertion` and `explain` parse
-those entries back through the `train` flags to rebuild the same model and
-data, so the parser is the only schema of a run. The other manifests are
-likewise the parsed flags by dest, in parser order (`patch-sweep` puts its
-run record first), followed by the command's results; a result may stand
-for a flag's resolved value, such as `rank`'s damping or the one sample of
-every sigma 0 map, and a flag that shaped nothing, such as the `--seed` of
-`saliency` and `explain` at sigma 0, is recorded as `unused`. Only the flags
-that name where a command reads and writes (`--config`, `--run`, `--out`),
-those that shape no artifact (`rank --top`, `saliency --raw`) and the data
-flags of the other data kind go unrecorded.
+those entries back through the `train` flags, so the parser is the only
+schema of a run. One function, build_run, turns those flags into the
+training config, the model and the library's (train, holdout, test) splits
+for every command. The other manifests are likewise the parsed flags by
+dest, in parser order (`patch-sweep` puts its run record first), followed
+by the command's results; a result may stand for a flag's resolved value,
+such as `rank`'s damping or the one sample of every sigma 0 map, and a flag
+that shaped nothing, such as the `--seed` of `saliency` and `explain` at
+sigma 0, is recorded as `unused`. Only the flags that name where a command
+reads and writes (`--config`, `--run`, `--out`), those that shape no
+artifact (`rank --top`, `saliency --raw`) and the data flags of the other
+data kind go unrecorded. Library warnings print on stderr as one
+`warning: ...` line each, also when the command then fails.
 """
 
 import argparse
@@ -48,7 +51,7 @@ from .harness import (
     paired_insertion_experiment,
     patch_sweep,
 )
-from .models import LOSS_KINDS, Dataset, Model, ParamVector, TrainConfig, tiny_cnn, train
+from .models import LOSS_KINDS, Model, ParamVector, TrainConfig, tiny_cnn, train
 from .outputs import format_csv, read_key_value, write_csv, write_grid_artifacts, write_manifest
 from .ridge import ToySetup, feature_contributions, representer_coefficients
 from .rng import child_seed
@@ -115,6 +118,7 @@ recordable_path = checked(
 # The run record: the keys, by flag dest, that `train` and `patch-sweep`
 # write to manifest.txt, and that Run parses back through the `train` flags,
 # so each default, type and choice lives only in its add_argument call.
+# TRAIN_KEYS are also TrainConfig field names.
 RUN_KEYS = {
     "synthetic": ("size", "classes", "noise", "train_per_class", "holdout_per_class", "test_per_class"),
     "cifar10": ("data_dir", "cifar_classes", "per_class_cap", "holdout_per_class"),
@@ -254,8 +258,13 @@ def apply_config_file(parser, argv):
             raise UsageError(f"{known.config}: {key}: no subcommand has this flag")
 
 
-def build_datasets(args, data_seed):
-    """The tiny-CNN and the (train, holdout, test) splits that the data flags describe."""
+def build_run(args):
+    """The run record, training config, tiny-CNN and (train, holdout, test) splits that `args` describe."""
+    record = run_record(args)
+    try:
+        config = TrainConfig(seed=child_seed(args.seed, "train"), **{key: getattr(args, key) for key in TRAIN_KEYS})
+    except ValueError as e:
+        raise UsageError(f"bad training flags: {e}") from e
     if args.data == "synthetic":
         try:
             spec = SyntheticShapesSpec(
@@ -265,47 +274,27 @@ def build_datasets(args, data_seed):
                 train_per_class=args.train_per_class,
                 holdout_per_class=args.holdout_per_class,
                 test_per_class=args.test_per_class,
-                seed=data_seed,
+                seed=record["data_seed"],
             )
         except ValueError as e:
             raise UsageError(f"bad data flags: {e}") from e
+        classes = range(args.classes)
         train_ds, holdout, test_ds = generate_synthetic(spec)
-        return tiny_cnn(train_ds.X.shape[1:], args.classes), train_ds, holdout, test_ds
-    if not args.data_dir:
-        raise UsageError("--data cifar10 needs --data-dir")
-    classes = split_list(args.cifar_classes, int)
-    train_ds, test_ds = load_cifar10_binary(args.data_dir, classes, args.per_class_cap)
-    # carve a per-class holdout off the end of the training split
-    hold_idx = []
-    for cls in range(len(classes)):
-        members = np.flatnonzero(train_ds.y == cls)
-        hold_idx.extend(members[-args.holdout_per_class :] if args.holdout_per_class else [])
-    hold_idx = sorted(int(i) for i in hold_idx)
-    keep = sorted(set(range(len(train_ds))) - set(hold_idx))
-    holdout = Dataset(train_ds.X[hold_idx], train_ds.y[hold_idx]) if hold_idx else None
-    train_ds = Dataset(train_ds.X[keep], train_ds.y[keep])
-    # the model has one output per listed class, so each needs training images
-    if np.bincount(train_ds.y, minlength=len(classes)).min() == 0 or not len(test_ds):
-        raise UsageError(
-            f"--cifar-classes {args.cifar_classes}, --per-class-cap {args.per_class_cap} and "
-            f"--holdout-per-class {args.holdout_per_class} leave a class with no training images "
-            "or an empty test split"
+    else:
+        if not args.data_dir:
+            raise UsageError("--data cifar10 needs --data-dir")
+        classes = split_list(args.cifar_classes, int)
+        train_ds, holdout, test_ds = load_cifar10_binary(
+            args.data_dir, classes, args.per_class_cap, args.holdout_per_class
         )
-    return tiny_cnn(train_ds.X.shape[1:], len(classes)), train_ds, holdout, test_ds
-
-
-def train_config(args, seed) -> TrainConfig:
-    try:
-        return TrainConfig(
-            lr=args.lr,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            seed=seed,
-            loss=args.loss,
-            lr_decay=args.lr_decay,
-        )
-    except ValueError as e:
-        raise UsageError(f"bad training flags: {e}") from e
+        # the model has one output per listed class, so each needs training images
+        if np.bincount(train_ds.y, minlength=len(classes)).min() == 0 or not len(test_ds):
+            raise UsageError(
+                f"--cifar-classes {args.cifar_classes}, --per-class-cap {args.per_class_cap} and "
+                f"--holdout-per-class {args.holdout_per_class} leave a class with no training images "
+                "or an empty test split"
+            )
+    return record, config, tiny_cnn(train_ds.X.shape[1:], len(classes)), train_ds, holdout, test_ds
 
 
 def run_record(args) -> dict:
@@ -349,9 +338,7 @@ def parse_run_record(manifest) -> argparse.Namespace:
 
 
 def cmd_train(args) -> int:
-    record = run_record(args)
-    config = train_config(args, child_seed(args.seed, "train"))
-    arch, train_ds, _, test_ds = build_datasets(args, record["data_seed"])
+    record, config, arch, train_ds, _, test_ds = build_run(args)
     model = Model(arch, config.loss)
     params, _ = train(train_ds, arch, config, epoch_accuracy=False)
 
@@ -385,10 +372,8 @@ class Run:
             raise FormatError(f"{self.path} has no manifest.txt (not a run directory?)")
         try:
             self.manifest = read_key_value(manifest_path)
-            args = parse_run_record(self.manifest)
-            self.config = train_config(args, child_seed(args.seed, "train"))
-            self.arch, self.train_ds, self.holdout, self.test_ds = build_datasets(
-                args, child_seed(args.seed, "data")
+            _, self.config, self.arch, self.train_ds, self.holdout, self.test_ds = build_run(
+                parse_run_record(self.manifest)
             )
             self.model = Model(self.arch, self.config.loss)
             self.params = ParamVector(np.load(self.path / "params.npy"), self.model.layout)
@@ -464,7 +449,7 @@ def cmd_saliency(args) -> int:
 
 def cmd_insertion(args) -> int:
     run = Run(args.run)
-    if run.holdout is None or len(run.holdout) == 0:
+    if run.holdout is None:
         raise FormatError("this run has no holdout pool; retrain with --holdout-per-class > 0")
     config = InterventionConfig(
         k_percents=tuple(split_list(args.ks, int)),
@@ -492,22 +477,17 @@ def cmd_insertion(args) -> int:
 def cmd_explain(args) -> int:
     run = Run(args.run)
     z_test = run.test_example(args.test_index)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = explain_misclassification(
-            run.model,
-            run.params,
-            run.train_ds,
-            z_test,
-            top_r=args.top_r,
-            sigma=args.sigma,
-            samples=args.samples,
-            seed=args.seed,
-            test_index=args.test_index,
-        )
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-
+    report = explain_misclassification(
+        run.model,
+        run.params,
+        run.train_ds,
+        z_test,
+        top_r=args.top_r,
+        sigma=args.sigma,
+        samples=args.samples,
+        seed=args.seed,
+        test_index=args.test_index,
+    )
     rows = [("helpful", r.train_index, r.score) for r in report.helpful]
     rows += [("harmful", r.train_index, r.score) for r in report.harmful]
     table = run.path / "tables" / f"explain_test{args.test_index}.csv"
@@ -537,9 +517,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_patch_sweep(args) -> int:
-    record = run_record(args)
-    config = train_config(args, seed=0)  # seed replaced per fraction inside the sweep
-    arch, train_ds, _, test_ds = build_datasets(args, record["data_seed"])
+    record, config, arch, train_ds, _, test_ds = build_run(args)  # the sweep reseeds config per fraction
     channels, height, width = arch.input_shape
     color = tuple(split_list(args.patch_color, float))
     if len(color) != channels:
@@ -622,19 +600,25 @@ HANDLERS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return 1
-        return HANDLERS[args.command](args)
-    except UsageError as e:
-        print(str(e), file=sys.stderr)
-        return 1
-    except (FormatError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    # library warnings print as one line each, before the error if the command fails
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            apply_config_file(parser, argv)
+            args = parser.parse_args(argv)
+            if args.command is None:
+                parser.print_usage(sys.stderr)
+                return 1
+            return HANDLERS[args.command](args)
+        except UsageError as e:
+            error, code = str(e), 1
+        except (FormatError, FileNotFoundError) as e:
+            error, code = f"error: {e}", 2
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+    print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

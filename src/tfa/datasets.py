@@ -4,7 +4,8 @@ The synthetic generator draws one filled shape per image (square, disc or
 cross, one shape family per class) at a uniformly random position on a
 black background, then adds clipped gaussian noise. Classes are told apart
 by shape alone, never by position, which makes the images easy for a small
-CNN yet non-trivial to attribute.
+CNN yet non-trivial to attribute. Both sources return (train, holdout,
+test) splits, the holdout None when it holds no image.
 """
 
 from dataclasses import dataclass
@@ -144,46 +145,37 @@ def encode_cifar10_bytes(X, y) -> bytes:
     return records.tobytes()
 
 
-def load_cifar10_binary(directory, classes=None, per_class_cap=None):
-    """Load the standard binary layout from a directory.
+def load_cifar10_binary(directory, classes, per_class_cap, holdout_per_class):
+    """Load the standard binary layout from a directory as (train, holdout, test).
 
     Training data comes from data_batch_1.bin through data_batch_5.bin in
-    file order, test data from test_batch.bin. `classes` restricts to a
-    label subset and remaps labels to 0..len(classes)-1 in the given order
-    (downstream models want contiguous classes); `per_class_cap` keeps only
-    the first cap occurrences of each class, again in file order.
+    file order, test data from test_batch.bin. Both keep only the listed
+    `classes`, relabelled 0..len(classes)-1 in the given order (a label
+    listed twice takes its last place), and only the first `per_class_cap`
+    images of each class, again in file order. The holdout is then the last
+    `holdout_per_class` kept training images of each class, in file order,
+    and the training split the rest; as in generate_synthetic, the holdout
+    is None when it holds no image.
     """
+    if per_class_cap < 1 or holdout_per_class < 0:
+        raise ValueError("per-class cap must be positive and holdout size non-negative")
     directory = Path(directory)
     train_files = [directory / f"data_batch_{i}.bin" for i in range(1, 6)]
     test_file = directory / "test_batch.bin"
     for f in (*train_files, test_file):
         if not f.exists():
             raise FormatError(f"missing batch file {f.name}")
+    remap = {int(c): i for i, c in enumerate(classes)}
 
-    def load_files(files):
-        xs, ys = [], []
-        for f in files:
-            X, y = parse_cifar10_bytes(f.read_bytes())
-            xs.append(X)
-            ys.append(y)
-        return np.concatenate(xs), np.concatenate(ys)
+    def split(files, held_per_class):
+        X, y = map(np.concatenate, zip(*(parse_cifar10_bytes(f.read_bytes()) for f in files)))
+        keep = np.isin(y, list(remap))
+        X, y = X[keep], np.array([remap[int(v)] for v in y[keep]], dtype=np.int64)
+        kept = [np.flatnonzero(y == c)[:per_class_cap] for c in range(len(classes))]
+        held = np.sort(np.concatenate([k[max(len(k) - held_per_class, 0) :] for k in kept]))
+        rest = np.setdiff1d(np.concatenate(kept), held)
+        return Dataset(X[rest], y[rest]), Dataset(X[held], y[held]) if len(held) else None
 
-    def restrict(X, y):
-        if classes is not None:
-            remap = {int(c): i for i, c in enumerate(classes)}
-            keep = np.isin(y, list(remap))
-            X, y = X[keep], np.array([remap[int(v)] for v in y[keep]])
-        if per_class_cap is not None:
-            if per_class_cap < 1:
-                raise ValueError("per-class cap must be positive")
-            keep = []
-            seen: dict = {}
-            for i, v in enumerate(y):
-                v = int(v)
-                if seen.get(v, 0) < per_class_cap:
-                    seen[v] = seen.get(v, 0) + 1
-                    keep.append(i)
-            X, y = X[keep], y[keep]
-        return Dataset(X, y)
-
-    return restrict(*load_files(train_files)), restrict(*load_files([test_file]))
+    train, holdout = split(train_files, holdout_per_class)
+    test, _ = split([test_file], 0)
+    return train, holdout, test

@@ -11,8 +11,10 @@ Noise-averaged maps follow the usual denoising recipe: resample the map at
 gaussian-perturbed copies of the training image and average. Sample i draws
 its noise from its own child seed and the samples are summed in index order,
 so a map depends only on its seed. The noiseless map is the sigma = 0,
-one-sample case of the same function. channel_aggregate collapses a map to
-the non-negative pixel grid that the artifacts and harnesses read.
+one-sample case of the same function. A SaliencyMap holds the values alone;
+recording what shaped them is the caller's (the CLI manifests do it).
+channel_aggregate collapses a map to the non-negative pixel grid that the
+artifacts and harnesses read.
 """
 
 from __future__ import annotations
@@ -29,12 +31,9 @@ from .tda import _checked_norm, query_gradient
 
 @dataclass
 class SaliencyMap:
-    """Signed per-input-entry attribution values plus provenance; sigma 0 marks a noiseless map."""
+    """Signed attribution values, one per entry of the training input."""
 
     values: np.ndarray
-    sigma: float = 0.0
-    samples: int = 1
-    seed: int | None = None
 
 
 def _pair_score_gradient(
@@ -82,10 +81,10 @@ def smoothgrad_saliency(
     sigma is the noise standard deviation in input units; sample i draws its
     noise from the child seed (seed, "smoothgrad/i"), and the samples are
     summed in index order. sigma = 0 reproduces the noiseless map exactly,
-    bit for bit, and draws no noise, so the map records one sample and no
-    seed, whatever was asked. workers is accepted for existing callers
-    and has no effect: the samples run one after another, since a thread
-    pool measured slower than that on the tiny CNN.
+    bit for bit: it is one sample and draws no noise, so samples and seed
+    then shape nothing. workers is accepted for existing callers and has no
+    effect: the samples run one after another, since a thread pool measured
+    slower than that on the tiny CNN.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
@@ -95,14 +94,13 @@ def smoothgrad_saliency(
     _checked_norm(g_test, "test")
     if sigma == 0.0:
         values = _pair_score_gradient(model, params, z_train.x, z_train.y, g_test)
-        samples, seed = 1, None
     else:
         values = np.zeros_like(z_train.x)
         for i in range(samples):
             noise = stream(seed, f"smoothgrad/{i}").normal(0.0, sigma, size=z_train.x.shape)
             values += _pair_score_gradient(model, params, z_train.x + noise, z_train.y, g_test)
         values /= samples
-    return SaliencyMap(values, sigma, samples, seed)
+    return SaliencyMap(values)
 
 
 def channel_aggregate(saliency) -> np.ndarray:

@@ -328,6 +328,22 @@ class TestLosses:
         with pytest.raises(ValueError):
             ad.softmax_cross_entropy(logits, np.array([3]))
 
+    @pytest.mark.parametrize("loss", [ad.softmax_cross_entropy, ad.mse_loss])
+    @pytest.mark.parametrize(
+        "labels, error, match",
+        [
+            ([1], ad.ShapeError, r"labels shape \(1,\) does not match 3 rows"),
+            ([[1, 2, 0]], ad.ShapeError, "does not match 3 rows"),
+            ([0, 4, 1], ValueError, "out of range for 4 classes"),
+            ([0, -1, 1], ValueError, "out of range for 4 classes"),
+        ],
+    )
+    def test_both_losses_check_labels_alike(self, loss, labels, error, match):
+        graph = ad.Graph()
+        logits = graph.constant(np.zeros((3, 4)))
+        with pytest.raises(error, match=match):
+            loss(logits, np.array(labels))
+
     def test_mse_matches_hand_formula(self):
         rng = np.random.default_rng(10)
         logits_val = rng.standard_normal((2, 4))

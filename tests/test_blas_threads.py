@@ -1,0 +1,81 @@
+"""Artifact bytes must not depend on the BLAS thread count.
+
+Each case runs one computation in two fresh processes, with
+OPENBLAS_NUM_THREADS set to 1 and to 2 in their environments, and compares
+the sha256 of the result's bytes. OpenBLAS reads the variable once, when it
+loads, so the thread count cannot change inside one process.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tfa
+
+
+def numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
+        return ""
+
+
+pytestmark = [
+    pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 cores"),
+    pytest.mark.skipif("openblas" not in numpy_blas().lower(), reason="numpy's BLAS is not OpenBLAS"),
+]
+
+HASH = "import hashlib\ndef digest(a): print(hashlib.sha256(a.tobytes()).hexdigest())\n"
+
+# one epoch on 8 images per class at 32 px: a single 24-example minibatch
+TRAIN_ONE_SHORT_BATCH = HASH + (
+    "from tfa import SyntheticShapesSpec, TrainConfig, generate_synthetic, tiny_cnn, train\n"
+    "spec = SyntheticShapesSpec(size=32, train_per_class=8, holdout_per_class=0, test_per_class=1, seed=0)\n"
+    "train_ds, _, _ = generate_synthetic(spec)\n"
+    "config = TrainConfig(epochs=1, batch_size=32, seed=0)\n"
+    "params, _ = train(train_ds, tiny_cnn((1, 32, 32), 3), config, epoch_accuracy=False)\n"
+    "digest(params.data)\n"
+)
+
+# the 343-parameter CNN of acceptance criterion 4 over 120 examples, at its
+# initial parameters, so that no training step enters the comparison
+DENSE_HESSIAN_343 = HASH + (
+    "from tfa import Model, SyntheticShapesSpec, dense_hessian, generate_synthetic, init_params\n"
+    "from tfa.models import ArchitectureSpec, Conv2d, Dense, Flatten, MaxPool, Relu\n"
+    "layers = (Conv2d(1, 4, 3), Relu(), MaxPool(2), Flatten(), Dense(100, 3))\n"
+    "arch = ArchitectureSpec(layers=layers, input_shape=(1, 12, 12), num_classes=3)\n"
+    "spec = SyntheticShapesSpec(size=12, train_per_class=40, holdout_per_class=0, test_per_class=1, seed=0)\n"
+    "train_ds, _, _ = generate_synthetic(spec)\n"
+    "digest(dense_hessian(Model(arch), init_params(arch, 0), train_ds).matrix)\n"
+)
+
+
+def digest_at(threads: int, code: str) -> str:
+    src = str(Path(tfa.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        pytest.param(
+            TRAIN_ONE_SHORT_BATCH,
+            id="train",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="conv2's weight-gradient GEMM on a short minibatch gives different bytes "
+                "at 1 and 2 OpenBLAS threads (ROADMAP item 2)",
+            ),
+        ),
+        pytest.param(DENSE_HESSIAN_343, id="dense-hessian"),
+    ],
+)
+def test_bytes_do_not_depend_on_the_blas_thread_count(code):
+    assert digest_at(1, code) == digest_at(2, code)

@@ -9,6 +9,7 @@ must recreate every artifact exactly.
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from tfa.datasets import (
     load_cifar10_binary,
 )
 from tfa.outputs import read_key_value, write_manifest
-from tfa.tda import dense_hessian, rank_training_set
+from tfa.tda import InsufficientDampingError, dense_hessian, rank_training_set
 
 
 @pytest.fixture(scope="module")
@@ -556,6 +557,31 @@ class TestManifests:
         assert (keys["seed"] == "unused") == noise_seed
 
 
+def assert_same_splits(run, splits):
+    for restored, expected in zip((run.train_ds, run.holdout, run.test_ds), splits, strict=True):
+        assert np.array_equal(restored.X, expected.X) and np.array_equal(restored.y, expected.y)
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_library_warnings_print_one_line_each_even_when_the_command_fails(
+        self, fails, run_dir, monkeypatch, capsys
+    ):
+        rank = cli.rank_training_set
+
+        def warning_rank(*args, **kwargs):
+            warnings.warn("skipped 2 training examples with degenerate gradients", RuntimeWarning)
+            if fails:
+                raise InsufficientDampingError(0.5, -1.0)
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "rank_training_set", warning_rank)
+        code = cli.main(["rank", "--run", str(run_dir), "--test-index", "0"])
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "warning: skipped 2 training examples with degenerate gradients"
+        assert (code, len(err)) == ((1, 2) if fails else (0, 1))
+
+
 SYNTHETIC_KEYS = ("size", "classes", "noise", "train_per_class", "test_per_class")
 CIFAR_KEYS = ("data_dir", "cifar_classes", "per_class_cap")
 
@@ -574,6 +600,7 @@ class TestRunRecord:
         assert cli.main(["rank", "--run", str(out), "--test-index", "1"]) == 0
         run = cli.Run(out)
         assert len(run.train_ds) == 2 * (20 - 5) and len(run.holdout) == 2 * 5
+        assert_same_splits(run, load_cifar10_binary(cifar_dir, [2, 0], 1000, 5))
         expected = rank_training_set(run.model, run.params, run.train_ds, run.test_example(1))
         table = read_rank_table(out / "tables" / "rank_test1_grad-cos.csv")
         assert table == [(r.train_index, r.score) for r in expected.records]
@@ -601,8 +628,7 @@ class TestRunRecord:
             size=12, num_classes=3, noise=0.05, train_per_class=15, holdout_per_class=4,
             test_per_class=4, seed=18063667083137579888,
         )
-        for restored, expected in zip((run.train_ds, run.holdout, run.test_ds), generate_synthetic(spec)):
-            assert np.array_equal(restored.X, expected.X) and np.array_equal(restored.y, expected.y)
+        assert_same_splits(run, generate_synthetic(spec))
         assert (run.arch.input_shape, run.arch.num_classes, run.model.num_params) == ((1, 12, 12), 3, 1299)
         config = run.config
         assert (config.lr, config.epochs, config.batch_size, config.lr_decay) == (0.2, 2, 32, 0.93)
@@ -619,12 +645,8 @@ class TestRunRecord:
         )
         np.save(tmp_path / "params.npy", np.zeros(2546))
         run = cli.Run(tmp_path)
-        train_ds, test_ds = load_cifar10_binary(cifar_dir, [1, 2], 12)
-        holdout = np.isin(np.arange(24), [20, 21, 22, 23])  # the last two of each class
-        assert np.array_equal(run.train_ds.X, train_ds.X[~holdout])
-        assert np.array_equal(run.train_ds.y, train_ds.y[~holdout])
-        assert np.array_equal(run.holdout.X, train_ds.X[holdout])
-        assert np.array_equal(run.test_ds.X, test_ds.X) and np.array_equal(run.test_ds.y, test_ds.y)
+        assert_same_splits(run, load_cifar10_binary(cifar_dir, [1, 2], 12, 2))
+        assert (len(run.train_ds), len(run.holdout), len(run.test_ds)) == (20, 4, 8)
         assert (run.arch.num_classes, run.model.num_params, run.config.batch_size) == (2, 2546, 8)
         np.save(tmp_path / "params.npy", np.zeros(2545))
         with pytest.raises(cli.FormatError, match="params.npy holds 2545 values"):

@@ -131,17 +131,21 @@ class TestDirectoryLoader:
 
     def test_loads_all_batches(self, tmp_path):
         self.write_layout(tmp_path)
-        train_ds, test_ds = load_cifar10_binary(tmp_path)
+        train_ds, holdout, test_ds = load_cifar10_binary(tmp_path, range(10), 1000, 0)
         assert len(train_ds) == 50
+        assert holdout is None
         assert len(test_ds) == 10
         assert train_ds.X.shape[1:] == IMAGE_SHAPE
 
     def test_class_subset_remaps_labels(self, tmp_path):
         self.write_layout(tmp_path)
-        train_ds, test_ds = load_cifar10_binary(tmp_path, classes=(3, 7))
+        train_ds, _, test_ds = load_cifar10_binary(tmp_path, (3, 7), 1000, 0)
         assert set(train_ds.y) == {0, 1}
         assert len(train_ds) == 10  # 5 files x 1 of each kept label
         assert set(test_ds.y) == {0, 1}
+        # a label listed twice takes its last place, leaving place 0 empty
+        train_ds, _, _ = load_cifar10_binary(tmp_path, (3, 7, 3), 1000, 0)
+        assert set(train_ds.y) == {1, 2}
 
     def test_per_class_cap_keeps_first_in_file_order(self, tmp_path):
         labels = [3, 5, 3, 5, 3, 5]
@@ -151,14 +155,53 @@ class TestDirectoryLoader:
             raws.append(raw)
             (tmp_path / f"data_batch_{i}.bin").write_bytes(raw)
         (tmp_path / "test_batch.bin").write_bytes(raws[0])
-        train_ds, _ = load_cifar10_binary(tmp_path, classes=(3, 5), per_class_cap=3)
+        train_ds, _, _ = load_cifar10_binary(tmp_path, (3, 5), 3, 0)
         assert list(train_ds.y) == [0, 1, 0, 1, 0, 1]
         # cap fills entirely from the first batch file
         X1, _ = parse_cifar10_bytes(raws[0])
         assert np.array_equal(train_ds.X, X1)
 
+    def test_holdout_is_the_last_kept_images_of_each_class_in_file_order(self, tmp_path):
+        rng = np.random.default_rng(5)
+        raws = [fake_records(12, seed=i, labels=rng.integers(0, 4, size=12))[0] for i in range(6)]
+        for i, raw in enumerate(raws[:5], 1):
+            (tmp_path / f"data_batch_{i}.bin").write_bytes(raw)
+        (tmp_path / "test_batch.bin").write_bytes(raws[5])
+        classes, cap, h = (2, 0, 3), 7, 2
+        train_ds, holdout, test_ds = load_cifar10_binary(tmp_path, classes, cap, h)
+        # reference: cap each class one record at a time, then hold out the last h of each
+        X, y = parse_cifar10_bytes(b"".join(raws[:5]))
+        kept = {c: [] for c in classes}
+        for i, label in enumerate(y.tolist()):
+            if label in kept and len(kept[label]) < cap:
+                kept[label].append(i)
+        assert all(len(members) == cap for members in kept.values())  # the cap binds
+        held = sorted(i for members in kept.values() for i in members[-h:])
+        rest = sorted(i for members in kept.values() for i in members[:-h])
+        place = {c: j for j, c in enumerate(classes)}
+        for ds, rows in ((holdout, held), (train_ds, rest)):
+            assert np.array_equal(ds.X, X[rows])
+            assert ds.y.tolist() == [place[int(y[i])] for i in rows]
+        _, y_test = parse_cifar10_bytes(raws[5])
+        assert len(test_ds) == sum(min(cap, int((y_test == c).sum())) for c in classes)
+
+    def test_cap_is_applied_before_the_holdout(self, tmp_path):
+        self.write_layout(tmp_path)  # label 4 is record 4 of every file
+        train_ds, holdout, test_ds = load_cifar10_binary(tmp_path, (4,), 3, 1)
+        X, _ = parse_cifar10_bytes(b"".join((tmp_path / f"data_batch_{i}.bin").read_bytes() for i in range(1, 6)))
+        assert np.array_equal(holdout.X, X[[24]])  # the third kept image, not the last in the files
+        assert np.array_equal(train_ds.X, X[[4, 14]])
+        assert len(test_ds) == 1  # the test split is capped, never held out
+
+    def test_holdout_is_none_at_zero_and_sizes_are_checked(self, tmp_path):
+        self.write_layout(tmp_path)
+        assert load_cifar10_binary(tmp_path, (4,), 3, 0)[1] is None
+        for cap, h in ((0, 0), (3, -1)):
+            with pytest.raises(ValueError):
+                load_cifar10_binary(tmp_path, (4,), cap, h)
+
     def test_missing_file_is_a_format_error(self, tmp_path):
         self.write_layout(tmp_path)
         (tmp_path / "data_batch_4.bin").unlink()
         with pytest.raises(FormatError, match="data_batch_4"):
-            load_cifar10_binary(tmp_path)
+            load_cifar10_binary(tmp_path, range(10), 1000, 0)

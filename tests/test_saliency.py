@@ -215,13 +215,6 @@ class TestSmoothgrad:
             )
             assert np.array_equal(smooth.values, plain.values)
 
-    def test_sigma_zero_records_one_sample_and_no_seed(self):
-        model, params, ds = trained_cnn()
-        smooth = smoothgrad_saliency(
-            model, params, ds.example(2), ds.example(3), sigma=0.0, samples=7, seed=11
-        )
-        assert (smooth.sigma, smooth.samples, smooth.seed) == (0.0, 1, None)
-
     def test_seeded_and_worker_invariant(self):
         model, params, ds = trained_cnn()
         z_train, z_test = ds.example(4), ds.example(5)
