@@ -18,7 +18,6 @@ from .autodiff import Graph, Node, backward, grad, kink_margin
 from .datasets import (
     FormatError,
     SyntheticShapesSpec,
-    encode_cifar10_bytes,
     generate_synthetic,
     load_cifar10_binary,
     parse_cifar10_bytes,

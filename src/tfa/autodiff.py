@@ -15,10 +15,10 @@ gather reads one window table per layer geometry (channels, height, width,
 kernel): the flat indices of every window of one example, built once and
 shared by every batch size. A batch adds its example offsets, which live only
 while a graph holds them; a graph of fewer examples recorded meanwhile reads a
-prefix of them. Maxpool takes each window's first maximum from the
-k*k strided views of its input; its VJP scatters through the flat argmax
-indices, which it builds the first time it runs and keeps, so a value-only
-forward pass builds none.
+prefix of them. Maxpool takes each window's first maximum from the k*k
+strided views of its input. Its VJP scatters through the flat argmax indices
+and relu's multiplies by a float mask; each builds that array at its first
+call and reuses it in later sweeps, so a value-only forward pass builds none.
 
 Lifetime: a :class:`Graph` owns its nodes, and each node refers back to its
 graph only weakly, so a graph holds no reference cycle. Once the caller drops
@@ -254,10 +254,15 @@ def log(a: Node) -> Node:
 
 
 def relu(a: Node) -> Node:
-    # Derivative at exactly 0 is taken to be 0; the mask is a constant of the
-    # recorded forward values, so the second backward treats it as such.
+    # Derivative at exactly 0 is taken to be 0. The mask, a constant to the second
+    # backward, is held weakly: it lives as long as the nodes recording it.
+    kept = [_RELEASED]
+
     def vjp(g, needs):
-        return (mul(g, a.graph.constant((a.value > 0.0).astype(np.float64))),)
+        if (mask := kept[0]()) is None:
+            mask = (a.value > 0.0).astype(np.float64)
+            kept[0] = weakref.ref(mask)
+        return (mul(g, a.graph.constant(mask)),)
 
     return a.graph._append("relu", (a,), a.value * (a.value > 0.0), vjp)
 

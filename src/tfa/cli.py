@@ -36,6 +36,7 @@ import sys
 import warnings
 from dataclasses import astuple, fields
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .harness import (
     PairedResult,
     PatchSpec,
     PatchSweepRow,
+    check_patch,
     explain_misclassification,
     paired_insertion_experiment,
     patch_sweep,
@@ -394,7 +396,10 @@ def cmd_rank(args) -> int:
     hessian = None
     if args.method in ("influence", "relatif"):
         subset = run.train_ds.subset(range(min(args.hessian_examples, len(run.train_ds))))
+        start = perf_counter()
         hessian = dense_hessian(run.model, run.params, subset)
+        seconds = perf_counter() - start  # a timing: stderr only, never an artifact
+        print(f"dense Hessian: {hessian.dim} columns over {len(subset)} examples in {seconds:.2f} s", file=sys.stderr)
     try:
         ranking = rank_training_set(
             run.model,
@@ -518,19 +523,11 @@ def cmd_explain(args) -> int:
 
 def cmd_patch_sweep(args) -> int:
     record, config, arch, train_ds, _, test_ds = build_run(args)  # the sweep reseeds config per fraction
-    channels, height, width = arch.input_shape
-    color = tuple(split_list(args.patch_color, float))
-    if len(color) != channels:
-        raise UsageError(f"--patch-color has {len(color)} channels, images have {channels}")
-    if args.patch_size > min(height, width):
-        raise UsageError(f"--patch-size {args.patch_size} does not fit in {height}x{width} images")
-    classes = {args.target_class, args.probe_class}
-    if len(classes) != 2 or not classes <= set(range(arch.num_classes)):
-        raise UsageError(
-            f"--target-class {args.target_class} and --probe-class {args.probe_class} "
-            f"must be two different classes in [0, {arch.num_classes})"
-        )
-    spec = PatchSpec(size=args.patch_size, color=color, target_class=args.target_class, fraction=0.0)
+    spec = PatchSpec(args.patch_size, tuple(split_list(args.patch_color, float)), args.target_class, fraction=0.0)
+    try:
+        check_patch(arch, spec, args.probe_class)
+    except ValueError as e:
+        raise UsageError(f"bad patch flags (--patch-color, --patch-size, --target-class, --probe-class): {e}") from e
     rows = patch_sweep(
         train_ds,
         test_ds,

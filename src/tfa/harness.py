@@ -385,6 +385,18 @@ def patch_attribution_fraction(grid, spec: PatchSpec) -> float:
     return float(inside.ravel()[kept].mean())
 
 
+def check_patch(arch, spec: PatchSpec, probe_class: int) -> None:
+    """Raise ValueError unless the patch fits arch's images and its target and probe_class are two classes of arch."""
+    channels, height, width = arch.input_shape
+    if len(spec.color) != channels:
+        raise ValueError(f"patch color has {len(spec.color)} channels, images have {channels}")
+    if spec.size > min(height, width):
+        raise ValueError(f"patch size {spec.size} does not fit in {height}x{width} images")
+    t, k = spec.target_class, arch.num_classes
+    if len({t, probe_class} & set(range(k))) != 2:
+        raise ValueError(f"target class {t} and probe class {probe_class} must be two different classes in [0, {k})")
+
+
 def patch_sweep(
     base_train: Dataset,
     base_test: Dataset,
@@ -411,14 +423,10 @@ def patch_sweep(
     examples, and the mean patch attribution fraction of those saliency
     grids is reported. Every per-fraction job derives its own seeds from
     the fraction value, so the rows are independent of sweep order. The
-    model's loss kind is train_config.loss. The patch's color, size and
-    target class are checked against the architecture before any training.
+    model's loss kind is train_config.loss. check_patch checks the patch and
+    the class pair against the architecture before any training.
     """
-    apply_patch(np.zeros(arch.input_shape), spec)  # raises on a color or size the images cannot take
-    if not 0 <= spec.target_class < arch.num_classes:
-        raise ValueError(f"target class {spec.target_class} is not in [0, {arch.num_classes})")
-    if probe_class == spec.target_class:
-        raise ValueError("probe class must differ from the patch target class")
+    check_patch(arch, spec, probe_class)
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"fractions must lie in [0, 1], got {f}")

@@ -164,12 +164,13 @@ class DampedHessian:
 def dense_hessian(model: Model, params: ParamVector, dataset: Dataset) -> DampedHessian:
     """Hessian of the mean loss over the dataset, column by column.
 
-    The forward pass and the first backward are recorded once. Column j is
-    then the gradient of (gradient of the mean loss)_j, a second sweep on
-    that shared graph, which is truncated back to the first backward after
-    each column, so only one column's sweep is held at a time. The columns
-    are bitwise equal to sweeps on a fresh graph each. The result is
-    symmetrized; the raw asymmetry is a few ulps of roundoff.
+    The forward and the first backward are recorded once, the backward up to
+    the forward's reads of theta: one take per parameter slice, in order, or
+    ValueError. Column j, entry k of slice s, is the gradient of slice s's
+    gradient entry k (a seed at the flat gradient would sweep exact zeros
+    through the other slices), a second sweep truncated away after the column.
+    Columns come in order 0..p-1, bitwise equal to flat-gradient sweeps on a
+    fresh graph each. The result is symmetrized; raw asymmetry is roundoff.
     """
     p = model.num_params
     if p > DENSE_HESSIAN_MAX_PARAMS:
@@ -179,12 +180,17 @@ def dense_hessian(model: Model, params: ParamVector, dataset: Dataset) -> Damped
     graph = ad.Graph()
     theta = graph.leaf(params.data)
     loss = model.record_batch_loss(theta, graph.constant(dataset.X), dataset.y, model.loss_kind)
-    (g,) = ad.backward(loss, [theta])
+    reads = [n for n in graph.nodes if theta in n.parents]
+    indices = [n.meta for n in reads if n.kind == "take"]
+    if len(indices) < len(reads) or not np.array_equal(np.concatenate(indices), np.arange(p)):
+        raise ValueError("the forward must read theta through one take per parameter slice, in order")
+    slice_grads = ad.backward(loss, reads)
     mark = len(graph.nodes)
     H = np.empty((p, p))
-    for j in range(p):
-        H[:, j] = ad.grad(ad.take(g, np.array([j])), theta)
-        graph.truncate(mark)
+    for read, g in zip(reads, slice_grads):
+        for k, j in enumerate(read.meta):
+            H[:, j] = ad.grad(ad.take(g, np.array([k])), theta)
+            graph.truncate(mark)
     return DampedHessian((H + H.T) / 2.0)
 
 

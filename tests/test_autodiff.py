@@ -5,6 +5,8 @@ random smooth points, and the double-backward path is checked against both
 hand derivations and finite differences of first-order gradients.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,21 @@ class TestPrimitiveGradients:
         root = ad.reduce_sum(ad.relu(a))
         (g,) = ad.backward(root, [a])
         np.testing.assert_array_equal(g.value, [0.0, 0.0, 1.0])
+
+    def test_relu_mask_is_reused_while_recorded_and_freed_with_its_graph(self):
+        graph = ad.Graph()
+        a = graph.leaf(np.array([-1.0, 0.0, 2.0, -0.0]))
+        out = ad.relu(a)
+        root = ad.reduce_sum(out)
+        masks = []
+        for _ in range(2):
+            ad.backward(root, [a])
+            masks.append([n.value for n in graph.nodes if n.kind == "const" and n.shape == a.shape][-1])
+        assert masks[0] is masks[1]
+        assert masks[0].tobytes() == np.array([0.0, 0.0, 1.0, 0.0]).tobytes()
+        mask = weakref.ref(masks[0])
+        del graph, masks
+        assert mask() is None  # though the relu node that built it is still held by `out`
 
 
 class TestConvAndPool:

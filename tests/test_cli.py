@@ -7,6 +7,7 @@ must recreate every artifact exactly.
 """
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,13 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cifar_records import encode_cifar10_bytes
 from tfa import cli
-from tfa.datasets import (
-    SyntheticShapesSpec,
-    encode_cifar10_bytes,
-    generate_synthetic,
-    load_cifar10_binary,
-)
+from tfa.datasets import SyntheticShapesSpec, generate_synthetic, load_cifar10_binary
 from tfa.outputs import read_key_value, write_manifest
 from tfa.tda import InsufficientDampingError, dense_hessian, rank_training_set
 
@@ -157,6 +154,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, flag, reason",
+        [
+            (["--patch-color", "0.9,0.9,0.9"], "--patch-color", "patch color has 3 channels, images have 1"),
+            (["--patch-size", "13"], "--patch-size", "patch size 13 does not fit in 12x12 images"),
+            (["--target-class", "2", "--probe-class", "2"], "--probe-class",
+             "target class 2 and probe class 2 must be two different classes in [0, 3)"),
+        ],
+    )
+    def test_patch_the_images_cannot_take_is_the_library_check_as_usage_error(
+        self, flags, flag, reason, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "patch_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+        out = tmp_path / "out"
+        assert cli.main(["patch-sweep", "--size", "12", *flags, "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert flag in line and line.endswith(reason)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -393,9 +409,23 @@ class TestRank:
              "--hessian-examples", "10", "--lam", "-1"]
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "--lam" in err and "smallest eigenvalue" in err
+        cost, error = capsys.readouterr().err.strip().splitlines()  # the Hessian's cost, then the error
+        assert cost.startswith("dense Hessian: 1299 columns over 10 examples in ")
+        assert "--lam" in error and "smallest eigenvalue" in error
+
+    @pytest.mark.parametrize("method", ["influence", "relatif"])
+    def test_hessian_cost_goes_to_stderr_and_into_no_file(self, run_dir, method, capsys):
+        argv = ["rank", "--run", str(run_dir), "--test-index", "5", "--method", method, "--hessian-examples", "6"]
+        written = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            captured = capsys.readouterr()
+            assert re.fullmatch(r"dense Hessian: 1299 columns over 6 examples in \d+\.\d\d s\n", captured.err)
+            assert "Hessian" not in captured.out
+            written.append([(run_dir / name).read_bytes() for name in (
+                f"tables/rank_test5_{method}.csv", f"manifest_rank_test5_{method}.txt")])
+        assert written[0] == written[1]
+        assert not any(b"dense Hessian" in data for data in written[0])
 
     def test_mse_run_is_ranked_with_mse_gradients(self, tmp_path, capsys):
         out = tmp_path / "mse"

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from cifar_records import encode_cifar10_bytes
 from tfa.datasets import (
     IMAGE_SHAPE,
     RECORD_BYTES,
     FormatError,
     SyntheticShapesSpec,
-    encode_cifar10_bytes,
     generate_synthetic,
     load_cifar10_binary,
     parse_cifar10_bytes,

@@ -143,13 +143,14 @@ class TestSaliencyAgainstFiniteDifferences:
         )
         model = Model(arch)
         params = ParamVector(0.5 * rng.standard_normal(model.num_params), init_params(arch, 0).layout)
-        z_train = LabeledExample(rng.uniform(0.0, 1.0, (cin, h, w)), int(rng.integers(3)))
+        # pixels at least one step inside [0, 1], so that every probe is an image
+        step = 1e-6
+        z_train = LabeledExample(rng.uniform(step, 1.0 - step, (cin, h, w)), int(rng.integers(3)))
         z_test = LabeledExample(rng.uniform(0.0, 1.0, (cin, h, w)), int(rng.integers(3)))
 
         # a one-pixel step moves each conv output by one weight times the step,
         # and a pool gap by at most twice that: with |weights| far below 50, a
         # margin of 100 steps keeps every relu mask and pool argmax in place
-        step = 1e-6
         graph = ad.Graph()
         model.record_example_loss(graph.leaf(params.data), graph.leaf(z_train.x), z_train.y, "cross-entropy")
         assume(ad.kink_margin(graph) > 100 * step)

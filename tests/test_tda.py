@@ -222,7 +222,7 @@ class TestDenseHessian:
     def test_shared_graph_equals_fresh_graph_per_column_on_mlp(self, no_cyclic_garbage):
         model, params, ds = fd_mlp()
         expected = fresh_graph_hessian(model, params, ds)
-        np.testing.assert_array_equal(dense_hessian(model, params, ds).matrix, expected)
+        assert dense_hessian(model, params, ds).matrix.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", models.LOSS_KINDS)
     def test_shared_graph_equals_fresh_graph_per_column_on_cnn(self, kind, no_cyclic_garbage):
@@ -232,8 +232,32 @@ class TestDenseHessian:
         model = Model(cnn_343(), kind)
         assert model.num_params == 343
         expected = fresh_graph_hessian(model, params, ds, kind)
-        np.testing.assert_array_equal(dense_hessian(model, params, ds).matrix, expected)
+        assert dense_hessian(model, params, ds).matrix.tobytes() == expected.tobytes()
 
+    def test_shared_graph_equals_fresh_graph_per_column_on_two_conv_blocks(self, no_cyclic_garbage):
+        arch = models.tiny_cnn((1, 12, 12), 3)  # slices of two conv layers and the head
+        rng = np.random.default_rng(23)
+        ds = Dataset(rng.uniform(0.0, 1.0, size=(4, 1, 12, 12)), np.array([0, 1, 2, 1]))
+        model = Model(arch)
+        params = init_params(arch, seed=8)
+        expected = fresh_graph_hessian(model, params, ds)
+        assert dense_hessian(model, params, ds).matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("extra_read", ["mul", "second take"])
+    def test_forward_reading_theta_outside_one_take_per_slice_is_rejected(self, extra_read, monkeypatch):
+        model, params, ds = fd_mlp()
+        param = Model._param
+
+        def reads_twice(self, theta, layer, name):
+            if (layer, name) != (0, "bias"):
+                return param(self, theta, layer, name)
+            if extra_read == "mul":
+                return param(self, ad.mul(theta, 1.0), layer, name)
+            return ad.add(param(self, theta, layer, name), param(self, theta, layer, name))
+
+        monkeypatch.setattr(Model, "_param", reads_twice)
+        with pytest.raises(ValueError, match="one take per parameter slice"):
+            dense_hessian(model, params, ds)
 
     @settings(max_examples=25, deadline=None)
     @given(
