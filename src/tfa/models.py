@@ -304,14 +304,9 @@ class Model:
             )
         h = X
         for i, layer in enumerate(self.arch.layers):
-            if isinstance(layer, Dense):
-                w = self._param(theta, i, "weight")
-                b = self._param(theta, i, "bias")
-                h = ad.add(ad.matmul(h, w), b)
-            elif isinstance(layer, Conv2d):
-                w = self._param(theta, i, "weight")
-                b = self._param(theta, i, "bias")
-                h = ad.conv2d(h, w, b)
+            if isinstance(layer, (Dense, Conv2d)):  # theta's reads: weight, bias, in layout order
+                w, b = self._param(theta, i, "weight"), self._param(theta, i, "bias")
+                h = ad.conv2d(h, w, b) if isinstance(layer, Conv2d) else ad.add(ad.matmul(h, w), b)
             elif isinstance(layer, Relu):
                 h = ad.relu(h)
             elif isinstance(layer, MaxPool):
@@ -459,6 +454,7 @@ def train(dataset: Dataset, arch: ArchitectureSpec, config: TrainConfig, *, epoc
             params = sgd_step(params, gradient, lr)
             loss_sum += float(loss.value) * len(batch)
             seen += len(batch)
+        del graph, theta, loss  # the last step's graph, before the accuracy pass
         history.losses.append(loss_sum / seen)
         if epoch_accuracy:
             history.accuracies.append(model.accuracy(params, dataset))

@@ -106,7 +106,8 @@ class DampedHessian:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("Hessian must be square")
-        asym = np.abs(self.matrix - self.matrix.T).max() if self.matrix.size else 0.0
+        bands = (self.matrix[r : r + 64] - self.matrix[:, r : r + 64].T for r in range(0, self.dim, 64))
+        asym = max((np.abs(band).max() for band in bands), default=0.0)  # in row bands: no p x p temporary
         if asym > 1e-8:
             raise ValueError(f"Hessian asymmetry {asym:.3e} too large")
 
@@ -140,10 +141,13 @@ class DampedHessian:
         """
         lam = self.damping() if lam is None else float(lam)
         if self._factor is None or self._factor[0] != lam:
+            damped = self.matrix + lam * 0.0  # the bytes of matrix + lam * eye, in one allocation
+            damped.flat[:: self.dim + 1] = self.matrix.diagonal() + lam
             try:
-                self._factor = (lam, cho_factor(self.matrix + lam * np.eye(self.dim)))
+                self._factor = (lam, cho_factor(damped))
             except np.linalg.LinAlgError:
                 raise InsufficientDampingError(lam, self.lambda_min + lam) from None
+            del damped  # before cho_solve's finiteness check allocates beside the factor
         return cho_solve(self._factor[1], v)
 
     def response_norms(self, G: np.ndarray, lam: float | None = None) -> np.ndarray:
@@ -167,10 +171,11 @@ def dense_hessian(model: Model, params: ParamVector, dataset: Dataset) -> Damped
     The forward and the first backward are recorded once, the backward up to
     the forward's reads of theta: one take per parameter slice, in order, or
     ValueError. Column j, entry k of slice s, is the gradient of slice s's
-    gradient entry k (a seed at the flat gradient would sweep exact zeros
-    through the other slices), a second sweep truncated away after the column.
-    Columns come in order 0..p-1, bitwise equal to flat-gradient sweeps on a
-    fresh graph each. The result is symmetrized; raw asymmetry is roundoff.
+    gradient entry k, swept back only to the reads of slices s, s+1, ... and
+    truncated away after it (+ 0.0 turns -0.0 into 0.0, as a scatter into
+    theta would). Rows of earlier slices are mirrored from their columns and
+    diagonal blocks averaged with their transposes: the bytes of flat-gradient
+    columns on a fresh graph each, assembled the same way.
     """
     p = model.num_params
     if p > DENSE_HESSIAN_MAX_PARAMS:
@@ -187,11 +192,15 @@ def dense_hessian(model: Model, params: ParamVector, dataset: Dataset) -> Damped
     slice_grads = ad.backward(loss, reads)
     mark = len(graph.nodes)
     H = np.empty((p, p))
-    for read, g in zip(reads, slice_grads):
+    b = 0
+    for s, (read, g) in enumerate(zip(reads, slice_grads)):
+        a, b = b, b + read.meta.size
         for k, j in enumerate(read.meta):
-            H[:, j] = ad.grad(ad.take(g, np.array([k])), theta)
+            H[a:, j] = np.concatenate([c.value for c in ad.backward(ad.take(g, np.array([k])), reads[s:])]) + 0.0
             graph.truncate(mark)
-    return DampedHessian((H + H.T) / 2.0)
+        H[:a, a:b] = H[a:b, :a].T
+        H[a:b, a:b] = (H[a:b, a:b] + H[a:b, a:b].T) / 2.0
+    return DampedHessian(H)
 
 
 def _checked_norm(g: np.ndarray, side: str):

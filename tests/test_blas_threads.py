@@ -53,6 +53,19 @@ DENSE_HESSIAN_343 = HASH + (
     "digest(dense_hessian(Model(arch), init_params(arch, 0), train_ds).matrix)\n"
 )
 
+# tiny_cnn at 12 px over 60 examples, at its initial parameters: slices of two
+# conv layers and the head, so conv2 and head columns skip the conv1 region.
+# Over 120 examples its bytes differ at 1 and 2 threads, with or without that
+# skip, from the first backward's conv2 weight-gradient GEMM, (72, 1080) x
+# (1080, 16): the train case's fault (ROADMAP item 2)
+DENSE_HESSIAN_TWO_CONV_BLOCKS = HASH + (
+    "from tfa import Model, SyntheticShapesSpec, dense_hessian, generate_synthetic, init_params, tiny_cnn\n"
+    "arch = tiny_cnn((1, 12, 12), 3)\n"
+    "spec = SyntheticShapesSpec(size=12, train_per_class=20, holdout_per_class=0, test_per_class=1, seed=0)\n"
+    "train_ds, _, _ = generate_synthetic(spec)\n"
+    "digest(dense_hessian(Model(arch), init_params(arch, 0), train_ds).matrix)\n"
+)
+
 
 def digest_at(threads: int, code: str) -> str:
     src = str(Path(tfa.__file__).resolve().parent.parent)
@@ -75,6 +88,7 @@ def digest_at(threads: int, code: str) -> str:
             ),
         ),
         pytest.param(DENSE_HESSIAN_343, id="dense-hessian"),
+        pytest.param(DENSE_HESSIAN_TWO_CONV_BLOCKS, id="dense-hessian-two-conv-blocks"),
     ],
 )
 def test_bytes_do_not_depend_on_the_blas_thread_count(code):

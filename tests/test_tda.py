@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,17 +172,50 @@ def cnn_343():
     )
 
 
-def fresh_graph_hessian(model, params, dataset, kind="cross-entropy"):
-    """Oracle: every column records the forward pass and first backward anew."""
+def fresh_graph_columns(model, params, dataset, kind="cross-entropy"):
+    """Raw Hessian columns, each from a forward pass and first backward recorded
+    anew and a second sweep seeded at the flat gradient, back to theta."""
     p = model.num_params
-    H = np.empty((p, p))
+    raw = np.empty((p, p))
     for j in range(p):
         graph = ad.Graph()
         theta = graph.leaf(params.data)
         loss = model.record_batch_loss(theta, graph.constant(dataset.X), dataset.y, kind)
         (g,) = ad.backward(loss, [theta])
-        H[:, j] = ad.grad(ad.take(g, np.array([j])), theta)
-    return (H + H.T) / 2.0
+        raw[:, j] = ad.grad(ad.take(g, np.array([j])), theta)
+    return raw
+
+
+def slice_bounds(model):
+    return [(s.offset, s.offset + int(np.prod(s.shape))) for s in model.layout]
+
+
+def mirrored(raw, model):
+    """Oracle assembly: each slice's columns keep their rows of that slice and
+    later ones, the rows of earlier slices are mirrored from the columns of
+    those slices, and each diagonal block is averaged with its transpose."""
+    H = raw.copy()
+    for a, b in slice_bounds(model):
+        H[:a, a:b] = H[a:b, :a].T
+        block = H[a:b, a:b]
+        H[a:b, a:b] = (block + block.T) / 2.0
+    return H
+
+
+def fresh_graph_hessian(model, params, dataset, kind="cross-entropy"):
+    """Oracle: fresh-graph columns, assembled by the mirror rule."""
+    return mirrored(fresh_graph_columns(model, params, dataset, kind), model)
+
+
+@pytest.fixture(scope="module")
+def two_conv_blocks():
+    """tiny_cnn at 12 px, slices of two conv layers and the head, with its raw columns."""
+    arch = models.tiny_cnn((1, 12, 12), 3)
+    rng = np.random.default_rng(23)
+    ds = Dataset(rng.uniform(0.0, 1.0, size=(4, 1, 12, 12)), np.array([0, 1, 2, 1]))
+    model = Model(arch)
+    params = init_params(arch, seed=8)
+    return model, params, ds, fresh_graph_columns(model, params, ds)
 
 
 class TestDenseHessian:
@@ -234,14 +268,47 @@ class TestDenseHessian:
         expected = fresh_graph_hessian(model, params, ds, kind)
         assert dense_hessian(model, params, ds).matrix.tobytes() == expected.tobytes()
 
-    def test_shared_graph_equals_fresh_graph_per_column_on_two_conv_blocks(self, no_cyclic_garbage):
-        arch = models.tiny_cnn((1, 12, 12), 3)  # slices of two conv layers and the head
-        rng = np.random.default_rng(23)
-        ds = Dataset(rng.uniform(0.0, 1.0, size=(4, 1, 12, 12)), np.array([0, 1, 2, 1]))
+    def test_shared_graph_equals_fresh_graph_per_column_on_two_conv_blocks(self, two_conv_blocks, no_cyclic_garbage):
+        model, params, ds, raw = two_conv_blocks
+        assert dense_hessian(model, params, ds).matrix.tobytes() == mirrored(raw, model).tobytes()
+
+    def test_shared_graph_equals_fresh_graph_per_column_with_signed_zero_parameters(self):
+        # some of this model's column entries come out of their slice's sweep
+        # as -0.0, where a sweep back to theta scatters them into 0.0
+        arch = ArchitectureSpec((Dense(2, 2), Relu(), Dense(2, 2)), input_shape=(2,), num_classes=2)
         model = Model(arch)
-        params = init_params(arch, seed=8)
+        data = np.array([0.0, -0.0, -0.19, -0.34, -0.23, 0.6, -0.0, 0.97, -0.0, -0.19, 0.89, 0.0])
+        params = models.ParamVector(data, model.layout)
+        ds = Dataset(np.array([[1.36, -0.71]]), np.array([1]))
         expected = fresh_graph_hessian(model, params, ds)
+        assert np.signbit(expected[expected == 0.0]).sum() == 0
         assert dense_hessian(model, params, ds).matrix.tobytes() == expected.tobytes()
+
+    def test_mirroring_moves_off_diagonal_blocks_at_roundoff_only(self, two_conv_blocks):
+        model, params, ds, raw = two_conv_blocks
+        H = dense_hessian(model, params, ds).matrix
+        symmetrized = (raw + raw.T) / 2.0  # every column swept back to theta, then averaged
+        assert np.abs(H - symmetrized).max() <= 1e-12 * np.abs(symmetrized).max()
+        for a, b in slice_bounds(model):
+            assert H[a:b, a:b].tobytes() == symmetrized[a:b, a:b].tobytes()
+
+    def test_each_column_sweeps_back_to_its_own_and_later_slices_only(self, two_conv_blocks, monkeypatch):
+        model, params, ds, _ = two_conv_blocks
+        calls, backward = [], ad.backward
+
+        def spy(root, wrt):
+            calls.append((root, list(wrt), backward(root, wrt)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(ad, "backward", spy)
+        dense_hessian(model, params, ds)
+        (_, reads, slice_grads), columns = calls[0], iter(calls[1:])
+        assert len(reads) == len(model.layout) == 6 and len(calls) == 1 + model.num_params
+        for s, (a, b) in enumerate(slice_bounds(model)):
+            for k in range(b - a):  # column a + k: entry k of slice s's gradient
+                root, targets, _ = next(columns)
+                assert root.kind == "take" and root.parents[0] is slice_grads[s] and root.meta.tolist() == [k]
+                assert len(targets) == len(reads) - s and all(t is r for t, r in zip(targets, reads[s:]))
 
     @pytest.mark.parametrize("extra_read", ["mul", "second take"])
     def test_forward_reading_theta_outside_one_take_per_slice_is_rejected(self, extra_read, monkeypatch):
@@ -282,17 +349,9 @@ class TestDenseHessian:
         model.record_batch_loss(graph.constant(params.data), graph.constant(ds.X), ds.y, kind)
         assume(ad.kink_margin(graph) > 1e-4)
 
-        columns, grad = [], ad.grad
-
-        def recorded(root, target):  # dense_hessian's j-th ad.grad call is column j
-            columns.append(grad(root, target))
-            return columns[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ad, "grad", recorded)
-            H = dense_hessian(model, params, ds).matrix
-        raw = np.array(columns).T
-        np.testing.assert_array_equal(H, (raw + raw.T) / 2.0)
+        raw = fresh_graph_columns(model, params, ds, kind)
+        H = dense_hessian(model, params, ds).matrix
+        np.testing.assert_array_equal(H, mirrored(raw, model))
         assert np.abs(raw - raw.T).max() <= 1e-12 * np.abs(raw).max()
 
 
@@ -349,6 +408,12 @@ class TestInfluence:
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError):
             DampedHessian(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_asymmetry_past_the_first_row_band_rejected(self):
+        H = np.eye(150)
+        H[140, 3] = 1e-6
+        with pytest.raises(ValueError, match="asymmetry 1.000e-06"):
+            DampedHessian(H)
 
     def test_default_damping_scale(self):
         h = DampedHessian(np.diag([1.0, 2.0, 3.0]))
@@ -421,6 +486,35 @@ class TestInfluence:
                 agree += int(np.sign(scores[i]) == np.sign(delta))
                 total += 1
         assert agree / total >= 0.9
+
+
+class TestDampedHessianMemory:
+    def test_symmetry_check_and_solve_allocate_at_most_one_more_matrix(self):
+        p = 1500
+        rng = np.random.default_rng(30)
+        A = rng.standard_normal((p, p))
+        H = A @ A.T / p + np.eye(p)
+        H[0, 1] = H[1, 0] = -0.0  # the damped matrix keeps the old sum's signed zeros
+        v = rng.standard_normal(p)
+        bound = 1.1 * p * p * 8
+        DampedHessian(np.eye(3)).solve(np.ones(3), lam=1.0)  # scipy's import is not the solve's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            h = DampedHessian(H)
+            assert tracemalloc.get_traced_memory()[1] - base <= bound
+            for lam in (0.7, -0.3):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                x = h.solve(v, lam)
+                factor = h._factor[1][0]
+                assert tracemalloc.get_traced_memory()[1] - base - factor.nbytes <= bound
+                expected = tda.cho_factor(H + lam * np.eye(p))
+                assert factor.tobytes() == expected[0].tobytes()
+                assert x.tobytes() == tda.cho_solve(expected, v).tobytes()
+        finally:
+            tracemalloc.stop()
 
 
 class TestRelatif:
