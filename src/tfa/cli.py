@@ -23,10 +23,11 @@ by the command's results; a result may stand for a flag's resolved value,
 such as `rank`'s damping or the one sample of every sigma 0 map, and a flag
 that shaped nothing, such as the `--seed` of `saliency` and `explain` at
 sigma 0, is recorded as `unused`. Only the flags that name where a command
-reads and writes (`--config`, `--run`, `--out`), those that shape no
-artifact (`rank --top`, `saliency --raw`) and the data flags of the other
-data kind go unrecorded. Library warnings print on stderr as one
-`warning: ...` line each, also when the command then fails.
+reads and writes (`--config`, `--run`, `--out`), the one that shapes no
+artifact (`rank --top`) and the data flags of the other data kind go
+unrecorded. The dest=value lines of `--config FILE` are parsed as flags of
+the chosen command, given before its own. Library warnings print on stderr
+as one `warning: ...` line each, also when the command then fails.
 """
 
 import argparse
@@ -159,7 +160,7 @@ def build_parser() -> Parser:
     parser.add_argument("--version", action="version", version=f"tfa {__version__}")
     parser.add_argument(
         "--config",
-        help="key=value file of flag defaults; explicit flags override it",
+        help="key=value file of the command's flags by dest; explicit flags override it",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -183,7 +184,6 @@ def build_parser() -> Parser:
     p.add_argument("--train-index", type=int, required=True)
     p.add_argument("--test-index", type=int, required=True)
     add_smoothing_flags(p)
-    p.add_argument("--raw", action="store_true", help="noiseless single-sample map (same as --sigma 0 --samples 1)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("insertion", help="paired topk-vs-random insertion experiment")
@@ -226,38 +226,38 @@ def build_parser() -> Parser:
     return parser
 
 
-def apply_config_file(parser, argv):
-    """Pre-parse --config and install its pairs as subcommand defaults.
+def as_flags(subparser, pairs) -> list:
+    """`--flag=value` for each (dest, value) pair whose dest `subparser` takes; `-` in a dest reads as `_`."""
+    options = {act.dest: act.option_strings[0] for act in subparser._actions if act.nargs != 0}
+    pairs = ((key.replace("-", "_"), value) for key, value in pairs)
+    return [f"{options[dest]}={value}" for dest, value in pairs if dest in options]
 
-    Keys are flag dest names; a line that is not key=value, or a key that no
-    subcommand's flag takes, is a usage error.
+
+def apply_config_file(parser, argv) -> list:
+    """argv with each --config pair that the chosen subcommand takes as `--flag=value` right after its name.
+
+    argparse then parses those as the command line, and explicit flags, coming later, win.
+    A line that is not key=value, or a key that no subcommand's flag takes, is a usage error.
     """
     probe = Parser(add_help=False, allow_abbrev=False)  # `--c 3` is toy-ridge's --c
     probe.add_argument("--config")
+    probe.add_argument("command", nargs="?")
+    probe.add_argument("rest", nargs=argparse.REMAINDER)
     known, _ = probe.parse_known_args(argv)
     if not known.config:
-        return
+        return argv
     try:
         pairs = read_key_value(known.config)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    taken = set()
-    # defaults attach to every subparser that knows the flag
-    for action in parser._subparsers._group_actions[0].choices.values():
-        usable = {}
-        for key, value in pairs.items():
-            dest = key.replace("-", "_")
-            for act in action._actions:
-                if act.dest == dest:
-                    try:
-                        usable[dest] = value if act.type is None else act.type(value)
-                    except (ValueError, argparse.ArgumentTypeError) as e:
-                        raise UsageError(f"{known.config}: {key}: {e}") from e
-                    taken.add(key)
-        action.set_defaults(**usable)
+    subparsers = parser._subparsers._group_actions[0].choices
     for key in pairs:
-        if key not in taken:
+        if not any(as_flags(p, [(key, "")]) for p in subparsers.values()):
             raise UsageError(f"{known.config}: {key}: no subcommand has this flag")
+    if known.command not in subparsers:
+        return argv
+    split = len(argv) - len(known.rest)  # just past the subcommand's name
+    return [*argv[:split], *as_flags(subparsers[known.command], pairs.items()), *argv[split:]]
 
 
 def build_run(args):
@@ -334,9 +334,10 @@ def smoothing_flags(args, *unrecorded, noise_seed=False) -> dict:
 def parse_run_record(manifest) -> argparse.Namespace:
     """Inverse of run_record: parse a manifest's entries back through the `train` flags."""
     keys = ("seed", "data", *RUN_KEYS.get(manifest["data"], ()), *TRAIN_KEYS)
-    argv = [f"--{key.replace('_', '-')}={manifest[key]}" for key in keys]
+    parser = build_parser()
+    argv = as_flags(parser._subparsers._group_actions[0].choices["train"], ((key, manifest[key]) for key in keys))
     # --out is required by `train` but is not part of the record
-    return build_parser().parse_args(["train", *argv, "--out=."])
+    return parser.parse_args(["train", *argv, "--out=."])
 
 
 def cmd_train(args) -> int:
@@ -395,7 +396,8 @@ def cmd_rank(args) -> int:
     z_test = run.test_example(args.test_index)
     hessian = None
     if args.method in ("influence", "relatif"):
-        subset = run.train_ds.subset(range(min(args.hessian_examples, len(run.train_ds))))
+        k = min(args.hessian_examples, len(run.train_ds))  # evenly spaced, so every class of a class-ordered split
+        subset = run.train_ds.subset(np.arange(k) * len(run.train_ds) // k)
         start = perf_counter()
         hessian = dense_hessian(run.model, run.params, subset)
         seconds = perf_counter() - start  # a timing: stderr only, never an artifact
@@ -416,16 +418,15 @@ def cmd_rank(args) -> int:
     rows = [(r.train_index, r.method, r.score) for r in ranking.records]
     table = run.path / "tables" / f"rank_test{args.test_index}_{args.method}.csv"
     write_csv(table, ("train_index", "method", "score"), rows)
-    # a flag that shaped no score is recorded as unused
+    # a result replaces its flag's entry; a flag that shaped no score is recorded as unused
     results = {
+        "epsilon": args.epsilon if args.method == "grad-effect" else "unused",
         "lam": "unused" if hessian is None else (hessian.damping() if args.lam is None else args.lam),
+        "hessian_examples": "unused" if hessian is None else len(subset),
         "lambda_min": "unused" if hessian is None else hessian.lambda_min,
-        "hessian_examples": args.hessian_examples if hessian is not None else 0,
         "skipped": len(ranking.skipped),
     }
-    manifest = {"command": "rank", **parsed_flags(args, "top", *results), **results}
-    if args.method != "grad-effect":
-        manifest["epsilon"] = "unused"
+    manifest = {"command": "rank", **parsed_flags(args, "top"), **results}
     write_manifest(run.path / f"manifest_rank_test{args.test_index}_{args.method}.txt", manifest)
     print(f"wrote {table}")
     for r in ranking.helpful(args.top):
@@ -441,12 +442,10 @@ def cmd_saliency(args) -> int:
         raise FormatError(f"train index {args.train_index} out of range [0, {len(run.train_ds)})")
     z_train = run.train_ds.example(args.train_index)
     z_test = run.test_example(args.test_index)
-    if args.raw:
-        args.sigma = 0.0
     sal = smoothgrad_saliency(run.model, run.params, z_train, z_test, args.sigma, args.samples, args.seed)
     stem = run.path / "maps" / f"saliency_train{args.train_index}_test{args.test_index}"
     write_grid_artifacts(stem, channel_aggregate(sal))
-    manifest = {"command": "saliency", **smoothing_flags(args, "raw", noise_seed=True)}
+    manifest = {"command": "saliency", **smoothing_flags(args, noise_seed=True)}
     write_manifest(run.path / f"manifest_saliency_train{args.train_index}_test{args.test_index}.txt", manifest)
     print(f"wrote {stem}.pgm and {stem}.csv")
     return 0
@@ -601,8 +600,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         try:
-            apply_config_file(parser, argv)
-            args = parser.parse_args(argv)
+            args = parser.parse_args(apply_config_file(parser, argv))
             if args.command is None:
                 parser.print_usage(sys.stderr)
                 return 1

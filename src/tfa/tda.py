@@ -45,8 +45,8 @@ def _scipy_cho():
 
 
 def cho_factor(a: np.ndarray):
-    """Cholesky factor of a symmetric matrix; np.linalg.LinAlgError if it is not positive definite."""
-    return _scipy_cho()[0](a)
+    """Cholesky factor of a symmetric matrix, in place if Fortran-ordered; LinAlgError if not positive definite."""
+    return _scipy_cho()[0](a, overwrite_a=True)
 
 
 def cho_solve(factor, b: np.ndarray) -> np.ndarray:
@@ -141,13 +141,13 @@ class DampedHessian:
         """
         lam = self.damping() if lam is None else float(lam)
         if self._factor is None or self._factor[0] != lam:
-            damped = self.matrix + lam * 0.0  # the bytes of matrix + lam * eye, in one allocation
+            damped = np.array(self.matrix, order="F")  # factored in place: the one p x p allocation
+            damped += lam * 0.0  # the bytes of matrix + lam * eye, signed zeros included
             damped.flat[:: self.dim + 1] = self.matrix.diagonal() + lam
             try:
                 self._factor = (lam, cho_factor(damped))
             except np.linalg.LinAlgError:
                 raise InsufficientDampingError(lam, self.lambda_min + lam) from None
-            del damped  # before cho_solve's finiteness check allocates beside the factor
         return cho_solve(self._factor[1], v)
 
     def response_norms(self, G: np.ndarray, lam: float | None = None) -> np.ndarray:

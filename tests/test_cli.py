@@ -60,6 +60,18 @@ def cifar_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def library_must_not_run(monkeypatch):
+    """Every library call a command makes fails the test: a bad flag value must stop at the parser."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a bad flag value reached the library")
+
+    for name in ("train", "patch_sweep", "paired_insertion_experiment", "explain_misclassification",
+                 "smoothgrad_saliency", "rank_training_set"):
+        monkeypatch.setattr(cli, name, must_not_run)
+
+
 CIFAR_FLAGS = ["--data", "cifar10", "--holdout-per-class", "5", "--epochs", "1", "--batch-size", "8"]
 
 
@@ -141,13 +153,7 @@ class TestExitCodes:
             (["toy-ridge", "--c", "1e154", "--lambda", "1e308"], "--lambda"),  # X'X + lam I overflows
         ],
     )
-    def test_bad_value_is_one_line_usage_error(self, argv, flag, run_dir, tmp_path, monkeypatch, capsys):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("a bad flag value reached the library")
-
-        for name in ("train", "patch_sweep", "paired_insertion_experiment", "explain_misclassification",
-                     "smoothgrad_saliency", "rank_training_set"):
-            monkeypatch.setattr(cli, name, must_not_run)
+    def test_bad_value_is_one_line_usage_error(self, argv, flag, run_dir, tmp_path, library_must_not_run, capsys):
         out = tmp_path / "out"
         argv = [{"RUN": str(run_dir), "OUT": str(out)}.get(a, a) for a in argv]
         assert cli.main(argv) == 1
@@ -279,6 +285,19 @@ class TestTrain:
         assert rerun == original
 
 
+# one valid value per flag dest, none of them a default
+PARITY_VALUES = {
+    "data": "cifar10", "size": "12", "classes": "4", "noise": "0.1", "train_per_class": "7",
+    "holdout_per_class": "3", "test_per_class": "5", "data_dir": "batches", "cifar_classes": "1,2",
+    "per_class_cap": "9", "lr": "0.3", "epochs": "2", "batch_size": "8", "lr_decay": "0.9", "loss": "mse",
+    "seed": "5", "out": "somewhere", "run": "elsewhere", "test_index": "2", "method": "relatif", "top": "3",
+    "epsilon": "0.002", "lam": "2.5", "hessian_examples": "30", "train_index": "4", "sigma": "0.1",
+    "samples": "3", "ks": "10,50", "tests": "4", "top_m": "2", "lr_step": "0.01", "fill": "zero",
+    "top_r": "2", "fractions": "0,0.5", "patch_size": "3", "patch_color": "0.5,0.5,0.5", "target_class": "1",
+    "probe_class": "2", "probes": "3", "harmful": "4", "n": "7", "c": "3.0", "t": "0.5",
+}
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -327,6 +346,55 @@ class TestConfigFile:
     def test_missing_config_file_is_data_error(self, capsys):
         assert cli.main(["--config", "/no/such/file", "toy-ridge"]) == 2
 
+    @pytest.mark.parametrize(
+        "pair, argv, flag",
+        [
+            ("method=bogus", ["rank", "--run", "RUN", "--test-index", "0"], "--method"),
+            ("fill=bogus", ["insertion", "--run", "RUN"], "--fill"),
+            ("data=bogus", ["train", "--out", "OUT"], "--data"),
+            ("loss=bogus", ["train", "--out", "OUT"], "--loss"),
+            ("loss=bogus", ["patch-sweep", "--out", "OUT"], "--loss"),
+            ("lr=abc", ["train", "--out", "OUT"], "--lr"),
+        ],
+    )
+    def test_bad_value_is_one_line_usage_error(self, pair, argv, flag, run_dir, tmp_path, library_must_not_run, capsys):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out"
+        cfg.write_text(pair + "\n")
+        argv = [{"RUN": str(run_dir), "OUT": str(out)}.get(a, a) for a in argv]
+        assert cli.main(["--config", str(cfg), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tfa {argv[0]}: argument {flag}: invalid ")
+        assert err.count("\n") == 1 and repr(pair.split("=")[1]) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--config", "CFG", "saliency"], ["saliency", "--raw"]])
+    def test_raw_is_no_flag(self, argv, run_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("raw=false\n")
+        argv = [{"CFG": str(cfg)}.get(a, a) for a in argv]
+        assert cli.main([*argv, "--run", str(run_dir), "--train-index", "0", "--test-index", "0"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_file_supplies_a_required_flag(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "run"
+        cfg.write_text(f"out={out}\nsize=12\ntrain-per-class=3\ntest-per-class=1\nholdout_per_class=0\nepochs=0\n")
+        assert cli.main(["--config", str(cfg), "train"]) == 0
+        assert read_key_value(out / "manifest.txt")["size"] == "12"
+
+    def test_file_and_command_line_parse_to_the_same_flags(self, tmp_path):
+        parser = cli.build_parser()
+        for command, subparser in parser._subparsers._group_actions[0].choices.items():
+            flags = {act.option_strings[0]: act for act in subparser._actions if act.nargs != 0}
+            assert {act.dest for act in flags.values()} <= PARITY_VALUES.keys(), command
+            cfg = tmp_path / f"{command}.txt"
+            cfg.write_text("".join(f"{act.dest}={PARITY_VALUES[act.dest]}\n" for act in flags.values()))
+            from_file = parser.parse_args(cli.apply_config_file(parser, ["--config", str(cfg), command]))
+            argv = [f"{flag}={PARITY_VALUES[act.dest]}" for flag, act in flags.items()]
+            from_line = parser.parse_args([command, *argv])
+            assert vars(from_file) == {**vars(from_line), "config": str(cfg)}
+            for act in flags.values():  # each value moved its flag off the default
+                assert getattr(from_file, act.dest) != act.default, (command, act.dest)
+
 
 class TestRank:
     def test_table_is_sorted_and_complete(self, run_dir, capsys):
@@ -358,12 +426,13 @@ class TestRank:
         assert cli.main(base + ["--method", "influence"]) == 0
         manifest = read_key_value(run_dir / "manifest_rank_test2_influence.txt")
         run = cli.Run(run_dir)
-        hessian = dense_hessian(run.model, run.params, run.train_ds.subset(range(20)))
+        hessian = dense_hessian(run.model, run.params, run.train_ds.subset(np.arange(20) * 75 // 20))
         smallest = float(np.linalg.eigvalsh(hessian.matrix)[0])
         assert float(manifest["lambda_min"]) == smallest
         assert float(manifest["lam"]) == hessian.default_damping() + max(0.0, -1.1 * smallest)
         assert cli.main(base) == 0
-        assert read_key_value(run_dir / "manifest_rank_test2_grad-cos.txt")["lambda_min"] == "unused"
+        manifest = read_key_value(run_dir / "manifest_rank_test2_grad-cos.txt")
+        assert [manifest["lambda_min"], manifest["hessian_examples"]] == ["unused", "unused"]
 
     @pytest.mark.parametrize(
         "method, lam, epsilon",
@@ -377,19 +446,38 @@ class TestRank:
         assert cli.main(argv) == 0
         manifest = read_key_value(run_dir / f"manifest_rank_test3_{method}.txt")
         assert [manifest["lam"], manifest["epsilon"]] == [str(lam), str(epsilon)]
+        assert manifest["hessian_examples"] == ("unused" if lam == "unused" else "10")
 
     @pytest.mark.parametrize("method", ["influence", "relatif"])
     def test_library_default_damping_ranks_as_the_cli(self, run_dir, method, capsys):
         argv = ["rank", "--run", str(run_dir), "--test-index", "4", "--method", method]
         assert cli.main([*argv, "--hessian-examples", "20"]) == 0
         run = cli.Run(run_dir)
-        hessian = dense_hessian(run.model, run.params, run.train_ds.subset(range(20)))
+        hessian = dense_hessian(run.model, run.params, run.train_ds.subset(np.arange(20) * 75 // 20))
         assert np.linalg.eigvalsh(hessian.matrix)[0] < 0.0  # indefinite: the default must damp
         expected = rank_training_set(
             run.model, run.params, run.train_ds, run.test_example(4), method, hessian=hessian
         )
         table = read_rank_table(run_dir / "tables" / f"rank_test4_{method}.csv")
         assert table == [(r.train_index, r.score) for r in expected.records]
+
+    @pytest.mark.parametrize("examples, used", [(20, np.arange(20) * 75 // 20), (100, None)], ids=["k<N", "k>=N"])
+    def test_hessian_is_built_over_evenly_spaced_examples_of_every_class(self, run_dir, examples, used, capsys):
+        argv = ["rank", "--run", str(run_dir), "--test-index", "6", "--method", "influence"]
+        assert cli.main([*argv, "--hessian-examples", str(examples)]) == 0
+        run = cli.Run(run_dir)
+        labels = run.train_ds.y
+        assert np.array_equal(labels, np.sort(labels))  # class-ordered: a prefix of 20 is all class 0
+        subset = run.train_ds if used is None else run.train_ds.subset(used)  # k >= N: every example
+        assert set(subset.y) == set(labels)
+        hessian = dense_hessian(run.model, run.params, subset)
+        expected = rank_training_set(
+            run.model, run.params, run.train_ds, run.test_example(6), "influence", hessian=hessian
+        )
+        table = read_rank_table(run_dir / "tables" / "rank_test6_influence.csv")
+        assert table == [(r.train_index, r.score) for r in expected.records]
+        manifest = read_key_value(run_dir / "manifest_rank_test6_influence.txt")
+        assert manifest["hessian_examples"] == str(len(subset))
 
     @pytest.mark.parametrize("method", ["influence", "relatif"])
     @pytest.mark.parametrize("examples", ["0", "-3"])
@@ -441,15 +529,6 @@ class TestRank:
 
 
 class TestSaliency:
-    def test_raw_equals_sigma_zero_single_sample(self, run_dir, capsys):
-        base = ["saliency", "--run", str(run_dir), "--train-index", "2", "--test-index", "0"]
-        assert cli.main(base + ["--sigma", "0", "--samples", "1"]) == 0
-        stem = run_dir / "maps" / "saliency_train2_test0"
-        sigma_zero = stem.with_suffix(".pgm").read_bytes(), stem.with_suffix(".csv").read_bytes()
-        assert cli.main(base + ["--raw"]) == 0
-        raw = stem.with_suffix(".pgm").read_bytes(), stem.with_suffix(".csv").read_bytes()
-        assert raw == sigma_zero
-
     def test_sigma_zero_manifest_records_one_sample_and_an_unused_seed(self, run_dir, capsys):
         argv = ["saliency", "--run", str(run_dir), "--train-index", "2", "--test-index", "0"]
         assert cli.main(argv + ["--sigma", "0", "--samples", "10", "--seed", "5"]) == 0
@@ -533,7 +612,7 @@ class TestManifests:
         [
             (["rank", "--run", "RUN", "--test-index", "5", "--method", "grad-effect"],
              "{RUN}/manifest_rank_test5_grad-effect.txt"),
-            (["saliency", "--run", "RUN", "--train-index", "5", "--test-index", "5", "--raw"],
+            (["saliency", "--run", "RUN", "--train-index", "5", "--test-index", "5", "--sigma", "0"],
              "{RUN}/manifest_saliency_train5_test5.txt"),
             (["insertion", "--run", "RUN", "--ks", "100", "--tests", "1", "--top-m", "1", "--samples", "1"],
              "{RUN}/manifest_insertion.txt"),
@@ -550,9 +629,9 @@ class TestManifests:
         assert cli.main([places.get(a, a) for a in argv]) == 0
         keys = read_key_value(manifest.format(**places))
         subparser = cli.build_parser()._subparsers._group_actions[0].choices[argv[0]]
-        # --run and --out are locations, rank --top and saliency --raw shape no
-        # artifact, and the run record of a synthetic run holds no CIFAR-10 flag
-        unrecorded = {"help", "run", "out", "top", "raw", *CIFAR_KEYS}
+        # --run and --out are locations, rank --top shapes no artifact, and
+        # the run record of a synthetic run holds no CIFAR-10 flag
+        unrecorded = {"help", "run", "out", "top", *CIFAR_KEYS}
         assert {a.dest for a in subparser._actions} - unrecorded <= keys.keys()
 
     @pytest.mark.parametrize(
