@@ -111,8 +111,8 @@ def generate_synthetic(spec: SyntheticShapesSpec):
     return train, holdout, test
 
 
-def parse_cifar10_bytes(raw: bytes):
-    """Decode binary records into images in [0, 1] and integer labels.
+def _cifar10_records(raw: bytes) -> np.ndarray:
+    """Check binary records and return them as an (N, 3073) uint8 array.
 
     Each 3073-byte record is one label byte followed by 3072 pixel bytes
     laid out as three 32x32 row-major planes, red then green then blue.
@@ -122,12 +122,21 @@ def parse_cifar10_bytes(raw: bytes):
             f"file length {len(raw)} is not a positive multiple of {RECORD_BYTES}"
         )
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, RECORD_BYTES)
-    y = records[:, 0].astype(np.int64)
-    bad = y >= NUM_LABELS
+    bad = records[:, 0] >= NUM_LABELS
     if bad.any():
-        raise FormatError(f"invalid label byte {int(y[bad][0])} in record {int(np.flatnonzero(bad)[0])}")
-    X = records[:, 1:].reshape(-1, *IMAGE_SHAPE).astype(np.float64) / 255.0
-    return X, y
+        raise FormatError(f"invalid label byte {int(records[bad][0, 0])} in record {int(np.flatnonzero(bad)[0])}")
+    return records
+
+
+def _decode_images(records: np.ndarray) -> np.ndarray:
+    """The (N, 3, 32, 32) images in [0, 1] of checked records."""
+    return records[:, 1:].reshape(-1, *IMAGE_SHAPE).astype(np.float64) / 255.0
+
+
+def parse_cifar10_bytes(raw: bytes):
+    """Decode binary records into images in [0, 1] and integer labels."""
+    records = _cifar10_records(raw)
+    return _decode_images(records), records[:, 0].astype(np.int64)
 
 
 def load_cifar10_binary(directory, classes, per_class_cap, holdout_per_class):
@@ -151,15 +160,17 @@ def load_cifar10_binary(directory, classes, per_class_cap, holdout_per_class):
         if not f.exists():
             raise FormatError(f"missing batch file {f.name}")
     remap = {int(c): i for i, c in enumerate(classes)}
+    relabel = np.array([remap.get(label, -1) for label in range(NUM_LABELS)])  # -1: not listed
 
     def split(files, held_per_class):
-        X, y = map(np.concatenate, zip(*(parse_cifar10_bytes(f.read_bytes()) for f in files)))
-        keep = np.isin(y, list(remap))
-        X, y = X[keep], np.array([remap[int(v)] for v in y[keep]], dtype=np.int64)
+        # records stay uint8 until the kept rows are chosen; only those are decoded
+        records = np.concatenate([_cifar10_records(f.read_bytes()) for f in files])
+        y = relabel[records[:, 0]]
         kept = [np.flatnonzero(y == c)[:per_class_cap] for c in range(len(classes))]
         held = np.sort(np.concatenate([k[max(len(k) - held_per_class, 0) :] for k in kept]))
         rest = np.setdiff1d(np.concatenate(kept), held)
-        return Dataset(X[rest], y[rest]), Dataset(X[held], y[held]) if len(held) else None
+        train = Dataset(_decode_images(records[rest]), y[rest])
+        return train, Dataset(_decode_images(records[held]), y[held]) if len(held) else None
 
     train, holdout = split(train_files, holdout_per_class)
     test, _ = split([test_file], 0)

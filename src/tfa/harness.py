@@ -387,11 +387,7 @@ def patch_attribution_fraction(grid, spec: PatchSpec) -> float:
 
 def check_patch(arch, spec: PatchSpec, probe_class: int) -> None:
     """Raise ValueError unless the patch fits arch's images and its target and probe_class are two classes of arch."""
-    channels, height, width = arch.input_shape
-    if len(spec.color) != channels:
-        raise ValueError(f"patch color has {len(spec.color)} channels, images have {channels}")
-    if spec.size > min(height, width):
-        raise ValueError(f"patch size {spec.size} does not fit in {height}x{width} images")
+    apply_patch(np.zeros(arch.input_shape), spec)
     t, k = spec.target_class, arch.num_classes
     if len({t, probe_class} & set(range(k))) != 2:
         raise ValueError(f"target class {t} and probe class {probe_class} must be two different classes in [0, {k})")

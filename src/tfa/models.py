@@ -1,9 +1,10 @@
 """Small differentiable classifiers on top of the autodiff graph.
 
-Architectures are declarative layer lists; parameters live in one flat
-float64 vector so attribution code can treat "the parameters" as a single
-differentiation target. Losses are recorded per example; minibatch training
-takes the explicit mean over a batched tensor.
+Architectures are declarative layer lists, checked by recording one zero
+example through the ops. Parameters live in one flat float64 vector of
+``Model.num_params`` entries, so attribution code can treat "the parameters"
+as a single differentiation target. Losses are recorded per example;
+minibatch training takes the explicit mean over a batched tensor.
 
 The plain-value passes (``Model.logits`` and ``Model.mean_loss``, and with
 them ``predict`` and ``accuracy``) record at most ``EVAL_ROWS`` examples per
@@ -65,7 +66,7 @@ class Flatten:
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """Layer list plus input/output contract; shapes are validated eagerly."""
+    """Layer list plus input/output contract, checked by recording one zero example through the ops."""
 
     layers: tuple
     input_shape: tuple
@@ -76,41 +77,12 @@ class ArchitectureSpec:
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
-        out = self.layer_shapes()[-1]
+        model, graph = Model(self), ad.Graph()
+        out = model.record_forward(
+            graph.constant(np.zeros(model.num_params)), graph.constant(np.zeros((1, *self.input_shape)))
+        ).shape[1:]
         if out != (self.num_classes,):
             raise ValueError(f"final layer produces {out}, expected ({self.num_classes},)")
-
-    def layer_shapes(self) -> list[tuple]:
-        """Per-example shape after each layer, starting from input_shape."""
-        shape = self.input_shape
-        shapes = []
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, Dense):
-                if len(shape) != 1 or shape[0] != layer.in_features:
-                    raise ValueError(f"layer {i}: dense expects ({layer.in_features},), got {shape}")
-                shape = (layer.out_features,)
-            elif isinstance(layer, Conv2d):
-                if len(shape) != 3 or shape[0] != layer.in_channels:
-                    raise ValueError(f"layer {i}: conv expects {layer.in_channels} channels, got {shape}")
-                c, h, w = shape
-                if layer.kernel > h or layer.kernel > w:
-                    raise ValueError(f"layer {i}: kernel {layer.kernel} larger than input {h}x{w}")
-                shape = (layer.out_channels, h - layer.kernel + 1, w - layer.kernel + 1)
-            elif isinstance(layer, MaxPool):
-                if len(shape) != 3:
-                    raise ValueError(f"layer {i}: maxpool needs a spatial input, got {shape}")
-                c, h, w = shape
-                if h < layer.kernel or w < layer.kernel:
-                    raise ValueError(f"layer {i}: pool window {layer.kernel} larger than {h}x{w}")
-                shape = (c, h // layer.kernel, w // layer.kernel)
-            elif isinstance(layer, Flatten):
-                shape = (int(np.prod(shape)),)
-            elif isinstance(layer, Relu):
-                pass
-            else:
-                raise TypeError(f"unknown layer {layer!r}")
-            shapes.append(shape)
-        return shapes
 
 
 def tiny_cnn(input_shape=(1, 32, 32), num_classes: int = 3) -> ArchitectureSpec:
@@ -118,8 +90,6 @@ def tiny_cnn(input_shape=(1, 32, 32), num_classes: int = 3) -> ArchitectureSpec:
     c, h, w = input_shape
     h2 = ((h - 2) // 2 - 2) // 2
     w2 = ((w - 2) // 2 - 2) // 2
-    if h2 < 1 or w2 < 1:
-        raise ValueError(f"input {h}x{w} is too small for the two-block architecture")
     layers = (
         Conv2d(c, 8, 3),
         Relu(),
@@ -186,13 +156,8 @@ def init_params(arch: ArchitectureSpec, seed: int) -> ParamVector:
     for s in layout:
         if s.name != "weight":
             continue
-        layer = arch.layers[s.layer]
-        if isinstance(layer, Dense):
-            fan_in, fan_out = layer.in_features, layer.out_features
-        else:
-            fan_in = layer.in_channels * layer.kernel**2
-            fan_out = layer.out_channels * layer.kernel**2
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        # fan_in + fan_out: in + out of a dense (in, out) weight, (in + out) k^2 of a conv (out, in, k, k) one
+        limit = np.sqrt(6.0 / ((s.shape[0] + s.shape[1]) * int(np.prod(s.shape[2:]))))
         size = int(np.prod(s.shape))
         data[s.offset : s.offset + size] = rng.uniform(-limit, limit, size=size)
     return ParamVector(data, layout)
@@ -298,6 +263,8 @@ class Model:
 
         theta is the flat parameter node, X is (N, ...) matching input_shape.
         """
+        if theta.shape != (self.num_params,):
+            raise ad.ShapeError(f"parameter vector of shape {theta.shape}, expected ({self.num_params},)")
         if X.shape[1:] != self.arch.input_shape:
             raise ad.ShapeError(
                 f"input shape {X.shape[1:]} does not match {self.arch.input_shape}"
@@ -313,6 +280,8 @@ class Model:
                 h = ad.maxpool2d(h, layer.kernel)
             elif isinstance(layer, Flatten):
                 h = ad.reshape(h, (h.shape[0], -1))
+            else:
+                raise TypeError(f"unknown layer {layer!r}")
         return h
 
     def record_batch_loss(self, theta: ad.Node, X: ad.Node, labels, kind: str) -> ad.Node:

@@ -43,7 +43,7 @@ def write_manifest(path, mapping) -> None:
 
 
 def read_key_value(path) -> dict:
-    """Parse a key=value file; blank lines and # comments are skipped."""
+    """Parse a key=value file; blank lines and # comments are skipped, a repeated key is an error."""
     result = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -51,8 +51,10 @@ def read_key_value(path) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        result[key.strip()] = value.strip()
+        key, _, value = map(str.strip, line.partition("="))
+        if key in result:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+        result[key] = value
     return result
 
 

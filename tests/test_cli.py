@@ -165,8 +165,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags, flag, reason",
         [
-            (["--patch-color", "0.9,0.9,0.9"], "--patch-color", "patch color has 3 channels, images have 1"),
-            (["--patch-size", "13"], "--patch-size", "patch size 13 does not fit in 12x12 images"),
+            (["--patch-color", "0.9,0.9,0.9"], "--patch-color", "patch color has 3 channels, image has 1"),
+            (["--patch-size", "13"], "--patch-size", "patch of size 13 does not fit in 12x12 image"),
             (["--target-class", "2", "--probe-class", "2"], "--probe-class",
              "target class 2 and probe class 2 must be two different classes in [0, 3)"),
         ],
@@ -337,6 +337,15 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert f"{cfg}:2" in captured.err and "garbage" in captured.err
+
+    def test_repeated_key_is_one_line_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n=3\nc=3.0\nn=7\n")
+        assert cli.main(["--config", str(cfg), "toy-ridge"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{cfg}:3" in captured.err and "'n' given twice" in captured.err
 
     def test_flag_that_abbreviates_config_is_not_config(self, capsys):
         assert cli.main(["toy-ridge", "--c", "3"]) == 0
@@ -721,6 +730,14 @@ class TestRunRecord:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "cannot restore run" in err and "expected key=value" in err
+
+    def test_repeated_manifest_key_is_data_error(self, run_dir, tmp_path, capsys):
+        (tmp_path / "manifest.txt").write_text((run_dir / "manifest.txt").read_text() + "seed=1\n")
+        (tmp_path / "params.npy").write_bytes((run_dir / "params.npy").read_bytes())
+        assert cli.main(["rank", "--run", str(tmp_path), "--test-index", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot restore run" in err and "'seed' given twice" in err
 
     def test_parent_format_synthetic_manifest_restores_the_same_data(self, tmp_path):
         (tmp_path / "manifest.txt").write_text(

@@ -1,5 +1,7 @@
 """Synthetic shape generation and binary batch-format round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,21 @@ class TestDirectoryLoader:
         for cap, h in ((0, 0), (3, -1)):
             with pytest.raises(ValueError):
                 load_cifar10_binary(tmp_path, (4,), cap, h)
+
+    def test_only_kept_records_are_decoded(self, tmp_path):
+        labels = [9] * 195 + [0] * 5  # records of an unlisted class vastly outnumber the kept ones
+        for i in range(1, 6):
+            (tmp_path / f"data_batch_{i}.bin").write_bytes(fake_records(200, seed=i, labels=labels)[0])
+        (tmp_path / "test_batch.bin").write_bytes(fake_records(200, seed=9, labels=labels)[0])
+        raw_bytes = 5 * 200 * RECORD_BYTES
+        tracemalloc.start()
+        try:
+            train_ds, _, _ = load_cifar10_binary(tmp_path, (0,), 1000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(train_ds) == 25
+        assert peak < 3 * raw_bytes
 
     def test_missing_file_is_a_format_error(self, tmp_path):
         self.write_layout(tmp_path)

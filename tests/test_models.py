@@ -1,6 +1,7 @@
 """Model construction, initialization, gradients, and training."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -47,29 +48,36 @@ def logistic(d=4, k=3):
 
 
 class TestArchitecture:
-    def test_shape_chain_of_the_cnn(self):
-        arch = tiny_cnn()
-        shapes = arch.layer_shapes()
-        assert shapes[0] == (8, 10, 10)
-        assert shapes[2] == (8, 5, 5)
-        assert shapes[3] == (16, 3, 3)
-        assert shapes[5] == (16, 1, 1)
-        assert shapes[-1] == (2,)
+    @pytest.mark.parametrize(
+        "layers, input_shape, num_classes, error, reason",
+        [
+            pytest.param((Dense(3, 2),), (4,), 2, ad.ShapeError, "matmul: incompatible shapes (1, 4) @ (3, 2)",
+                         id="dense-size"),
+            pytest.param((Conv2d(1, 4, 3), Flatten(), Dense(4, 2)), (3, 8, 8), 2, ad.ShapeError,
+                         "conv2d: input has 3 channels, kernel expects 1", id="conv-channels"),
+            pytest.param((Dense(4, 5),), (4,), 2, ValueError, "final layer produces (5,), expected (2,)",
+                         id="class-count"),
+            pytest.param((Conv2d(1, 4, 9), Flatten(), Dense(4, 2)), (1, 8, 8), 2, ad.ShapeError,
+                         "conv2d: kernel 9x9 larger than input 8x8", id="kernel-larger-than-input"),
+            pytest.param((MaxPool(2), Dense(2, 2)), (4,), 2, ad.ShapeError,
+                         "maxpool2d expects a 4-d input, got (1, 4)", id="pool-on-flat-input"),
+            pytest.param((MaxPool(9), Flatten(), Dense(36, 2)), (1, 6, 6), 2, ad.ShapeError,
+                         "maxpool2d: window 9 larger than input 6x6", id="window-larger-than-input"),
+            pytest.param((Conv2d(1, 2, 1), Dense(4, 2)), (1, 6, 6), 2, ad.ShapeError,
+                         "matmul: incompatible shapes (1, 2, 6, 6) @ (4, 2)", id="dense-on-spatial-input"),
+            pytest.param((Dense(4, 2), "dense"), (4,), 2, TypeError, "unknown layer 'dense'", id="unknown-layer"),
+            pytest.param(None, (1, 8, 8), 3, ad.ShapeError, "maxpool2d: window 2 larger than input 1x1",
+                         id="tiny-cnn-input-too-small"),  # None: models.tiny_cnn(input_shape, num_classes)
+        ],
+    )
+    def test_mismatched_layers_rejected(self, layers, input_shape, num_classes, error, reason, no_cyclic_garbage):
+        with pytest.raises(error, match=re.escape(reason)):
+            if layers is None:
+                models.tiny_cnn(input_shape, num_classes)
+            else:
+                ArchitectureSpec(layers, input_shape, num_classes)
 
-    def test_mismatched_layers_rejected(self):
-        with pytest.raises(ValueError):
-            ArchitectureSpec(layers=(Dense(3, 2),), input_shape=(4,), num_classes=2)
-        with pytest.raises(ValueError):
-            ArchitectureSpec(
-                layers=(Conv2d(1, 4, 3), Flatten(), Dense(4, 2)),
-                input_shape=(3, 8, 8),
-                num_classes=2,
-            )
-        with pytest.raises(ValueError):
-            # final shape must equal the class count
-            ArchitectureSpec(layers=(Dense(4, 5),), input_shape=(4,), num_classes=2)
-
-    def test_parameter_count_stays_small(self):
+    def test_parameter_count_stays_small(self, no_cyclic_garbage):
         arch = tiny_cnn()
         assert Model(arch).num_params < 20_000
 
@@ -151,6 +159,18 @@ class TestLossAndGrad:
         params = init_params(arch, seed=0)
         with pytest.raises(ValueError):
             model.loss(params, LabeledExample(np.zeros(4), 3))
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_parameter_vector_of_another_length_rejected(self, extra):
+        arch = tiny_cnn()
+        model = Model(arch)
+        params = init_params(arch, seed=0)
+        wrong = models.ParamVector(np.resize(params.data, params.size + extra), params.layout)
+        ds = Dataset(np.zeros((2, 1, 12, 12)), [0, 1])
+        calls = (model.loss, model.param_grad, lambda p, _: tda.dense_hessian(model, p, ds))
+        for call in calls:
+            with pytest.raises(ad.ShapeError, match=re.escape(f"shape ({params.size + extra},), expected")):
+                call(wrong, ds.example(0))
 
 
 class TestExamples:
@@ -307,11 +327,9 @@ class TestEvaluationSlices:
         model.record_batch_loss(graph.constant(params.data), graph.constant(ds.X), ds.y, "cross-entropy")
 
         # only conv2d reads a table; maxpool2d reads strided views
-        geometries, shape = set(), arch.input_shape
-        for layer, out in zip(arch.layers, arch.layer_shapes()):
-            if isinstance(layer, Conv2d):
-                geometries.add((*shape, layer.kernel, layer.kernel))
-            shape = out
+        convs = [layer for layer in arch.layers if isinstance(layer, Conv2d)]
+        inputs = [node.parents[0].shape[1:] for node in graph.nodes if node.kind == "im2col"]
+        geometries = {(*shape, conv.kernel, conv.kernel) for shape, conv in zip(inputs, convs, strict=True)}
         assert len(ad._WINDOW_TABLES) == len(geometries) == 2
         assert set(ad._WINDOW_TABLES) == geometries
         # a smaller batch recorded meanwhile reads a prefix of the live batch's indices
