@@ -7,7 +7,7 @@ is what the saliency code relies on: it needs the input-gradient of a scalar
 that was itself built from parameter gradients.
 
 Everything is float64. Nonlinear primitives are kept to a minimum; composite
-operations (convolution, pooling, losses, cosine) are built from the
+operations (convolution, pooling, cross-entropy, cosine) are built from the
 primitives so their second derivatives come for free. Convolution is lowered
 to a flat gather (im2col) plus a matmul; gather/scatter are exact linear
 adjoints of one another, which keeps double backprop through both exact. The
@@ -478,40 +478,25 @@ def maxpool2d(x: Node, k: int) -> Node:
     return x.graph._append("maxpool", (x,), value, vjp, meta=k)
 
 
-def _checked_labels(loss: str, logits: Node, labels):
-    """(labels, N, K) for (N, K) logits, with labels an array of shape (N,) in [0, K)."""
+def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
+    """Per-example cross-entropy of (N, K) logits against integer labels in [0, K).
+
+    Stabilized by subtracting the rowwise max as a constant, which leaves the
+    value and both derivative orders exact.
+    """
     if logits.value.ndim != 2:
-        raise ShapeError(f"{loss} expects (N, K) logits, got {logits.shape}")
+        raise ShapeError(f"softmax_cross_entropy expects (N, K) logits, got {logits.shape}")
     labels = np.asarray(labels)
     n, k = logits.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match {n} rows")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range for {k} classes")
-    return labels, n, k
-
-
-def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
-    """Per-example cross-entropy of (N, K) logits against integer labels.
-
-    Stabilized by subtracting the rowwise max as a constant, which leaves the
-    value and both derivative orders exact.
-    """
-    labels, n, k = _checked_labels("softmax_cross_entropy", logits, labels)
     m = logits.value.max(axis=1, keepdims=True)
     shifted = add(logits, logits.graph.constant(-m))
     lse = add(log(reduce_sum(exp(shifted), axis=1)), logits.graph.constant(m[:, 0]))
     picked = take(logits, np.arange(n) * k + labels)
     return add(lse, neg(picked))
-
-
-def mse_loss(logits: Node, labels: np.ndarray) -> Node:
-    """Per-example mean squared error of (N, K) logits against one-hot targets over K classes."""
-    labels, n, k = _checked_labels("mse_loss", logits, labels)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    diff = add(logits, logits.graph.constant(-onehot))
-    return div(reduce_sum(mul(diff, diff), axis=1), float(k))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from .harness import (
     paired_insertion_experiment,
     patch_sweep,
 )
-from .models import LOSS_KINDS, Model, ParamVector, TrainConfig, tiny_cnn, train
+from .models import Model, ParamVector, TrainConfig, tiny_cnn, train
 from .outputs import format_csv, read_key_value, write_csv, write_grid_artifacts, write_manifest
 from .ridge import ToySetup, feature_contributions, representer_coefficients
 from .rng import child_seed
@@ -126,7 +126,7 @@ RUN_KEYS = {
     "synthetic": ("size", "classes", "noise", "train_per_class", "holdout_per_class", "test_per_class"),
     "cifar10": ("data_dir", "cifar_classes", "per_class_cap", "holdout_per_class"),
 }
-TRAIN_KEYS = ("lr", "epochs", "batch_size", "lr_decay", "loss")
+TRAIN_KEYS = ("lr", "epochs", "batch_size", "lr_decay")
 
 
 def add_data_flags(p):
@@ -147,7 +147,6 @@ def add_train_flags(p):
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr-decay", type=finite_float, default=0.93)
-    p.add_argument("--loss", choices=LOSS_KINDS, default="cross-entropy")
 
 
 def add_smoothing_flags(p, samples_default=10):
@@ -342,7 +341,7 @@ def parse_run_record(manifest) -> argparse.Namespace:
 
 def cmd_train(args) -> int:
     record, config, arch, train_ds, _, test_ds = build_run(args)
-    model = Model(arch, config.loss)
+    model = Model(arch)
     params, _ = train(train_ds, arch, config, epoch_accuracy=False)
 
     out = Path(args.out)
@@ -356,7 +355,7 @@ def cmd_train(args) -> int:
         "num_classes": arch.num_classes,
         "train_seed": config.seed,
         "num_params": model.num_params,
-        "final_train_accuracy": model.accuracy(params, train_ds) if config.epochs else 0.0,
+        "final_train_accuracy": model.accuracy(params, train_ds),
         "test_accuracy": model.accuracy(params, test_ds),
     }
     write_manifest(out / "manifest.txt", manifest)
@@ -375,10 +374,12 @@ class Run:
             raise FormatError(f"{self.path} has no manifest.txt (not a run directory?)")
         try:
             self.manifest = read_key_value(manifest_path)
+            if self.manifest.get("loss", "cross-entropy") != "cross-entropy":  # a run of a removed loss kind
+                raise ValueError(f"loss={self.manifest['loss']}, but the one loss is cross-entropy")
             _, self.config, self.arch, self.train_ds, self.holdout, self.test_ds = build_run(
                 parse_run_record(self.manifest)
             )
-            self.model = Model(self.arch, self.config.loss)
+            self.model = Model(self.arch)
             self.params = ParamVector(np.load(self.path / "params.npy"), self.model.layout)
             if self.params.size != self.model.num_params:
                 raise ValueError(f"params.npy holds {self.params.size} values, the model has {self.model.num_params}")
@@ -455,16 +456,19 @@ def cmd_insertion(args) -> int:
     run = Run(args.run)
     if run.holdout is None:
         raise FormatError("this run has no holdout pool; retrain with --holdout-per-class > 0")
-    config = InterventionConfig(
-        k_percents=tuple(split_list(args.ks, int)),
-        num_tests=args.tests,
-        top_m=args.top_m,
-        lr_step=args.lr_step,
-        sigma=args.sigma,
-        samples=args.samples,
-        seed=args.seed,
-        fill=args.fill,
-    )
+    try:
+        config = InterventionConfig(
+            k_percents=tuple(split_list(args.ks, int)),
+            num_tests=args.tests,
+            top_m=args.top_m,
+            lr_step=args.lr_step,
+            sigma=args.sigma,
+            samples=args.samples,
+            seed=args.seed,
+            fill=args.fill,
+        )
+    except ValueError as e:
+        raise UsageError(f"--ks {args.ks}: {e}") from e
     results = paired_insertion_experiment(run.model, run.params, run.holdout, run.test_ds, config)
     table = run.path / "tables" / "insertion.csv"
     write_csv(table, [f.name for f in fields(PairedResult)], [astuple(r) for r in results])

@@ -50,6 +50,8 @@ class InterventionConfig:
         for k in self.k_percents:
             if not 0 < k <= 100:
                 raise ValueError(f"k percent must lie in (0, 100], got {k}")
+        if len(set(self.k_percents)) < len(self.k_percents):
+            raise ValueError(f"k percents must be distinct, got {self.k_percents}")
         if self.num_tests < 1 or self.top_m < 1 or self.samples < 1:
             raise ValueError("num_tests, top_m and samples must be positive")
         if self.sigma < 0:
@@ -418,16 +420,16 @@ def patch_sweep(
     up deterministically) are explained via their most harmful training
     examples, and the mean patch attribution fraction of those saliency
     grids is reported. Every per-fraction job derives its own seeds from
-    the fraction value, so the rows are independent of sweep order. The
-    model's loss kind is train_config.loss. check_patch checks the patch and
-    the class pair against the architecture before any training.
+    the fraction value, so the rows are independent of sweep order. check_patch
+    checks the patch and the class pair against the architecture before any
+    training.
     """
     check_patch(arch, spec, probe_class)
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"fractions must lie in [0, 1], got {f}")
 
-    model = Model(arch, train_config.loss)
+    model = Model(arch)
     probe_pool = np.flatnonzero(base_test.y == probe_class)
     if len(probe_pool) == 0:
         raise ValueError("test set has no probe-class images")

@@ -17,9 +17,8 @@ Attribution ranks one training set many times at fixed parameters, so a
 bytes of the parameters, inputs and labels; it lives and dies with the
 ``Model`` instance, and the array it hands out is read-only.
 
-Every attribution is a gradient of the model's own training loss, so the loss
-kind is a property of the ``Model``: it is checked once, when the model is
-built, and every loss and gradient entry point reads ``Model.loss_kind``.
+Every loss is the softmax cross-entropy of the logits against integer
+labels, the classification loss whose gradients every attribution reads.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 from . import autodiff as ad
 from .rng import stream
 
-LOSS_KINDS = ("cross-entropy", "mse")
 EVAL_ROWS = 32  # examples per graph in plain-value passes, which bounds their memory
 
 
@@ -77,6 +75,11 @@ class ArchitectureSpec:
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
+        for i, layer in enumerate(self.layers):
+            sizes = vars(layer) if isinstance(layer, (Dense, Conv2d, MaxPool)) else {}  # each field is a size
+            for name, value in sizes.items():
+                if value < 1:
+                    raise ValueError(f"layer {i} ({type(layer).__name__}): {name} must be at least 1, got {value}")
         model, graph = Model(self), ad.Graph()
         out = model.record_forward(
             graph.constant(np.zeros(model.num_params)), graph.constant(np.zeros((1, *self.input_shape)))
@@ -217,7 +220,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     seed: int = 0
-    loss: str = "cross-entropy"
     # per-epoch multiplicative decay; 1.0 keeps the rate constant
     lr_decay: float = 1.0
 
@@ -228,8 +230,6 @@ class TrainConfig:
             raise ValueError("lr_decay must lie in (0, 1]")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad epoch or batch size")
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"loss must be one of {LOSS_KINDS}")
 
 
 @dataclass
@@ -239,13 +239,10 @@ class TrainHistory:
 
 
 class Model:
-    """Recording and evaluation helpers for one architecture and loss kind."""
+    """Recording and evaluation helpers for one architecture."""
 
-    def __init__(self, arch: ArchitectureSpec, loss_kind: str = "cross-entropy"):
-        if loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss must be one of {LOSS_KINDS}")
+    def __init__(self, arch: ArchitectureSpec):
         self.arch = arch
-        self.loss_kind = loss_kind
         self.layout = _layout_for(arch)
         self.num_params = sum(int(np.prod(s.shape)) for s in self.layout)
         self._slices = {  # (layer, name) -> (flat indices, shape)
@@ -284,21 +281,18 @@ class Model:
                 raise TypeError(f"unknown layer {layer!r}")
         return h
 
-    def record_batch_loss(self, theta: ad.Node, X: ad.Node, labels, kind: str) -> ad.Node:
+    def record_batch_loss(self, theta: ad.Node, X: ad.Node, labels, kind: str = "cross-entropy") -> ad.Node:
         """Mean loss over a batch, as a scalar node."""
         per = self.record_per_example_loss(theta, X, labels, kind)
         return ad.div(ad.reduce_sum(per), float(per.shape[0]))
 
-    def record_per_example_loss(self, theta: ad.Node, X: ad.Node, labels, kind: str) -> ad.Node:
-        """Per-example loss of a batched input, as an (N,) node; the one switch over LOSS_KINDS."""
-        logits = self.record_forward(theta, X)
-        if kind == "cross-entropy":
-            return ad.softmax_cross_entropy(logits, labels)
-        if kind == "mse":
-            return ad.mse_loss(logits, labels)
-        raise ValueError(f"loss must be one of {LOSS_KINDS}")
+    def record_per_example_loss(self, theta: ad.Node, X: ad.Node, labels, kind: str = "cross-entropy") -> ad.Node:
+        """Per-example cross-entropy of a batched input, as an (N,) node; ``kind`` names the one loss."""
+        if kind != "cross-entropy":
+            raise ValueError(f"unknown loss {kind!r}; the one loss is 'cross-entropy'")
+        return ad.softmax_cross_entropy(self.record_forward(theta, X), labels)
 
-    def record_example_loss(self, theta: ad.Node, x: ad.Node, label: int, kind: str) -> ad.Node:
+    def record_example_loss(self, theta: ad.Node, x: ad.Node, label: int, kind: str = "cross-entropy") -> ad.Node:
         """Scalar loss of a single example whose input node has no batch axis."""
         xb = ad.reshape(x, (1,) + self.arch.input_shape)
         per = self.record_per_example_loss(theta, xb, np.array([label]), kind)
@@ -328,9 +322,7 @@ class Model:
 
     def loss(self, params: ParamVector, example: LabeledExample) -> float:
         graph = ad.Graph()
-        node = self.record_example_loss(
-            graph.constant(params.data), graph.constant(example.x), example.y, self.loss_kind
-        )
+        node = self.record_example_loss(graph.constant(params.data), graph.constant(example.x), example.y)
         return float(node.value)
 
     def mean_loss(self, params: ParamVector, dataset: Dataset) -> float:
@@ -342,7 +334,7 @@ class Model:
             rows = slice(start, start + EVAL_ROWS)
             graph = ad.Graph()
             per[rows] = self.record_per_example_loss(
-                graph.constant(params.data), graph.constant(dataset.X[rows]), dataset.y[rows], self.loss_kind
+                graph.constant(params.data), graph.constant(dataset.X[rows]), dataset.y[rows]
             ).value
         return float(np.sum(per) / n)
 
@@ -350,7 +342,7 @@ class Model:
         """Flat gradient of one example's loss with respect to the parameters."""
         graph = ad.Graph()
         theta = graph.leaf(params.data)
-        loss = self.record_example_loss(theta, graph.constant(example.x), example.y, self.loss_kind)
+        loss = self.record_example_loss(theta, graph.constant(example.x), example.y)
         return ad.grad(loss, theta)
 
     def param_grads(self, params: ParamVector, dataset: Dataset) -> np.ndarray:
@@ -400,7 +392,7 @@ def train(dataset: Dataset, arch: ArchitectureSpec, config: TrainConfig, *, epoc
     epoch. That pass is a large share of an epoch's time, so callers that do
     not read it turn it off; the parameters do not depend on it.
     """
-    model = Model(arch, config.loss)
+    model = Model(arch)
     params = init_params(arch, config.seed)
     history = TrainHistory()
     n = len(dataset)
@@ -416,9 +408,7 @@ def train(dataset: Dataset, arch: ArchitectureSpec, config: TrainConfig, *, epoc
             # the heap top and every step page-faults its arrays anew
             graph = ad.Graph()
             theta = graph.leaf(params.data)
-            loss = model.record_batch_loss(
-                theta, graph.constant(dataset.X[batch]), dataset.y[batch], config.loss
-            )
+            loss = model.record_batch_loss(theta, graph.constant(dataset.X[batch]), dataset.y[batch])
             gradient = ad.grad(loss, theta)
             params = sgd_step(params, gradient, lr)
             loss_sum += float(loss.value) * len(batch)

@@ -47,7 +47,7 @@ def _pair_score_gradient(
     graph = ad.Graph()
     theta = graph.leaf(params.data)
     x = graph.leaf(x_train)
-    loss = model.record_example_loss(theta, x, y_train, model.loss_kind)
+    loss = model.record_example_loss(theta, x, y_train)
     (g_train,) = ad.backward(loss, [theta])
     _checked_norm(g_train.value, "train")
     score = ad.cosine(g_train, graph.constant(g_test))

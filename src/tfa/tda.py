@@ -184,7 +184,7 @@ def dense_hessian(model: Model, params: ParamVector, dataset: Dataset) -> Damped
         raise ValueError("Hessian of an empty dataset is undefined")
     graph = ad.Graph()
     theta = graph.leaf(params.data)
-    loss = model.record_batch_loss(theta, graph.constant(dataset.X), dataset.y, model.loss_kind)
+    loss = model.record_batch_loss(theta, graph.constant(dataset.X), dataset.y)
     reads = [n for n in graph.nodes if theta in n.parents]
     indices = [n.meta for n in reads if n.kind == "take"]
     if len(indices) < len(reads) or not np.array_equal(np.concatenate(indices), np.arange(p)):

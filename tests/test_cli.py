@@ -151,6 +151,7 @@ class TestExitCodes:
             (["toy-ridge", "--lambda", "-1"], "--lambda"),
             (["toy-ridge", "--c", "1e200"], "--c"),  # X'X overflows
             (["toy-ridge", "--c", "1e154", "--lambda", "1e308"], "--lambda"),  # X'X + lam I overflows
+            (["insertion", "--run", "RUN", "--ks", "10,20,10"], "--ks"),  # a repeated k would count its pairs twice
         ],
     )
     def test_bad_value_is_one_line_usage_error(self, argv, flag, run_dir, tmp_path, library_must_not_run, capsys):
@@ -260,6 +261,14 @@ class TestTrain:
         assert params.shape == (int(manifest["num_params"]),)
         assert float(manifest["final_train_accuracy"]) > 0.5
 
+    def test_zero_epochs_records_the_accuracy_of_the_initial_parameters(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        flags = ["--size", "12", "--train-per-class", "6", "--holdout-per-class", "0", "--test-per-class", "2"]
+        assert cli.main(["train", *flags, "--epochs", "0", "--out", str(out)]) == 0
+        run = cli.Run(out)
+        recorded = float(read_key_value(out / "manifest.txt")["final_train_accuracy"])
+        assert recorded == run.model.accuracy(run.params, run.train_ds) > 0.0
+
     def test_derived_seeds_are_recorded(self, run_dir):
         manifest = read_key_value(run_dir / "manifest.txt")
         # data and train streams must differ or reruns could entangle them
@@ -289,7 +298,7 @@ class TestTrain:
 PARITY_VALUES = {
     "data": "cifar10", "size": "12", "classes": "4", "noise": "0.1", "train_per_class": "7",
     "holdout_per_class": "3", "test_per_class": "5", "data_dir": "batches", "cifar_classes": "1,2",
-    "per_class_cap": "9", "lr": "0.3", "epochs": "2", "batch_size": "8", "lr_decay": "0.9", "loss": "mse",
+    "per_class_cap": "9", "lr": "0.3", "epochs": "2", "batch_size": "8", "lr_decay": "0.9",
     "seed": "5", "out": "somewhere", "run": "elsewhere", "test_index": "2", "method": "relatif", "top": "3",
     "epsilon": "0.002", "lam": "2.5", "hessian_examples": "30", "train_index": "4", "sigma": "0.1",
     "samples": "3", "ks": "10,50", "tests": "4", "top_m": "2", "lr_step": "0.01", "fill": "zero",
@@ -361,8 +370,6 @@ class TestConfigFile:
             ("method=bogus", ["rank", "--run", "RUN", "--test-index", "0"], "--method"),
             ("fill=bogus", ["insertion", "--run", "RUN"], "--fill"),
             ("data=bogus", ["train", "--out", "OUT"], "--data"),
-            ("loss=bogus", ["train", "--out", "OUT"], "--loss"),
-            ("loss=bogus", ["patch-sweep", "--out", "OUT"], "--loss"),
             ("lr=abc", ["train", "--out", "OUT"], "--lr"),
         ],
     )
@@ -374,6 +381,15 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith(f"tfa {argv[0]}: argument {flag}: invalid ")
         assert err.count("\n") == 1 and repr(pair.split("=")[1]) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "patch-sweep"])
+    def test_loss_is_no_flag(self, command, tmp_path, library_must_not_run, capsys):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out"
+        cfg.write_text("loss=cross-entropy\n")
+        assert cli.main(["--config", str(cfg), command, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"{cfg}: loss: no subcommand has this flag\n"
+        assert cli.main([command, "--loss", "cross-entropy", "--out", str(out)]) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--config", "CFG", "saliency"], ["saliency", "--raw"]])
@@ -523,18 +539,6 @@ class TestRank:
                 f"tables/rank_test5_{method}.csv", f"manifest_rank_test5_{method}.txt")])
         assert written[0] == written[1]
         assert not any(b"dense Hessian" in data for data in written[0])
-
-    def test_mse_run_is_ranked_with_mse_gradients(self, tmp_path, capsys):
-        out = tmp_path / "mse"
-        flags = ["--size", "12", "--train-per-class", "6", "--holdout-per-class", "0"]
-        flags += ["--test-per-class", "2", "--epochs", "2", "--loss", "mse", "--seed", "1"]
-        assert cli.main(["train", *flags, "--out", str(out)]) == 0
-        assert cli.main(["rank", "--run", str(out), "--test-index", "0"]) == 0
-        table = read_rank_table(out / "tables" / "rank_test0_grad-cos.csv")
-        run = cli.Run(out)
-        assert run.model.loss_kind == "mse"
-        expected = rank_training_set(run.model, run.params, run.train_ds, run.test_example(0))
-        assert table == [(r.train_index, r.score) for r in expected.records]
 
 
 class TestSaliency:
@@ -739,15 +743,16 @@ class TestRunRecord:
         assert err.count("\n") == 1
         assert "cannot restore run" in err and "'seed' given twice" in err
 
-    def test_parent_format_synthetic_manifest_restores_the_same_data(self, tmp_path):
-        (tmp_path / "manifest.txt").write_text(
+    def test_parent_format_synthetic_manifest_restores_the_same_data(self, tmp_path, capsys):
+        manifest = (
             "command=train\nseed=3\ndata=synthetic\nsize=12\nclasses=3\nnoise=0.05\n"
             "train_per_class=15\nholdout_per_class=4\ntest_per_class=4\n"
             "data_seed=18063667083137579888\narch=tiny-cnn\ninput_shape=1x12x12\nnum_classes=3\n"
-            "lr=0.2\nepochs=2\nbatch_size=32\nlr_decay=0.93\nloss=mse\n"
+            "lr=0.2\nepochs=2\nbatch_size=32\nlr_decay=0.93\nloss=cross-entropy\n"
             "train_seed=10770821970221957459\nnum_params=1299\n"
             "final_train_accuracy=0.3333333333333333\ntest_accuracy=0.3333333333333333\n"
         )
+        (tmp_path / "manifest.txt").write_text(manifest)
         np.save(tmp_path / "params.npy", np.zeros(1299))
         run = cli.Run(tmp_path)
         spec = SyntheticShapesSpec(
@@ -758,7 +763,12 @@ class TestRunRecord:
         assert (run.arch.input_shape, run.arch.num_classes, run.model.num_params) == ((1, 12, 12), 3, 1299)
         config = run.config
         assert (config.lr, config.epochs, config.batch_size, config.lr_decay) == (0.2, 2, 32, 0.93)
-        assert (config.loss, config.seed) == ("mse", 10770821970221957459)
+        assert config.seed == 10770821970221957459
+        # a run of the removed mse loss is refused, not restored as a cross-entropy model
+        (tmp_path / "manifest.txt").write_text(manifest.replace("loss=cross-entropy", "loss=mse"))
+        assert cli.main(["rank", "--run", str(tmp_path), "--test-index", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot restore run from {tmp_path}: loss=mse, but the one loss is cross-entropy\n"
 
     def test_parent_format_cifar_manifest_restores_the_same_data(self, cifar_dir, tmp_path):
         (tmp_path / "manifest.txt").write_text(
@@ -788,11 +798,8 @@ class TestRunRecord:
         labels=st.lists(st.integers(0, 9), min_size=1, max_size=10),
         lr=st.floats(1e-300, 1e300),
         lr_decay=st.floats(1e-300, 1.0),
-        loss=st.sampled_from(["cross-entropy", "mse"]),
     )
-    def test_record_parses_back_to_the_same_values(
-        self, tmp_path, data, seed, counts, noise, data_dir, labels, lr, lr_decay, loss
-    ):
+    def test_record_parses_back_to_the_same_values(self, tmp_path, data, seed, counts, noise, data_dir, labels, lr, lr_decay):
         size, train_per_class, holdout_per_class, cap, epochs = counts
         flags = [
             "train", "--data", data, "--seed", str(seed), "--size", str(size),
@@ -801,7 +808,7 @@ class TestRunRecord:
             "--test-per-class", str(cap), f"--data-dir={data_dir}",
             "--cifar-classes", ",".join(map(str, labels)), "--per-class-cap", str(cap),
             "--lr", repr(lr), "--epochs", str(epochs), "--batch-size", str(cap),
-            "--lr-decay", repr(lr_decay), "--loss", loss, "--out", "unused",
+            "--lr-decay", repr(lr_decay), "--out", "unused",
         ]
         try:
             args = cli.build_parser().parse_args(flags)

@@ -9,6 +9,7 @@ paired means decompose, patched subsets hit their exact quota).
 
 import functools
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,11 @@ class TestPairedInsertion:
             InterventionConfig(sigma=-1.0)
         with pytest.raises(ValueError):
             PairedResult(k=10, mean_random=0, mean_topk=0, mean_paired_delta=0, ci_half_width=-1, pairs=4)
+
+    def test_repeated_k_is_rejected(self):
+        # each k's deltas would be counted twice, as if independent samples
+        with pytest.raises(ValueError, match=re.escape("k percents must be distinct, got (10, 20, 10)")):
+            InterventionConfig(k_percents=(10, 20, 10))
 
 
 class TestExplainMisclassification:

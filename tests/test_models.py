@@ -66,8 +66,22 @@ class TestArchitecture:
             pytest.param((Conv2d(1, 2, 1), Dense(4, 2)), (1, 6, 6), 2, ad.ShapeError,
                          "matmul: incompatible shapes (1, 2, 6, 6) @ (4, 2)", id="dense-on-spatial-input"),
             pytest.param((Dense(4, 2), "dense"), (4,), 2, TypeError, "unknown layer 'dense'", id="unknown-layer"),
-            pytest.param(None, (1, 8, 8), 3, ad.ShapeError, "maxpool2d: window 2 larger than input 1x1",
+            pytest.param(None, (1, 8, 8), 3, ValueError, "layer 7 (Dense): in_features must be at least 1, got 0",
                          id="tiny-cnn-input-too-small"),  # None: models.tiny_cnn(input_shape, num_classes)
+            pytest.param(None, (1, 4, 12), 3, ValueError, "layer 7 (Dense): in_features must be at least 1, got -16",
+                         id="tiny-cnn-negative-head"),
+            pytest.param((Dense(-2, 2),), (4,), 2, ValueError, "layer 0 (Dense): in_features must be at least 1, got -2",
+                         id="dense-negative-in"),
+            pytest.param((Dense(0, 2),), (0,), 2, ValueError, "layer 0 (Dense): in_features must be at least 1, got 0",
+                         id="dense-zero-in"),
+            pytest.param((Conv2d(1, 0, 3), Flatten(), Dense(4, 2)), (1, 4, 4), 2, ValueError,
+                         "layer 0 (Conv2d): out_channels must be at least 1, got 0", id="conv-zero-channels"),
+            pytest.param((Conv2d(1, 2, 0), Flatten(), Dense(4, 2)), (1, 4, 4), 2, ValueError,
+                         "layer 0 (Conv2d): kernel must be at least 1, got 0", id="conv-zero-kernel"),
+            pytest.param((Relu(), MaxPool(0), Flatten(), Dense(4, 2)), (1, 2, 2), 2, ValueError,
+                         "layer 1 (MaxPool): kernel must be at least 1, got 0", id="pool-zero-window"),
+            pytest.param((MaxPool(-1), Flatten(), Dense(4, 2)), (1, 2, 2), 2, ValueError,
+                         "layer 0 (MaxPool): kernel must be at least 1, got -1", id="pool-negative-window"),
         ],
     )
     def test_mismatched_layers_rejected(self, layers, input_shape, num_classes, error, reason, no_cyclic_garbage):
@@ -110,20 +124,6 @@ class TestLossAndGrad:
         params = models.ParamVector(np.zeros(model.num_params), model.layout)
         ex = LabeledExample(np.array([0.2, -0.1, 0.5, 0.0]), 1)
         np.testing.assert_allclose(model.loss(params, ex), np.log(3.0), rtol=1e-12)
-
-    def test_mse_gradient_at_zero_weights(self):
-        # with all weights zero the gradient is -(2/K) x on the true row
-        arch = logistic(3, 2)
-        model = Model(arch, "mse")
-        params = models.ParamVector(np.zeros(model.num_params), model.layout)
-        x = np.array([0.5, -1.0, 2.0])
-        g = model.param_grad(params, LabeledExample(x, 1))
-        w_grad = g[:6].reshape(3, 2)
-        b_grad = g[6:]
-        expected = np.zeros((3, 2))
-        expected[:, 1] = -x
-        np.testing.assert_allclose(w_grad, expected, rtol=1e-12)
-        np.testing.assert_allclose(b_grad, [0.0, -1.0], rtol=1e-12)
 
     def test_param_grad_matches_fd_on_cnn(self):
         arch = tiny_cnn()
@@ -187,7 +187,7 @@ class TestExamples:
 class TestTraining:
     def test_sgd_step_decreases_convex_loss(self):
         arch = logistic(2, 2)
-        model = Model(arch, "mse")
+        model = Model(arch)
         params = init_params(arch, seed=5)
         ex = LabeledExample(np.array([1.0, -2.0]), 0)
         before = model.loss(params, ex)
@@ -288,8 +288,6 @@ class TestTrainConfig:
             TrainConfig(lr=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(loss="hinge")
 
 
 class TestEvaluationSlices:
@@ -304,14 +302,12 @@ class TestEvaluationSlices:
         ds = Dataset(rng.uniform(0.0, 1.0, size=(70, 1, 12, 12)), rng.integers(0, 3, size=70))
         return arch, model, params, ds
 
-    @pytest.mark.parametrize("kind", models.LOSS_KINDS)
-    def test_slices_match_one_graph(self, kind):
-        arch, _, params, ds = self.setup_70()
-        model = Model(arch, kind)
+    def test_slices_match_one_graph(self):
+        _, model, params, ds = self.setup_70()
         graph = ad.Graph()
         theta, X = graph.constant(params.data), graph.constant(ds.X)
         logits = model.record_forward(theta, X)
-        loss = model.record_batch_loss(theta, X, ds.y, kind)
+        loss = model.record_batch_loss(theta, X, ds.y)
 
         np.testing.assert_allclose(model.logits(params, ds.X), logits.value, rtol=1e-12)
         np.testing.assert_array_equal(model.predict(params, ds.X), logits.value.argmax(axis=1))
@@ -413,16 +409,6 @@ class TestGradientStore:
         assert not np.array_equal(after, before)
         np.testing.assert_array_equal(after, Model(arch).param_grads(params, ds))
 
-    def test_each_model_keeps_the_gradients_of_its_own_loss_kind(self):
-        arch, model, params, ds = self.setup_9()
-        mse = Model(arch, "mse")
-        G, G_mse = model.param_grads(params, ds), mse.param_grads(params, ds)
-        assert not np.array_equal(G, G_mse)
-        for i in range(len(ds)):
-            np.testing.assert_array_equal(G_mse[i], mse.param_grad(params, ds.example(i)))
-        assert model.param_grads(params, ds) is G
-        assert mse.param_grads(params, ds) is G_mse
-
     def test_empty_subset_is_an_empty_dataset(self):
         _, model, params, ds = self.setup_9()
         for empty in (ds.subset(range(0)), ds.subset([])):
@@ -432,14 +418,20 @@ class TestGradientStore:
 
 
 class TestLossKind:
-    """The loss kind is set once, on the Model; no attribution entry point takes another."""
+    """Softmax cross-entropy is the one loss; only the loss recorders name it, and no entry point takes a kind."""
 
     def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError):
-            Model(logistic(2, 2), "bogus")
+        model = Model(logistic(2, 2))
+        graph = ad.Graph()
+        theta, X = graph.constant(np.zeros(model.num_params)), graph.constant(np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="unknown loss 'mse'; the one loss is 'cross-entropy'"):
+            model.record_batch_loss(theta, X, np.array([0]), "mse")
 
-    def test_default_is_cross_entropy(self):
-        assert Model(logistic(2, 2)).loss_kind == "cross-entropy"
+    def test_model_and_config_take_no_loss_setting(self):
+        with pytest.raises(TypeError):
+            Model(logistic(2, 2), "cross-entropy")
+        with pytest.raises(TypeError):
+            TrainConfig(loss="cross-entropy")
 
     def test_no_attribution_entry_point_takes_a_loss_kind(self):
         entry_points = [Model.loss, Model.mean_loss, Model.param_grad, Model.param_grads]

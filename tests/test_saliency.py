@@ -183,22 +183,12 @@ class TestSaliencyAgainstFiniteDifferences:
         np.testing.assert_array_equal(sal.values[0, :, 4], 0.0)
 
     def test_degenerate_test_gradient_raises(self):
-        model, params, _ = trained_cnn()
-        z = LabeledExample(np.zeros((1, 8, 8)), 0)
-        # zero image, zero-ish gradients can still be fine; force the issue
-        # with an mse-perfect example instead
+        # logits (40, 0) at every input: a label-0 example's gradient has norm 4.9e-18
         arch = ArchitectureSpec(layers=(Dense(2, 2),), input_shape=(2,), num_classes=2)
-        m2 = Model(arch, "mse")
-        from tfa.models import ParamVector, sgd_step
-
-        p2 = init_params(arch, seed=4)
-        fit = LabeledExample(np.array([0.3, -0.6]), 1)
-        for _ in range(400):
-            g = m2.param_grad(p2, fit)
-            if np.linalg.norm(g) < 1e-13:
-                break
-            p2 = sgd_step(p2, g, lr=0.4)
-        other = LabeledExample(np.array([1.0, 0.5]), 0)
+        m2 = Model(arch)
+        p2 = ParamVector(np.array([0.0, 0.0, 0.0, 0.0, 40.0, 0.0]), m2.layout)
+        fit = LabeledExample(np.array([0.5, -0.25]), 0)
+        other = LabeledExample(np.array([1.0, 0.5]), 1)
         with pytest.raises(DegenerateGradientError):
             tfa_saliency(m2, p2, other, fit)
         with pytest.raises(DegenerateGradientError):

@@ -62,6 +62,14 @@ def small_mlp(d=6, hidden=8, k=3):
     )
 
 
+def saturated_dense():
+    """Dense(2, 2) whose logits are (40, 0) at every input, and a label-0 example
+    whose cross-entropy gradient (norm 4.9e-18) is below DEGENERATE_NORM."""
+    model = Model(ArchitectureSpec(layers=(Dense(2, 2),), input_shape=(2,), num_classes=2))
+    params = models.ParamVector(np.array([0.0, 0.0, 0.0, 0.0, 40.0, 0.0]), model.layout)
+    return model, params, LabeledExample(np.array([0.5, -0.25]), 0)
+
+
 def random_symmetric(rng, eigenvalues):
     """A symmetric matrix with the given spectrum in a random orthonormal basis."""
     Q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))
@@ -97,16 +105,7 @@ class TestGradCos:
             assert -1.0 <= a <= 1.0
 
     def test_degenerate_gradient_names_the_side(self):
-        # drive one example's mse loss to zero so its gradient vanishes
-        arch = ArchitectureSpec(layers=(Dense(2, 2),), input_shape=(2,), num_classes=2)
-        model = Model(arch, "mse")
-        params = init_params(arch, seed=2)
-        flat = LabeledExample(np.array([0.5, -0.25]), 0)
-        for _ in range(400):
-            g = model.param_grad(params, flat)
-            if np.linalg.norm(g) < 1e-13:
-                break
-            params = sgd_step(params, g, lr=0.4)
+        model, params, flat = saturated_dense()
         other = LabeledExample(np.array([1.0, 1.0]), 1)
         with pytest.raises(DegenerateGradientError) as info:
             grad_cos(model, params, flat, other)
@@ -172,7 +171,7 @@ def cnn_343():
     )
 
 
-def fresh_graph_columns(model, params, dataset, kind="cross-entropy"):
+def fresh_graph_columns(model, params, dataset):
     """Raw Hessian columns, each from a forward pass and first backward recorded
     anew and a second sweep seeded at the flat gradient, back to theta."""
     p = model.num_params
@@ -180,7 +179,7 @@ def fresh_graph_columns(model, params, dataset, kind="cross-entropy"):
     for j in range(p):
         graph = ad.Graph()
         theta = graph.leaf(params.data)
-        loss = model.record_batch_loss(theta, graph.constant(dataset.X), dataset.y, kind)
+        loss = model.record_batch_loss(theta, graph.constant(dataset.X), dataset.y)
         (g,) = ad.backward(loss, [theta])
         raw[:, j] = ad.grad(ad.take(g, np.array([j])), theta)
     return raw
@@ -202,9 +201,9 @@ def mirrored(raw, model):
     return H
 
 
-def fresh_graph_hessian(model, params, dataset, kind="cross-entropy"):
+def fresh_graph_hessian(model, params, dataset):
     """Oracle: fresh-graph columns, assembled by the mirror rule."""
-    return mirrored(fresh_graph_columns(model, params, dataset, kind), model)
+    return mirrored(fresh_graph_columns(model, params, dataset), model)
 
 
 @pytest.fixture(scope="module")
@@ -258,14 +257,13 @@ class TestDenseHessian:
         expected = fresh_graph_hessian(model, params, ds)
         assert dense_hessian(model, params, ds).matrix.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("kind", models.LOSS_KINDS)
-    def test_shared_graph_equals_fresh_graph_per_column_on_cnn(self, kind, no_cyclic_garbage):
+    def test_shared_graph_equals_fresh_graph_per_column_on_cnn(self, no_cyclic_garbage):
         rng = np.random.default_rng(22)
         ds = Dataset(rng.uniform(0.0, 1.0, size=(16, 1, 12, 12)), np.arange(16) % 3)
         params, _ = train(ds, cnn_343(), TrainConfig(lr=0.2, epochs=2, batch_size=8, seed=4))
-        model = Model(cnn_343(), kind)
+        model = Model(cnn_343())
         assert model.num_params == 343
-        expected = fresh_graph_hessian(model, params, ds, kind)
+        expected = fresh_graph_hessian(model, params, ds)
         assert dense_hessian(model, params, ds).matrix.tobytes() == expected.tobytes()
 
     def test_shared_graph_equals_fresh_graph_per_column_on_two_conv_blocks(self, two_conv_blocks, no_cyclic_garbage):
@@ -330,10 +328,9 @@ class TestDenseHessian:
     @given(
         conv=st.booleans(),
         width=st.integers(2, 4),
-        kind=st.sampled_from(models.LOSS_KINDS),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_raw_columns_are_symmetric_to_roundoff(self, conv, width, kind, seed):
+    def test_raw_columns_are_symmetric_to_roundoff(self, conv, width, seed):
         rng = np.random.default_rng(seed)
         if conv:  # 7x7 -> conv 5x5 -> pool 2x2
             layers = (Conv2d(1, width, 3), Relu(), MaxPool(2), Flatten(), Dense(4 * width, 3))
@@ -343,13 +340,13 @@ class TestDenseHessian:
             arch = ArchitectureSpec((Dense(3, width), Relu(), Dense(width, 3)), input_shape=(3,), num_classes=3)
             X = rng.standard_normal((4, 3))
         ds = Dataset(X, rng.integers(0, 3, size=4))
-        model = Model(arch, kind)
+        model = Model(arch)
         params = models.ParamVector(rng.normal(0.0, 0.5, size=model.num_params), model.layout)
         graph = ad.Graph()
-        model.record_batch_loss(graph.constant(params.data), graph.constant(ds.X), ds.y, kind)
+        model.record_batch_loss(graph.constant(params.data), graph.constant(ds.X), ds.y)
         assume(ad.kink_margin(graph) > 1e-4)
 
-        raw = fresh_graph_columns(model, params, ds, kind)
+        raw = fresh_graph_columns(model, params, ds)
         H = dense_hessian(model, params, ds).matrix
         np.testing.assert_array_equal(H, mirrored(raw, model))
         assert np.abs(raw - raw.T).max() <= 1e-12 * np.abs(raw).max()
@@ -607,17 +604,9 @@ class TestRanking:
             np.testing.assert_allclose(record.score, pair(record.train_index), rtol=1e-10)
 
     def test_degenerate_examples_skipped_with_warning(self):
-        arch = ArchitectureSpec(layers=(Dense(2, 2),), input_shape=(2,), num_classes=2)
-        model = Model(arch, "mse")
-        params = init_params(arch, seed=18)
-        flat = LabeledExample(np.array([0.5, -0.25]), 0)
-        for _ in range(400):
-            g = model.param_grad(params, flat)
-            if np.linalg.norm(g) < 1e-13:
-                break
-            params = sgd_step(params, g, lr=0.4)
+        model, params, flat = saturated_dense()
         ds = Dataset(
-            np.vstack([flat.x, [1.0, 1.0], [-1.0, 0.5]]), np.array([0, 1, 0])
+            np.vstack([flat.x, [1.0, 1.0], [-1.0, 0.5]]), np.array([0, 1, 1])
         )
         with pytest.warns(RuntimeWarning, match="degenerate"):
             result = rank_training_set(model, params, ds, LabeledExample(np.array([1.0, 1.0]), 1))
@@ -697,16 +686,6 @@ class TestGradientStore:
         assert after is not g
         assert not np.array_equal(after, g)
         np.testing.assert_array_equal(after, model.param_grad(params, z))
-
-    def test_each_model_keeps_the_query_gradient_of_its_own_loss_kind(self):
-        model, params, ds = trained_blobs(seed=23, n_per=5, epochs=2)
-        mse = Model(model.arch, "mse")
-        z = ds.example(0)
-        g, g_mse = query_gradient(model, params, z), query_gradient(mse, params, z)
-        assert not np.array_equal(g, g_mse)
-        np.testing.assert_array_equal(g_mse, mse.param_grad(params, z))
-        assert query_gradient(model, params, z) is g
-        assert query_gradient(mse, params, z) is g_mse
 
     def test_three_queries_by_influence_and_relatif_make_one_training_solve(self, monkeypatch):
         model, params, ds = trained_blobs(seed=24, n_per=5, epochs=2)
