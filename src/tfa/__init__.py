@@ -15,13 +15,7 @@ supports differentiating through its own backward pass.
 __version__ = "0.1.0"
 
 from .autodiff import Graph, Node, backward, grad, kink_margin
-from .datasets import (
-    FormatError,
-    SyntheticShapesSpec,
-    generate_synthetic,
-    load_cifar10_binary,
-    parse_cifar10_bytes,
-)
+from .datasets import FormatError, SyntheticShapesSpec, generate_synthetic, load_cifar10_binary
 from .harness import (
     InterventionConfig,
     MisclassificationReport,

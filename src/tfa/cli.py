@@ -527,14 +527,16 @@ def cmd_explain(args) -> int:
 def cmd_patch_sweep(args) -> int:
     record, config, arch, train_ds, _, test_ds = build_run(args)  # the sweep reseeds config per fraction
     spec = PatchSpec(args.patch_size, tuple(split_list(args.patch_color, float)), args.target_class, fraction=0.0)
+    fractions = split_list(args.fractions, float)
     try:
-        check_patch(arch, spec, args.probe_class)
+        check_patch(arch, spec, args.probe_class, fractions)
     except ValueError as e:
-        raise UsageError(f"bad patch flags (--patch-color, --patch-size, --target-class, --probe-class): {e}") from e
+        flags = "--fractions, --patch-color, --patch-size, --target-class, --probe-class"
+        raise UsageError(f"bad patch flags ({flags}): {e}") from e
     rows = patch_sweep(
         train_ds,
         test_ds,
-        split_list(args.fractions, float),
+        fractions,
         arch,
         config,
         spec,

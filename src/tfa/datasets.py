@@ -96,7 +96,7 @@ def _split(spec: SyntheticShapesSpec, name: str, per_class: int) -> Dataset:
         for _ in range(per_class):
             images.append(_render(shape, spec.size, spec.noise, rng))
             labels.append(cls)
-    return Dataset(np.stack(images), np.array(labels))
+    return Dataset.adopt(np.stack(images), np.array(labels, dtype=np.int64))
 
 
 def generate_synthetic(spec: SyntheticShapesSpec):
@@ -133,12 +133,6 @@ def _decode_images(records: np.ndarray) -> np.ndarray:
     return records[:, 1:].reshape(-1, *IMAGE_SHAPE).astype(np.float64) / 255.0
 
 
-def parse_cifar10_bytes(raw: bytes):
-    """Decode binary records into images in [0, 1] and integer labels."""
-    records = _cifar10_records(raw)
-    return _decode_images(records), records[:, 0].astype(np.int64)
-
-
 def load_cifar10_binary(directory, classes, per_class_cap, holdout_per_class):
     """Load the standard binary layout from a directory as (train, holdout, test).
 
@@ -169,8 +163,8 @@ def load_cifar10_binary(directory, classes, per_class_cap, holdout_per_class):
         kept = [np.flatnonzero(y == c)[:per_class_cap] for c in range(len(classes))]
         held = np.sort(np.concatenate([k[max(len(k) - held_per_class, 0) :] for k in kept]))
         rest = np.setdiff1d(np.concatenate(kept), held)
-        train = Dataset(_decode_images(records[rest]), y[rest])
-        return train, Dataset(_decode_images(records[held]), y[held]) if len(held) else None
+        train = Dataset.adopt(_decode_images(records[rest]), y[rest])
+        return train, Dataset.adopt(_decode_images(records[held]), y[held]) if len(held) else None
 
     train, holdout = split(train_files, holdout_per_class)
     test, _ = split([test_file], 0)

@@ -367,7 +367,7 @@ def make_patched_dataset(dataset: Dataset, spec: PatchSpec) -> Dataset:
     X = dataset.X.copy()
     for i in chosen:
         X[i] = apply_patch(X[i], spec)
-    return Dataset(X, dataset.y.copy())
+    return Dataset.adopt(X, dataset.y)
 
 
 def patch_attribution_fraction(grid, spec: PatchSpec) -> float:
@@ -387,12 +387,15 @@ def patch_attribution_fraction(grid, spec: PatchSpec) -> float:
     return float(inside.ravel()[kept].mean())
 
 
-def check_patch(arch, spec: PatchSpec, probe_class: int) -> None:
-    """Raise ValueError unless the patch fits arch's images and its target and probe_class are two classes of arch."""
+def check_patch(arch, spec: PatchSpec, probe_class: int, fractions=()) -> None:
+    """Raise ValueError unless the patch fits arch's images, target and probe_class are two of its classes, and
+    the fractions lie in [0, 1] and differ at the 6 decimals that seed each row (a repeat would be retrained)."""
     apply_patch(np.zeros(arch.input_shape), spec)
     t, k = spec.target_class, arch.num_classes
     if len({t, probe_class} & set(range(k))) != 2:
         raise ValueError(f"target class {t} and probe class {probe_class} must be two different classes in [0, {k})")
+    if not all(0.0 <= f <= 1.0 for f in fractions) or len({f"{f:.6f}" for f in fractions}) < len(fractions):
+        raise ValueError(f"fractions must lie in [0, 1] and differ at 6 decimals, got {list(fractions)}")
 
 
 def patch_sweep(
@@ -421,13 +424,9 @@ def patch_sweep(
     examples, and the mean patch attribution fraction of those saliency
     grids is reported. Every per-fraction job derives its own seeds from
     the fraction value, so the rows are independent of sweep order. check_patch
-    checks the patch and the class pair against the architecture before any
-    training.
+    checks the patch, the class pair and the fractions before any training.
     """
-    check_patch(arch, spec, probe_class)
-    for f in fractions:
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"fractions must lie in [0, 1], got {f}")
+    check_patch(arch, spec, probe_class, fractions)
 
     model = Model(arch)
     probe_pool = np.flatnonzero(base_test.y == probe_class)

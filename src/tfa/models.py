@@ -11,11 +11,11 @@ them ``predict`` and ``accuracy``) record at most ``EVAL_ROWS`` examples per
 graph, so their memory stays flat in the dataset size.
 
 Attribution ranks one training set many times at fixed parameters, so a
-``Model`` keeps the last matrix of per-example training gradients that
-``Model.param_grads`` built, and the last query gradient of
-``tda.query_gradient``. Each store holds one entry, keyed by the shapes and
-bytes of the parameters, inputs and labels; it lives and dies with the
-``Model`` instance, and the array it hands out is read-only.
+``Model`` keeps the last matrix of ``Model.param_grads``, keyed by the bytes
+of the parameters and the digest of the (immutable) ``Dataset``, and the last
+query gradient of ``tda.query_gradient``, keyed by the bytes of parameters
+and example. Each store holds one entry, lives and dies with the ``Model``
+instance, and hands out a read-only array.
 
 Every loss is the softmax cross-entropy of the logits against integer
 labels, the classification loss whose gradients every attribution reads.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,8 @@ class ArchitectureSpec:
 def tiny_cnn(input_shape=(1, 32, 32), num_classes: int = 3) -> ArchitectureSpec:
     """Two conv/pool blocks and a linear head; the default desk-scale model."""
     c, h, w = input_shape
+    if min(h, w) < 10:  # conv 3, pool 2, conv 3, pool 2 take a 9 px side to 0 px
+        raise ValueError(f"tiny_cnn input {h}x{w} is too small: each side must be at least 10 px")
     h2 = ((h - 2) // 2 - 2) // 2
     w2 = ((w - 2) // 2 - 2) // 2
     layers = (
@@ -182,18 +185,37 @@ class LabeledExample:
             raise ValueError("label must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Batched examples: X is (N, ...), y is (N,) int."""
+    """Batched examples: X is (N, ...) float64, y is (N,) int64, both read-only. An array is
+    copied unless already read-only and owning its data, as ``adopt`` hands the library's over."""
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        for name, dtype in (("X", np.float64), ("y", np.int64)):
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.base is None and not a.flags.writeable):
+                a = np.array(a, dtype=dtype)
+                a.flags.writeable = False
+            object.__setattr__(self, name, a)
         if len(self.X) != len(self.y):
             raise ValueError(f"{len(self.X)} examples but {len(self.y)} labels")
+
+    @classmethod
+    def adopt(cls, X: np.ndarray, y: np.ndarray) -> "Dataset":
+        """A dataset of arrays no one else holds, kept without a copy: they become read-only."""
+        X.flags.writeable = y.flags.writeable = False
+        return cls(X, y)
+
+    @cached_property
+    def digest(self) -> bytes:
+        """blake2b of the shapes and bytes of X and y, the key of Model's gradient store."""
+        digest = hashlib.blake2b(repr((self.X.shape, self.y.shape)).encode())
+        digest.update(np.ascontiguousarray(self.X))
+        digest.update(np.ascontiguousarray(self.y))
+        return digest.digest()
 
     def __len__(self) -> int:
         return len(self.y)
@@ -205,7 +227,7 @@ class Dataset:
         indices = np.asarray(indices)
         if indices.size == 0:
             indices = indices.astype(np.intp)  # an empty list or range is a float array
-        return Dataset(self.X[indices], self.y[indices])
+        return Dataset.adopt(self.X[indices], self.y[indices])
 
     def mean_pixel(self) -> np.ndarray:
         """Per-channel mean over all examples and positions (images only)."""
@@ -350,23 +372,24 @@ class Model:
 
         The rows come from the same ``param_grad`` calls, in order, so they
         are bitwise equal to them. The model keeps the last matrix, keyed by
-        the bytes of ``params.data``, ``dataset.X`` and ``dataset.y``: a
-        repeat call returns the same matrix, any change to those arrays, in
-        place or not, rebuilds it, and the rebuild or the model's end frees it.
+        the bytes of ``params.data`` and ``dataset.digest``: a repeat call, or
+        one on a dataset of equal content, returns the same matrix, a change
+        of parameters (in place or not) or of dataset rebuilds it, and the
+        rebuild or the model's end frees it.
         """
         def build():
             G = np.empty((len(dataset), self.num_params))
             for i in range(len(dataset)):
                 G[i] = self.param_grad(params, dataset.example(i))
             return G
-        return self._keep("grads", build, params.data, dataset.X, dataset.y)
+        return self._keep("grads", build, params.data, dataset.digest)
 
-    def _keep(self, slot: str, build, *arrays) -> np.ndarray:
-        """build() made read-only and kept in ``slot``, keyed by the shapes and bytes of ``arrays``."""
+    def _keep(self, slot: str, build, *parts) -> np.ndarray:
+        """build() made read-only and kept in ``slot``, keyed by the shapes and bytes of ``parts``."""
         digest = hashlib.blake2b()
-        for a in arrays:
+        for a in parts:
             digest.update(np.ascontiguousarray(a))
-        key = (*(np.shape(a) for a in arrays), digest.digest())
+        key = (*(np.shape(a) for a in parts), digest.digest())
         if slot in self._kept and self._kept[slot][0] == key:
             return self._kept[slot][1]
         self._kept.pop(slot, None)  # free the stale array before the build

@@ -5,7 +5,7 @@ gradients against the test-loss gradient g, oriented so positive = helpful:
 
     grad-cos     G_i g / (||G_i|| ||g||)
     grad-effect  epsilon G_i g / ||G_i||^2
-    influence    G_i u, where u = (H + lam I)^-1 g: one single-vector solve per query
+    influence    G_i u, where u = (H + lam I)^-1 g: one single-vector solve per g, kept per (g, lam)
     relatif      G_i u / ||V_i||, where V = (H + lam I)^-1 G', its norms kept per (G, lam)
 
 grad_cos and grad_effect score one train/test pair as a one-row call of
@@ -50,8 +50,10 @@ def cho_factor(a: np.ndarray):
 
 
 def cho_solve(factor, b: np.ndarray) -> np.ndarray:
-    """Solution x of A x = b, given cho_factor(A)."""
-    return _scipy_cho()[1](factor, b)
+    """Solution x of A x = b, given cho_factor(A); b is checked finite, the factor not again (A was, when factored)."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return _scipy_cho()[1](factor, b, check_finite=False)
 
 
 class DegenerateGradientError(ValueError):
@@ -94,13 +96,13 @@ class DampedHessian:
 
     Damping is chosen per solve, damping() when none is given; the Cholesky
     factorization of H + lam I is kept for the last damping only, as are the
-    last response_norms. lambda_min, the smallest eigenvalue, is computed on
-    first use only, since a solve at a given damping does not need it.
+    last solve and response_norms (_solved). lambda_min, the smallest
+    eigenvalue, is computed on first use only: a solve does not need it.
     """
 
     matrix: np.ndarray
     _factor: tuple | None = field(default=None, repr=False)  # (lam, Cholesky factor)
-    _norms: tuple | None = field(default=None, repr=False)  # (weakref to G, lam, norms)
+    _kept: dict = field(default_factory=dict, repr=False)  # "solve" | "norms" -> (weakref to operand, result)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -135,12 +137,22 @@ class DampedHessian:
         return self.default_damping() + max(0.0, -1.1 * self.lambda_min)
 
     def solve(self, v: np.ndarray, lam: float | None = None) -> np.ndarray:
-        """(H + lam I)^-1 v by Cholesky, lam defaulting to damping().
+        """(H + lam I)^-1 v by Cholesky, read-only, lam defaulting to damping().
 
         Raises InsufficientDampingError if H + lam I is not positive definite.
         """
+        return self._solved("solve", v, lam, lambda factor: cho_solve(factor, v))
+
+    def response_norms(self, G: np.ndarray, lam: float | None = None) -> np.ndarray:
+        """||(H + lam I)^-1 G_i|| for each row of G, by one N-column solve, read-only."""
+        return self._solved("norms", G, lam, lambda factor: np.linalg.norm(cho_solve(factor, G.T).T, axis=1))
+
+    def _solved(self, kind: str, operand: np.ndarray, lam: float | None, compute) -> np.ndarray:
+        """compute(Cholesky factor of H + lam I), read-only, kept for the next call of this kind and lam
+        on this operand if it is read-only and owns its data (held weakly: never kept alive here)."""
         lam = self.damping() if lam is None else float(lam)
         if self._factor is None or self._factor[0] != lam:
+            self._kept.clear()
             damped = np.array(self.matrix, order="F")  # factored in place: the one p x p allocation
             damped += lam * 0.0  # the bytes of matrix + lam * eye, signed zeros included
             damped.flat[:: self.dim + 1] = self.matrix.diagonal() + lam
@@ -148,21 +160,14 @@ class DampedHessian:
                 self._factor = (lam, cho_factor(damped))
             except np.linalg.LinAlgError:
                 raise InsufficientDampingError(lam, self.lambda_min + lam) from None
-        return cho_solve(self._factor[1], v)
-
-    def response_norms(self, G: np.ndarray, lam: float | None = None) -> np.ndarray:
-        """||(H + lam I)^-1 G_i|| for each row of G, by one N-column solve.
-
-        Kept, with G held weakly, for the next call with the same lam and the
-        same G if G is read-only and owns its data, as Model.param_grads's is.
-        """
-        kept = self._norms
-        if kept is not None and kept[0]() is G and kept[1] == lam:
-            return kept[2]
-        norms = np.linalg.norm(self.solve(G.T, lam).T, axis=1)
-        if G.base is None and not G.flags.writeable:
-            self._norms = (weakref.ref(G), lam, norms)
-        return norms
+        kept = self._kept.get(kind)
+        if kept is not None and kept[0]() is operand:
+            return kept[1]
+        result = compute(self._factor[1])
+        result.flags.writeable = False
+        if operand.base is None and not operand.flags.writeable:
+            self._kept[kind] = (weakref.ref(operand), result)
+        return result
 
 
 def dense_hessian(model: Model, params: ParamVector, dataset: Dataset) -> DampedHessian:
@@ -220,6 +225,11 @@ def attribution_scores(
     lam: float | None = None,
 ) -> np.ndarray:
     """Oriented scores (positive = helpful) of each gradient row of G (N, p) against g_test."""
+    return _scores(G, None, g_test, method, epsilon, hessian, lam)
+
+
+def _scores(G, norms, g_test, method, epsilon, hessian, lam) -> np.ndarray:
+    """attribution_scores, given G's row norms, or None to take and check them here."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if method in ("influence", "relatif") and hessian is None:
@@ -227,7 +237,7 @@ def attribution_scores(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     test_norm = _checked_norm(g_test, "test")
-    norms = _checked_norm(G, "train")
+    norms = _checked_norm(G, "train") if norms is None else norms
     u = hessian.solve(g_test, lam) if method in ("influence", "relatif") else g_test
     dots = np.einsum("ij,j->i", G, u)  # unlike a BLAS matvec, equal rows score equal
     if method == "grad-cos":
@@ -305,14 +315,15 @@ def rank_training_set(
     """
     g_test = query_gradient(model, params, z_test)
     G = model.param_grads(params, dataset)
-    keep = np.linalg.norm(G, axis=1) > DEGENERATE_NORM
+    norms = np.linalg.norm(G, axis=1)
+    keep = norms > DEGENERATE_NORM
     skipped = np.flatnonzero(~keep).tolist()
     if skipped:
         message = f"skipped {len(skipped)} training examples with degenerate gradients"
         warnings.warn(message, RuntimeWarning, stacklevel=2)
-        G = G[keep]
-    scores = attribution_scores(G, g_test, method, epsilon=epsilon, hessian=hessian, lam=lam)
-    pairs = zip(np.flatnonzero(keep).tolist(), scores.tolist())
-    records = [AttributionRecord(i, method, s) for i, s in pairs]
-    records.sort(key=lambda r: (-r.score, r.train_index))
-    return RankingResult(records, skipped)
+        G, norms = G[keep], norms[keep]
+    scores = _scores(G, norms, g_test, method, epsilon, hessian, lam)
+    index = np.flatnonzero(keep)
+    order = np.lexsort((index, -scores))  # descending score, then ascending index
+    pairs = zip(index[order].tolist(), scores[order].tolist())
+    return RankingResult([AttributionRecord(i, method, s) for i, s in pairs], skipped)

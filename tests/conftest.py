@@ -1,6 +1,7 @@
 """Shared pytest fixtures."""
 
 import gc
+import hashlib
 import sys
 
 import pytest
@@ -35,3 +36,25 @@ def no_cyclic_garbage(request):
         assert leaked == 0 or getattr(request.node, "failed", False), "the test left unreachable reference cycles"
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def blake2b_inputs(monkeypatch) -> list:
+    """The byte count of every input to every blake2b digest the test makes, in order."""
+    sizes, real = [], hashlib.blake2b
+
+    class Spy:
+        def __init__(self, *data):
+            self._digest = real()
+            for d in data:
+                self.update(d)
+
+        def update(self, data):
+            sizes.append(memoryview(data).nbytes)
+            self._digest.update(data)
+
+        def digest(self):
+            return self._digest.digest()
+
+    monkeypatch.setattr(hashlib, "blake2b", Spy)
+    return sizes

@@ -152,6 +152,8 @@ class TestExitCodes:
             (["toy-ridge", "--c", "1e200"], "--c"),  # X'X overflows
             (["toy-ridge", "--c", "1e154", "--lambda", "1e308"], "--lambda"),  # X'X + lam I overflows
             (["insertion", "--run", "RUN", "--ks", "10,20,10"], "--ks"),  # a repeated k would count its pairs twice
+            (["patch-sweep", "--size", "12", "--fractions", "0.5,0.5", "--out", "OUT"], "--fractions"),  # one seed
+            (["patch-sweep", "--size", "12", "--fractions", "0.5,0.5000001", "--out", "OUT"], "--fractions"),
         ],
     )
     def test_bad_value_is_one_line_usage_error(self, argv, flag, run_dir, tmp_path, library_must_not_run, capsys):

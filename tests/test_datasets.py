@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cifar_records import encode_cifar10_bytes
+from cifar_records import decode_cifar10_bytes, encode_cifar10_bytes, write_batches
 from tfa.datasets import (
     IMAGE_SHAPE,
     RECORD_BYTES,
@@ -13,7 +13,6 @@ from tfa.datasets import (
     SyntheticShapesSpec,
     generate_synthetic,
     load_cifar10_binary,
-    parse_cifar10_bytes,
 )
 from tfa.models import Model, TrainConfig, tiny_cnn, train
 
@@ -84,34 +83,44 @@ def fake_records(n, seed=0, labels=None):
     return records.tobytes(), np.asarray(labels, dtype=np.int64)
 
 
+def loaded(tmp_path, raw):
+    """(X, y) of raw as the test batch through load_cifar10_binary: every label, no cap, no holdout."""
+    write_batches(tmp_path, [fake_records(1)[0]] * 5, raw)
+    _, _, test_ds = load_cifar10_binary(tmp_path, range(10), len(raw), 0)
+    return test_ds.X, test_ds.y
+
+
 class TestBinaryFormat:
-    def test_parse_shapes_scaling_and_labels(self):
+    def test_parse_shapes_scaling_and_labels(self, tmp_path):
         raw, labels = fake_records(7, seed=1)
-        X, y = parse_cifar10_bytes(raw)
+        X, y = loaded(tmp_path, raw)
         assert X.shape == (7, *IMAGE_SHAPE)
         assert np.array_equal(y, labels)
         assert X.min() >= 0.0 and X.max() <= 1.0
         # byte 0 and byte 255 map to the interval ends exactly
         first_byte = raw[1]
         assert X[0].ravel()[0] == first_byte / 255.0
+        assert np.array_equal(X, decode_cifar10_bytes(raw)[0])
 
-    def test_round_trip_is_byte_identical(self):
+    def test_round_trip_is_byte_identical(self, tmp_path):
         for seed in range(3):
             raw, _ = fake_records(5, seed=seed)
-            X, y = parse_cifar10_bytes(raw)
+            X, y = loaded(tmp_path, raw)
             assert encode_cifar10_bytes(X, y) == raw
 
-    def test_bad_length_rejected(self):
+    def test_bad_length_rejected(self, tmp_path):
         raw, _ = fake_records(2)
-        with pytest.raises(FormatError):
-            parse_cifar10_bytes(raw[:-1])
-        with pytest.raises(FormatError):
-            parse_cifar10_bytes(b"")
+        for batch in ("data_batch_2.bin", "test_batch.bin"):
+            for bad in (raw[:-1], b""):
+                write_batches(tmp_path, [raw] * 5, raw)
+                (tmp_path / batch).write_bytes(bad)
+                with pytest.raises(FormatError, match="not a positive multiple"):
+                    load_cifar10_binary(tmp_path, range(10), 10, 0)
 
-    def test_invalid_label_byte_rejected(self):
+    def test_invalid_label_byte_rejected(self, tmp_path):
         raw, _ = fake_records(3, labels=[0, 255, 3])
-        with pytest.raises(FormatError, match="label"):
-            parse_cifar10_bytes(raw)
+        with pytest.raises(FormatError, match="invalid label byte 255 in record 1"):
+            loaded(tmp_path, raw)
 
     def test_encode_validation(self):
         with pytest.raises(FormatError):
@@ -125,11 +134,8 @@ class TestBinaryFormat:
 class TestDirectoryLoader:
     def write_layout(self, tmp_path, per_file=10):
         labels = [i % 10 for i in range(per_file)]
-        for i in range(1, 6):
-            raw, _ = fake_records(per_file, seed=i, labels=labels)
-            (tmp_path / f"data_batch_{i}.bin").write_bytes(raw)
-        raw, _ = fake_records(per_file, seed=99, labels=labels)
-        (tmp_path / "test_batch.bin").write_bytes(raw)
+        raws = [fake_records(per_file, seed=i, labels=labels)[0] for i in (1, 2, 3, 4, 5, 99)]
+        write_batches(tmp_path, raws[:5], raws[5])
 
     def test_loads_all_batches(self, tmp_path):
         self.write_layout(tmp_path)
@@ -151,28 +157,22 @@ class TestDirectoryLoader:
 
     def test_per_class_cap_keeps_first_in_file_order(self, tmp_path):
         labels = [3, 5, 3, 5, 3, 5]
-        raws = []
-        for i in range(1, 6):
-            raw, _ = fake_records(6, seed=10 + i, labels=labels)
-            raws.append(raw)
-            (tmp_path / f"data_batch_{i}.bin").write_bytes(raw)
-        (tmp_path / "test_batch.bin").write_bytes(raws[0])
+        raws = [fake_records(6, seed=10 + i, labels=labels)[0] for i in range(1, 6)]
+        write_batches(tmp_path, raws, raws[0])
         train_ds, _, _ = load_cifar10_binary(tmp_path, (3, 5), 3, 0)
         assert list(train_ds.y) == [0, 1, 0, 1, 0, 1]
         # cap fills entirely from the first batch file
-        X1, _ = parse_cifar10_bytes(raws[0])
+        X1, _ = decode_cifar10_bytes(raws[0])
         assert np.array_equal(train_ds.X, X1)
 
     def test_holdout_is_the_last_kept_images_of_each_class_in_file_order(self, tmp_path):
         rng = np.random.default_rng(5)
         raws = [fake_records(12, seed=i, labels=rng.integers(0, 4, size=12))[0] for i in range(6)]
-        for i, raw in enumerate(raws[:5], 1):
-            (tmp_path / f"data_batch_{i}.bin").write_bytes(raw)
-        (tmp_path / "test_batch.bin").write_bytes(raws[5])
+        write_batches(tmp_path, raws[:5], raws[5])
         classes, cap, h = (2, 0, 3), 7, 2
         train_ds, holdout, test_ds = load_cifar10_binary(tmp_path, classes, cap, h)
         # reference: cap each class one record at a time, then hold out the last h of each
-        X, y = parse_cifar10_bytes(b"".join(raws[:5]))
+        X, y = decode_cifar10_bytes(b"".join(raws[:5]))
         kept = {c: [] for c in classes}
         for i, label in enumerate(y.tolist()):
             if label in kept and len(kept[label]) < cap:
@@ -184,13 +184,13 @@ class TestDirectoryLoader:
         for ds, rows in ((holdout, held), (train_ds, rest)):
             assert np.array_equal(ds.X, X[rows])
             assert ds.y.tolist() == [place[int(y[i])] for i in rows]
-        _, y_test = parse_cifar10_bytes(raws[5])
+        _, y_test = decode_cifar10_bytes(raws[5])
         assert len(test_ds) == sum(min(cap, int((y_test == c).sum())) for c in classes)
 
     def test_cap_is_applied_before_the_holdout(self, tmp_path):
         self.write_layout(tmp_path)  # label 4 is record 4 of every file
         train_ds, holdout, test_ds = load_cifar10_binary(tmp_path, (4,), 3, 1)
-        X, _ = parse_cifar10_bytes(b"".join((tmp_path / f"data_batch_{i}.bin").read_bytes() for i in range(1, 6)))
+        X, _ = decode_cifar10_bytes(b"".join((tmp_path / f"data_batch_{i}.bin").read_bytes() for i in range(1, 6)))
         assert np.array_equal(holdout.X, X[[24]])  # the third kept image, not the last in the files
         assert np.array_equal(train_ds.X, X[[4, 14]])
         assert len(test_ds) == 1  # the test split is capped, never held out
@@ -204,9 +204,8 @@ class TestDirectoryLoader:
 
     def test_only_kept_records_are_decoded(self, tmp_path):
         labels = [9] * 195 + [0] * 5  # records of an unlisted class vastly outnumber the kept ones
-        for i in range(1, 6):
-            (tmp_path / f"data_batch_{i}.bin").write_bytes(fake_records(200, seed=i, labels=labels)[0])
-        (tmp_path / "test_batch.bin").write_bytes(fake_records(200, seed=9, labels=labels)[0])
+        raws = [fake_records(200, seed=i, labels=labels)[0] for i in (1, 2, 3, 4, 5, 9)]
+        write_batches(tmp_path, raws[:5], raws[5])
         raw_bytes = 5 * 200 * RECORD_BYTES
         tracemalloc.start()
         try:

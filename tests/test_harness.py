@@ -387,6 +387,16 @@ class TestPatchSweepSmoke:
         with pytest.raises(ValueError):
             patch_sweep(train_ds, test, (0.0, 1.0), tiny_cnn((1, 12, 12), 3), cfg, spec, probe_class=1)
 
+    @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.25, 0.5, 0.5000001), (0.0, 1.5)])
+    def test_repeated_or_out_of_range_fractions_are_rejected_before_any_training(self, fractions, monkeypatch):
+        monkeypatch.setattr("tfa.harness.train", lambda *a, **k: pytest.fail("patch_sweep trained"))
+        _, _, train_ds, _, test = shapes12()
+        spec = PatchSpec(size=3, color=(0.95,), target_class=0, fraction=0.0)
+        cfg = TrainConfig(lr=0.2, epochs=1, batch_size=16, seed=5)
+        reason = f"fractions must lie in [0, 1] and differ at 6 decimals, got {list(fractions)}"
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            patch_sweep(train_ds, test, fractions, tiny_cnn((1, 12, 12), 3), cfg, spec, probe_class=1)
+
     def test_rows_and_validation(self):
         spec = SyntheticShapesSpec(
             size=12, noise=0.05, train_per_class=20, holdout_per_class=0, test_per_class=10, seed=5

@@ -27,7 +27,7 @@ from tfa.models import (
     train,
 )
 from tfa.saliency import smoothgrad_saliency
-from tfa.tda import dense_hessian, rank_training_set
+from tfa.tda import dense_hessian, query_gradient, rank_training_set
 
 
 def cnn_343():
@@ -104,9 +104,22 @@ class TestWorkflowsLeaveNoCycles:
         hessian = dense_hessian(model, params, ds.subset(range(8)))
         rank_training_set(model, params, ds, ds.example(0), "relatif", hessian=hessian)
         stored = weakref.ref(model.param_grads(params, ds))
-        assert hessian._norms[0]() is stored()  # the norms are kept for this G
+        assert hessian._kept["norms"][0]() is stored()  # the norms are kept for this G
         del model
         assert stored() is None
+
+    def test_kept_solve_does_not_keep_the_query_gradient_alive(self, trained, no_cyclic_garbage):
+        _, params, ds = trained
+        model = Model(cnn_343())
+        hessian = dense_hessian(model, params, ds.subset(range(8)))
+        rank_training_set(model, params, ds, ds.example(0), "influence", hessian=hessian)
+        stored = weakref.ref(query_gradient(model, params, ds.example(0)))
+        u = hessian._kept["solve"][1]
+        assert hessian._kept["solve"][0]() is stored()  # u is kept for this test gradient
+        assert not u.flags.writeable
+        del model
+        assert stored() is None
+        assert hessian._kept["solve"][1] is u
 
     def test_rank_relatif_with_dense_hessian(self, trained, no_cyclic_garbage):
         model, params, ds = trained

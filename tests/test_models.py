@@ -1,13 +1,17 @@
 """Model construction, initialization, gradients, and training."""
 
+import dataclasses
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cifar_records import encode_cifar10_bytes, write_batches
 from tfa import autodiff as ad
 from tfa import harness, models, saliency, tda
+from tfa.datasets import SyntheticShapesSpec, generate_synthetic, load_cifar10_binary
 from tfa.models import (
     ArchitectureSpec,
     Conv2d,
@@ -66,9 +70,11 @@ class TestArchitecture:
             pytest.param((Conv2d(1, 2, 1), Dense(4, 2)), (1, 6, 6), 2, ad.ShapeError,
                          "matmul: incompatible shapes (1, 2, 6, 6) @ (4, 2)", id="dense-on-spatial-input"),
             pytest.param((Dense(4, 2), "dense"), (4,), 2, TypeError, "unknown layer 'dense'", id="unknown-layer"),
-            pytest.param(None, (1, 8, 8), 3, ValueError, "layer 7 (Dense): in_features must be at least 1, got 0",
+            pytest.param(None, (1, 8, 8), 3, ValueError,
+                         "tiny_cnn input 8x8 is too small: each side must be at least 10 px",
                          id="tiny-cnn-input-too-small"),  # None: models.tiny_cnn(input_shape, num_classes)
-            pytest.param(None, (1, 4, 12), 3, ValueError, "layer 7 (Dense): in_features must be at least 1, got -16",
+            pytest.param(None, (1, 4, 12), 3, ValueError,
+                         "tiny_cnn input 4x12 is too small: each side must be at least 10 px",
                          id="tiny-cnn-negative-head"),
             pytest.param((Dense(-2, 2),), (4,), 2, ValueError, "layer 0 (Dense): in_features must be at least 1, got -2",
                          id="dense-negative-in"),
@@ -396,18 +402,41 @@ class TestGradientStore:
 
     @pytest.mark.parametrize("change", ["params", "X", "y"])
     def test_changed_input_rebuilds(self, change):
+        """Parameters changed in place rebuild; a dataset's arrays refuse an in-place
+        write, and a new dataset that differs in one pixel or one label rebuilds."""
         arch, model, params, ds = self.setup_9()
         before = model.param_grads(params, ds)
+        X, y = ds.X.copy(), ds.y.copy()
         if change == "params":
             params.data[0] += 0.1
         elif change == "X":
-            ds.X[0, 0, 0, 0] = 1.0 - ds.X[0, 0, 0, 0]
+            with pytest.raises(ValueError, match="read-only"):
+                ds.X[0, 0, 0, 0] = 1.0 - ds.X[0, 0, 0, 0]
+            X[0, 0, 0, 0] = 1.0 - X[0, 0, 0, 0]
         else:
-            ds.y[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                ds.y[0] = 1
+            y[0] = 1
+        ds = ds if change == "params" else Dataset(X, y)
         after = model.param_grads(params, ds)
         assert after is not before
         assert not np.array_equal(after, before)
         np.testing.assert_array_equal(after, Model(arch).param_grads(params, ds))
+
+    def test_equal_content_in_distinct_datasets_shares_one_entry(self):
+        _, model, params, ds = self.setup_9()
+        G = model.param_grads(params, ds)
+        twin = Dataset(ds.X.copy(), ds.y.copy())
+        assert twin is not ds and twin.X is not ds.X
+        assert model.param_grads(params, twin) is G
+
+    def test_a_dataset_is_hashed_once(self, blake2b_inputs):
+        _, model, params, ds = self.setup_9()
+        assert ds.digest == ds.digest
+        for m in (model, Model(model.arch)):
+            for _ in range(2):
+                m.param_grads(params, ds)
+        assert blake2b_inputs.count(ds.X.nbytes) == 1
 
     def test_empty_subset_is_an_empty_dataset(self):
         _, model, params, ds = self.setup_9()
@@ -415,6 +444,60 @@ class TestGradientStore:
             assert len(empty) == 0
             assert empty.X.shape == (0, 1, 12, 12)
         assert model.param_grads(params, empty).shape == (0, model.num_params)
+
+
+class TestDataset:
+    def test_arrays_are_read_only_and_fields_frozen(self):
+        ds = Dataset(np.zeros((3, 2)), [0, 1, 0])
+        assert ds.X.dtype == np.float64 and ds.y.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            ds.X[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.y[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.X = np.ones((3, 2))
+
+    def test_a_caller_array_is_copied_unless_read_only_and_owning(self):
+        X, y = np.zeros((3, 2)), np.array([0, 1, 0])
+        ds = Dataset(X, y)
+        X[0, 0], y[0] = 1.0, 1  # the caller's arrays stay writable; the dataset's copies do not move
+        assert ds.X[0, 0] == 0.0 and ds.y[0] == 0
+        X.flags.writeable = y.flags.writeable = False
+        kept = Dataset(X, y)
+        assert kept.X is X and kept.y is y
+        view = X[:2]  # read-only but not owning its data
+        assert Dataset(view, y[:2]).X is not view
+
+    def test_library_constructors_hand_over_their_arrays(self, monkeypatch, tmp_path):
+        kept, adopt = [], Dataset.adopt.__func__
+
+        def spy(cls, X, y):
+            ds = adopt(cls, X, y)
+            kept.append(ds.X is X and ds.y is y)
+            return ds
+
+        monkeypatch.setattr(Dataset, "adopt", classmethod(spy))
+        spec = SyntheticShapesSpec(size=12, train_per_class=4, holdout_per_class=1, test_per_class=1)
+        train_ds, _, _ = generate_synthetic(spec)
+        train_ds.subset([0, 2])
+        harness.make_patched_dataset(train_ds, harness.PatchSpec(3, (0.9,), target_class=0, fraction=0.5))
+        raw = encode_cifar10_bytes(np.zeros((2, 3, 32, 32)), [0, 1])
+        write_batches(tmp_path, [raw] * 5, raw)
+        load_cifar10_binary(tmp_path, (0, 1), 5, 1)
+        assert kept == [True] * 8  # three splits, a subset, a patched set, three CIFAR-10 splits
+
+    def test_a_subset_allocates_its_arrays_once(self):
+        rng = np.random.default_rng(3)
+        ds = Dataset(rng.uniform(0.0, 1.0, size=(400, 1, 32, 32)), np.arange(400) % 3)
+        rows = np.arange(0, 400, 2)
+        tracemalloc.start()
+        try:
+            half = ds.subset(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(half.X, ds.X[rows])
+        assert peak < 1.25 * (half.X.nbytes + half.y.nbytes)  # a second copy would double it
 
 
 class TestLossKind:

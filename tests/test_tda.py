@@ -41,7 +41,6 @@ from tfa.ridge import RidgeProblem, leave_one_out_delta, ridge_fit
 from tfa.saliency import smoothgrad_saliency
 from tfa.tda import (
     METHODS,
-    AttributionRecord,
     DampedHessian,
     DegenerateGradientError,
     InsufficientDampingError,
@@ -402,6 +401,15 @@ class TestInfluence:
             h.solve(np.ones(2), lam=1.0), [1.0 / 2.0, 1.0 / 0.5], rtol=1e-12
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_right_hand_side_rejected(self, bad):
+        h = DampedHessian(np.diag([1.0, 2.0]))
+        for rhs in (np.array([1.0, bad]), np.array([[1.0, 2.0], [bad, 0.0]])):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                h.solve(rhs, lam=1.0)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                h.response_norms(rhs, lam=1.0)
+
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError):
             DampedHessian(np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -553,13 +561,15 @@ class TestRelatif:
 
 class TestRanking:
     def test_sorted_descending_with_index_ties(self):
-        records = [
-            AttributionRecord(2, "grad-cos", 0.5),
-            AttributionRecord(0, "grad-cos", 0.5),
-            AttributionRecord(1, "grad-cos", 0.9),
-        ]
-        records.sort(key=lambda r: (-r.score, r.train_index))
-        assert [r.train_index for r in records] == [1, 0, 2]
+        """Repeated rows score equal, and every method orders its records as a sort on (-score, index) does."""
+        model, params, ds = trained_blobs(seed=28, n_per=4, epochs=2)
+        rows = np.random.default_rng(0).permutation(np.r_[np.arange(len(ds)), [3, 3, 7, 0]])
+        h = dense_hessian(model, params, ds)
+        for method in METHODS:
+            records = rank_training_set(model, params, ds.subset(rows), ds.example(5), method, hessian=h).records
+            assert records == sorted(records, key=lambda r: (-r.score, r.train_index))
+            scores = [r.score for r in records]
+            assert len(set(scores)) == len(ds)  # each repeat ties with its original
 
     def test_rank_outputs_cover_dataset_and_slices_work(self):
         model, params, ds = trained_blobs(seed=16, n_per=8, epochs=3)
@@ -671,7 +681,7 @@ class TestGradientStore:
     @pytest.mark.parametrize("change", ["params", "x", "y"])
     def test_query_gradient_is_kept_until_an_input_changes(self, change):
         model, params, ds = trained_blobs(seed=23, n_per=5, epochs=2)
-        z = ds.example(0)
+        z = LabeledExample(ds.X[0].copy(), ds.y[0])  # writable, unlike a dataset's rows: still keyed by content
         g = query_gradient(model, params, z)
         assert not g.flags.writeable
         np.testing.assert_array_equal(g, model.param_grad(params, z))
@@ -701,7 +711,33 @@ class TestGradientStore:
         for q in (0, 1, 2):
             for method in ("influence", "relatif"):
                 rank_training_set(model, params, ds, ds.example(q), method, hessian=h)
-        assert sorted(columns) == [1] * 6 + [len(ds)]
+        assert sorted(columns) == [1] * 3 + [len(ds)]  # one solve per test gradient, kept for RelatIF
+
+    def test_a_ranking_hashes_only_the_parameters_and_the_test_input(self, blake2b_inputs):
+        model, params, ds = trained_blobs(seed=26, n_per=5, epochs=2)
+        rank_training_set(model, params, ds, ds.example(0))  # takes the dataset's digest, once
+        assert blake2b_inputs.count(ds.X.nbytes) == 1
+        blake2b_inputs.clear()
+        for q in (1, 2):
+            rank_training_set(model, params, ds, ds.example(q))
+        p, x = params.data.nbytes, ds.X[0].nbytes
+        # the store keys: parameters and dataset digest; parameters, input and label
+        assert sorted(blake2b_inputs) == sorted([p, 64, p, x, 8] * 2)
+
+    def test_kept_solve_is_read_only_and_recomputed_at_a_new_damping(self):
+        model, params, ds = trained_blobs(seed=27, n_per=5, epochs=2)
+        h = dense_hessian(model, params, ds)
+        g = query_gradient(model, params, ds.example(0))
+        lam = h.damping()
+        u = h.solve(g, lam)
+        assert not u.flags.writeable
+        assert h.solve(g, lam) is u
+        assert h.solve(g.copy(), lam) is not u  # a writable right-hand side is solved anew
+        np.testing.assert_array_equal(h.solve(g.copy(), lam), u)
+        u3 = h.solve(g, 3.0 * lam)
+        assert u3 is not u
+        np.testing.assert_array_equal(u3, DampedHessian(h.matrix).solve(g, 3.0 * lam))
+        assert h.solve(g, lam) is not u  # the entry at lam went with its factor
 
     def test_relatif_norms_are_rebuilt_for_new_gradients_and_damping(self):
         model, params, ds = trained_blobs(seed=25, n_per=5, epochs=2)
