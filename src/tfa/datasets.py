@@ -89,14 +89,9 @@ def _render(shape: str, size: int, noise: float, rng) -> np.ndarray:
 
 def _split(spec: SyntheticShapesSpec, name: str, per_class: int) -> Dataset:
     rng = stream(spec.seed, f"shapes/{name}")
-    images = []
-    labels = []
-    for cls in range(spec.num_classes):
-        shape = SHAPES[cls]
-        for _ in range(per_class):
-            images.append(_render(shape, spec.size, spec.noise, rng))
-            labels.append(cls)
-    return Dataset.adopt(np.stack(images), np.array(labels, dtype=np.int64))
+    labels = np.repeat(np.arange(spec.num_classes), per_class)
+    # the list of images is freed before Dataset copies the stack, so the split peaks at two copies
+    return Dataset(np.stack([_render(SHAPES[c], spec.size, spec.noise, rng) for c in labels]), labels)
 
 
 def generate_synthetic(spec: SyntheticShapesSpec):
@@ -163,8 +158,8 @@ def load_cifar10_binary(directory, classes, per_class_cap, holdout_per_class):
         kept = [np.flatnonzero(y == c)[:per_class_cap] for c in range(len(classes))]
         held = np.sort(np.concatenate([k[max(len(k) - held_per_class, 0) :] for k in kept]))
         rest = np.setdiff1d(np.concatenate(kept), held)
-        train = Dataset.adopt(_decode_images(records[rest]), y[rest])
-        return train, Dataset.adopt(_decode_images(records[held]), y[held]) if len(held) else None
+        train = Dataset(_decode_images(records[rest]), y[rest])
+        return train, Dataset(_decode_images(records[held]), y[held]) if len(held) else None
 
     train, holdout = split(train_files, holdout_per_class)
     test, _ = split([test_file], 0)

@@ -367,7 +367,7 @@ def make_patched_dataset(dataset: Dataset, spec: PatchSpec) -> Dataset:
     X = dataset.X.copy()
     for i in chosen:
         X[i] = apply_patch(X[i], spec)
-    return Dataset.adopt(X, dataset.y)
+    return Dataset(X, dataset.y)
 
 
 def patch_attribution_fraction(grid, spec: PatchSpec) -> float:

@@ -10,12 +10,11 @@ The plain-value passes (``Model.logits`` and ``Model.mean_loss``, and with
 them ``predict`` and ``accuracy``) record at most ``EVAL_ROWS`` examples per
 graph, so their memory stays flat in the dataset size.
 
-Attribution ranks one training set many times at fixed parameters, so a
-``Model`` keeps the last matrix of ``Model.param_grads``, keyed by the bytes
-of the parameters and the digest of the (immutable) ``Dataset``, and the last
-query gradient of ``tda.query_gradient``, keyed by the bytes of parameters
-and example. Each store holds one entry, lives and dies with the ``Model``
-instance, and hands out a read-only array.
+Parameters, examples and datasets are immutable values owning read-only
+copies of their arrays. Attribution ranks one training set many times at
+fixed parameters, so a ``Model`` keeps the last result of each slot (the
+matrix of ``Model.param_grads``; the query gradient, solve and RelatIF norms
+of ``tda``), keyed by the identity of the values it came from, held weakly.
 
 Every loss is the softmax cross-entropy of the logits against integer
 labels, the classification loss whose gradients every attribution reads.
@@ -23,9 +22,8 @@ labels, the classification loss whose gradients every attribution reads.
 
 from __future__ import annotations
 
-import hashlib
+import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +31,13 @@ from . import autodiff as ad
 from .rng import stream
 
 EVAL_ROWS = 32  # examples per graph in plain-value passes, which bounds their memory
+
+
+def _read_only(a, dtype) -> np.ndarray:
+    """A view of a read-only copy of a: numpy refuses to make such a view writable again."""
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a.view()
 
 
 @dataclass(frozen=True)
@@ -117,15 +122,15 @@ class ParamSlice:
     shape: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamVector:
-    """All parameters of a model, flattened into one float64 vector."""
+    """All parameters of a model, flattened into one read-only float64 vector."""
 
     data: np.ndarray
     layout: tuple[ParamSlice, ...]
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        object.__setattr__(self, "data", _read_only(self.data, np.float64))
         if self.data.ndim != 1:
             raise ValueError("parameter data must be a flat vector")
 
@@ -175,7 +180,7 @@ class LabeledExample:
     y: int
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
+        object.__setattr__(self, "x", _read_only(self.x, np.float64))
         object.__setattr__(self, "y", int(self.y))
         if not np.all(np.isfinite(self.x)):
             raise ValueError("example contains non-finite values")
@@ -187,35 +192,16 @@ class LabeledExample:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Batched examples: X is (N, ...) float64, y is (N,) int64, both read-only. An array is
-    copied unless already read-only and owning its data, as ``adopt`` hands the library's over."""
+    """Batched examples: X is (N, ...) float64, y is (N,) int64, both read-only copies."""
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("X", np.float64), ("y", np.int64)):
-            a = getattr(self, name)
-            if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.base is None and not a.flags.writeable):
-                a = np.array(a, dtype=dtype)
-                a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "X", _read_only(self.X, np.float64))
+        object.__setattr__(self, "y", _read_only(self.y, np.int64))
         if len(self.X) != len(self.y):
             raise ValueError(f"{len(self.X)} examples but {len(self.y)} labels")
-
-    @classmethod
-    def adopt(cls, X: np.ndarray, y: np.ndarray) -> "Dataset":
-        """A dataset of arrays no one else holds, kept without a copy: they become read-only."""
-        X.flags.writeable = y.flags.writeable = False
-        return cls(X, y)
-
-    @cached_property
-    def digest(self) -> bytes:
-        """blake2b of the shapes and bytes of X and y, the key of Model's gradient store."""
-        digest = hashlib.blake2b(repr((self.X.shape, self.y.shape)).encode())
-        digest.update(np.ascontiguousarray(self.X))
-        digest.update(np.ascontiguousarray(self.y))
-        return digest.digest()
 
     def __len__(self) -> int:
         return len(self.y)
@@ -227,7 +213,7 @@ class Dataset:
         indices = np.asarray(indices)
         if indices.size == 0:
             indices = indices.astype(np.intp)  # an empty list or range is a float array
-        return Dataset.adopt(self.X[indices], self.y[indices])
+        return Dataset(self.X[indices], self.y[indices])
 
     def mean_pixel(self) -> np.ndarray:
         """Per-channel mean over all examples and positions (images only)."""
@@ -271,7 +257,7 @@ class Model:
             (s.layer, s.name): (np.arange(s.offset, s.offset + int(np.prod(s.shape))), s.shape)
             for s in self.layout
         }
-        self._kept = {}  # slot -> (content key, read-only array); see _keep
+        self._kept = {}  # slot -> (weak references to the sources, value, read-only result); see _keep
 
     def _param(self, theta: ad.Node, layer: int, name: str) -> ad.Node:
         index, shape = self._slices[(layer, name)]
@@ -371,32 +357,28 @@ class Model:
         """(N, p) matrix whose row i is ``param_grad`` of example i, read-only.
 
         The rows come from the same ``param_grad`` calls, in order, so they
-        are bitwise equal to them. The model keeps the last matrix, keyed by
-        the bytes of ``params.data`` and ``dataset.digest``: a repeat call, or
-        one on a dataset of equal content, returns the same matrix, a change
-        of parameters (in place or not) or of dataset rebuilds it, and the
-        rebuild or the model's end frees it.
+        are bitwise equal to them. The model keeps the last matrix for these
+        ``params`` and ``dataset`` objects: a repeat call returns it, other
+        objects (even of equal content) rebuild it, and the rebuild or the
+        model's end frees it.
         """
         def build():
             G = np.empty((len(dataset), self.num_params))
             for i in range(len(dataset)):
                 G[i] = self.param_grad(params, dataset.example(i))
             return G
-        return self._keep("grads", build, params.data, dataset.digest)
+        return self._keep("grads", build, params, dataset)
 
-    def _keep(self, slot: str, build, *parts) -> np.ndarray:
-        """build() made read-only and kept in ``slot``, keyed by the shapes and bytes of ``parts``."""
-        digest = hashlib.blake2b()
-        for a in parts:
-            digest.update(np.ascontiguousarray(a))
-        key = (*(np.shape(a) for a in parts), digest.digest())
-        if slot in self._kept and self._kept[slot][0] == key:
-            return self._kept[slot][1]
-        self._kept.pop(slot, None)  # free the stale array before the build
-        value = build()
-        value.flags.writeable = False
-        self._kept[slot] = (key, value)
-        return value
+    def _keep(self, slot: str, build, *sources, value=None) -> np.ndarray:
+        """build(), read-only, kept in ``slot`` while each source is the same object (held weakly) and value equal."""
+        kept = self._kept.get(slot)
+        if kept and kept[1] == value and all(ref() is s for ref, s in zip(kept[0], sources)):
+            return kept[2]
+        self._kept.pop(slot, None)  # free the stale result before the build
+        result = build()
+        result.flags.writeable = False
+        self._kept[slot] = ([weakref.ref(s) for s in sources], value, result)
+        return result
 
 
 def sgd_step(params: ParamVector, gradient: np.ndarray, lr: float) -> ParamVector:

@@ -5,23 +5,23 @@ gradients against the test-loss gradient g, oriented so positive = helpful:
 
     grad-cos     G_i g / (||G_i|| ||g||)
     grad-effect  epsilon G_i g / ||G_i||^2
-    influence    G_i u, where u = (H + lam I)^-1 g: one single-vector solve per g, kept per (g, lam)
-    relatif      G_i u / ||V_i||, where V = (H + lam I)^-1 G', its norms kept per (G, lam)
+    influence    G_i u, where u = (H + lam I)^-1 g: one single-vector solve per g
+    relatif      G_i u / ||V_i||, where V = (H + lam I)^-1 G'
 
 grad_cos and grad_effect score one train/test pair as a one-row call of
 the kernel; grad_effect keeps the loss-change sign (negative = helpful), the
 test-loss change that its step predicts. One degenerate rule holds
 throughout: a gradient of norm at most DEGENERATE_NORM has no direction.
 rank_training_set skips such training rows with a warning; anywhere else it
-is an error.
+is an error. rank_training_set keeps g, u and V's norms in the model's store.
 """
 
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,26 +83,24 @@ class InsufficientDampingError(RuntimeError):
 def query_gradient(model: Model, params: ParamVector, z_test: LabeledExample) -> np.ndarray:
     """Parameter gradient of the test example's loss at its own label, read-only.
 
-    The model keeps the last one, keyed like Model.param_grads, so rankings
-    and saliency maps for one test image compute it once.
+    The model keeps the last one for these params and z_test objects, so
+    rankings and saliency maps of one test example compute it once.
     """
-    build = lambda: model.param_grad(params, z_test)
-    return model._keep("query", build, params.data, z_test.x, z_test.y)
+    return model._keep("query", lambda: model.param_grad(params, z_test), params, z_test)
 
 
-@dataclass
+@dataclass(eq=False)
 class DampedHessian:
-    """Dense symmetric Hessian of the mean training loss.
+    """Dense symmetric Hessian of the mean training loss, trusted not to change.
 
     Damping is chosen per solve, damping() when none is given; the Cholesky
-    factorization of H + lam I is kept for the last damping only, as are the
-    last solve and response_norms (_solved). lambda_min, the smallest
-    eigenvalue, is computed on first use only: a solve does not need it.
+    factorization of H + lam I is kept for the last damping only, and each
+    solve computes afresh from it. lambda_min, the smallest eigenvalue, is
+    computed on first use only: a solve does not need it.
     """
 
     matrix: np.ndarray
     _factor: tuple | None = field(default=None, repr=False)  # (lam, Cholesky factor)
-    _kept: dict = field(default_factory=dict, repr=False)  # "solve" | "norms" -> (weakref to operand, result)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -137,22 +135,20 @@ class DampedHessian:
         return self.default_damping() + max(0.0, -1.1 * self.lambda_min)
 
     def solve(self, v: np.ndarray, lam: float | None = None) -> np.ndarray:
-        """(H + lam I)^-1 v by Cholesky, read-only, lam defaulting to damping().
+        """(H + lam I)^-1 v by Cholesky, lam defaulting to damping().
 
         Raises InsufficientDampingError if H + lam I is not positive definite.
         """
-        return self._solved("solve", v, lam, lambda factor: cho_solve(factor, v))
+        return cho_solve(self._factored(lam), v)
 
     def response_norms(self, G: np.ndarray, lam: float | None = None) -> np.ndarray:
-        """||(H + lam I)^-1 G_i|| for each row of G, by one N-column solve, read-only."""
-        return self._solved("norms", G, lam, lambda factor: np.linalg.norm(cho_solve(factor, G.T).T, axis=1))
+        """||(H + lam I)^-1 G_i|| for each row of G, by one N-column solve."""
+        return np.linalg.norm(cho_solve(self._factored(lam), G.T).T, axis=1)
 
-    def _solved(self, kind: str, operand: np.ndarray, lam: float | None, compute) -> np.ndarray:
-        """compute(Cholesky factor of H + lam I), read-only, kept for the next call of this kind and lam
-        on this operand if it is read-only and owns its data (held weakly: never kept alive here)."""
+    def _factored(self, lam: float | None):
+        """The Cholesky factor of H + lam I, kept for the last lam."""
         lam = self.damping() if lam is None else float(lam)
         if self._factor is None or self._factor[0] != lam:
-            self._kept.clear()
             damped = np.array(self.matrix, order="F")  # factored in place: the one p x p allocation
             damped += lam * 0.0  # the bytes of matrix + lam * eye, signed zeros included
             damped.flat[:: self.dim + 1] = self.matrix.diagonal() + lam
@@ -160,14 +156,7 @@ class DampedHessian:
                 self._factor = (lam, cho_factor(damped))
             except np.linalg.LinAlgError:
                 raise InsufficientDampingError(lam, self.lambda_min + lam) from None
-        kept = self._kept.get(kind)
-        if kept is not None and kept[0]() is operand:
-            return kept[1]
-        result = compute(self._factor[1])
-        result.flags.writeable = False
-        if operand.base is None and not operand.flags.writeable:
-            self._kept[kind] = (weakref.ref(operand), result)
-        return result
+        return self._factor[1]
 
 
 def dense_hessian(model: Model, params: ParamVector, dataset: Dataset) -> DampedHessian:
@@ -225,26 +214,30 @@ def attribution_scores(
     lam: float | None = None,
 ) -> np.ndarray:
     """Oriented scores (positive = helpful) of each gradient row of G (N, p) against g_test."""
-    return _scores(G, None, g_test, method, epsilon, hessian, lam)
+    _check_method(method, epsilon, hessian)
+    test_norm, norms = _checked_norm(g_test, "test"), _checked_norm(G, "train")
+    u = hessian.solve(g_test, lam) if method in ("influence", "relatif") else g_test
+    response = hessian.response_norms(G, lam) if method == "relatif" else None
+    return _scores(G, norms, test_norm, u, response, method, epsilon)
 
 
-def _scores(G, norms, g_test, method, epsilon, hessian, lam) -> np.ndarray:
-    """attribution_scores, given G's row norms, or None to take and check them here."""
+def _check_method(method, epsilon, hessian) -> None:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if method in ("influence", "relatif") and hessian is None:
         raise ValueError(f"{method} needs a precomputed dense Hessian")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    test_norm = _checked_norm(g_test, "test")
-    norms = _checked_norm(G, "train") if norms is None else norms
-    u = hessian.solve(g_test, lam) if method in ("influence", "relatif") else g_test
+
+
+def _scores(G, norms, test_norm, u, response, method, epsilon) -> np.ndarray:
+    """The kernel, given G's row norms, g_test's norm, u (g_test itself unless solved) and V's row norms."""
     dots = np.einsum("ij,j->i", G, u)  # unlike a BLAS matvec, equal rows score equal
     if method == "grad-cos":
         return dots / (norms * test_norm)
     if method == "grad-effect":
         return epsilon * dots / norms**2
-    return dots / hessian.response_norms(G, lam) if method == "relatif" else dots
+    return dots / response if method == "relatif" else dots
 
 
 def grad_cos(model: Model, params: ParamVector, z_train: LabeledExample, z_test: LabeledExample) -> float:
@@ -272,8 +265,7 @@ def grad_effect(
     return -float(attribution_scores(g_train[None, :], g_test, "grad-effect", epsilon=epsilon)[0])
 
 
-@dataclass(frozen=True)
-class AttributionRecord:
+class AttributionRecord(NamedTuple):
     train_index: int
     method: str
     score: float
@@ -306,14 +298,16 @@ def rank_training_set(
 ) -> RankingResult:
     """Score every training example against one test example and sort.
 
-    Scores come from one attribution_scores call on the matrix of training
-    gradients, so positive = helpful for every method. That matrix comes from
-    model.param_grads and the test gradient from query_gradient, and the
-    model keeps both: a repeat at the same parameters computes at most the
-    test gradient. Sorting is by descending score, ties broken by ascending
-    train index. Degenerate training gradients are skipped with a warning.
+    Scores are attribution_scores of the matrix of training gradients, so
+    positive = helpful for every method. The model keeps that matrix, the
+    test gradient, u and V's norms for the objects they came from: a repeat
+    with the same params, dataset, z_test and hessian computes none again.
+    Sorting is by descending score, ties broken by ascending train index.
+    Degenerate training gradients are skipped with a warning.
     """
+    _check_method(method, epsilon, hessian)
     g_test = query_gradient(model, params, z_test)
+    test_norm = _checked_norm(g_test, "test")
     G = model.param_grads(params, dataset)
     norms = np.linalg.norm(G, axis=1)
     keep = norms > DEGENERATE_NORM
@@ -322,7 +316,10 @@ def rank_training_set(
         message = f"skipped {len(skipped)} training examples with degenerate gradients"
         warnings.warn(message, RuntimeWarning, stacklevel=2)
         G, norms = G[keep], norms[keep]
-    scores = _scores(G, norms, g_test, method, epsilon, hessian, lam)
+    kept = lambda slot, build, source: model._keep(slot, build, params, source, hessian, value=lam)
+    u = kept("solve", lambda: hessian.solve(g_test, lam), z_test) if method in ("influence", "relatif") else g_test
+    response = kept("norms", lambda: hessian.response_norms(G, lam), dataset) if method == "relatif" else None
+    scores = _scores(G, norms, test_norm, u, response, method, epsilon)
     index = np.flatnonzero(keep)
     order = np.lexsort((index, -scores))  # descending score, then ascending index
     pairs = zip(index[order].tolist(), scores[order].tolist())

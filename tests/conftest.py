@@ -1,7 +1,6 @@
 """Shared pytest fixtures."""
 
 import gc
-import hashlib
 import sys
 
 import pytest
@@ -37,24 +36,3 @@ def no_cyclic_garbage(request):
     finally:
         gc.enable()
 
-
-@pytest.fixture
-def blake2b_inputs(monkeypatch) -> list:
-    """The byte count of every input to every blake2b digest the test makes, in order."""
-    sizes, real = [], hashlib.blake2b
-
-    class Spy:
-        def __init__(self, *data):
-            self._digest = real()
-            for d in data:
-                self.update(d)
-
-        def update(self, data):
-            sizes.append(memoryview(data).nbytes)
-            self._digest.update(data)
-
-        def digest(self):
-            return self._digest.digest()
-
-    monkeypatch.setattr(hashlib, "blake2b", Spy)
-    return sizes

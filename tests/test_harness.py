@@ -190,9 +190,10 @@ class TestPairedInsertion:
         model = Model(model.arch)  # a model whose gradient store is empty
         holdout_calls = []
         original = Model.param_grad
+        rows = {x.tobytes() for x in holdout.X}  # examples copy their input, so a holdout row is found by value
 
         def counted(self, params, example):
-            if np.shares_memory(example.x, holdout.X):
+            if example.x.tobytes() in rows:
                 holdout_calls.append(example)
             return original(self, params, example)
 

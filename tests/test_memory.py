@@ -22,6 +22,7 @@ from tfa.models import (
     Flatten,
     MaxPool,
     Model,
+    ParamVector,
     Relu,
     TrainConfig,
     train,
@@ -104,22 +105,35 @@ class TestWorkflowsLeaveNoCycles:
         hessian = dense_hessian(model, params, ds.subset(range(8)))
         rank_training_set(model, params, ds, ds.example(0), "relatif", hessian=hessian)
         stored = weakref.ref(model.param_grads(params, ds))
-        assert hessian._kept["norms"][0]() is stored()  # the norms are kept for this G
+        norms = weakref.ref(model._kept["norms"][2])  # kept next to G, in the model's store
         del model
-        assert stored() is None
+        assert stored() is None and norms() is None
 
     def test_kept_solve_does_not_keep_the_query_gradient_alive(self, trained, no_cyclic_garbage):
         _, params, ds = trained
         model = Model(cnn_343())
         hessian = dense_hessian(model, params, ds.subset(range(8)))
-        rank_training_set(model, params, ds, ds.example(0), "influence", hessian=hessian)
-        stored = weakref.ref(query_gradient(model, params, ds.example(0)))
-        u = hessian._kept["solve"][1]
-        assert hessian._kept["solve"][0]() is stored()  # u is kept for this test gradient
-        assert not u.flags.writeable
+        z = ds.example(0)
+        rank_training_set(model, params, ds, z, "influence", hessian=hessian)
+        stored = weakref.ref(query_gradient(model, params, z))
+        u = weakref.ref(model._kept["solve"][2])
+        assert not u().flags.writeable
         del model
-        assert stored() is None
-        assert hessian._kept["solve"][1] is u
+        assert stored() is None and u() is None
+
+    def test_the_store_keeps_no_source_alive(self, trained, no_cyclic_garbage):
+        _, params, ds = trained
+        model = Model(cnn_343())
+        params = ParamVector(params.data, params.layout)
+        dataset = ds.subset(range(8))
+        hessian = dense_hessian(model, params, dataset)
+        z = ds.example(0)
+        rank_training_set(model, params, dataset, z, "relatif", hessian=hessian)
+        assert sorted(model._kept) == ["grads", "norms", "query", "solve"]
+        sources = [weakref.ref(s) for s in (params, dataset, hessian, z)]
+        del params, dataset, hessian, z
+        assert all(source() is None for source in sources)
+        assert sorted(model._kept) == ["grads", "norms", "query", "solve"]  # entries stay until replaced
 
     def test_rank_relatif_with_dense_hessian(self, trained, no_cyclic_garbage):
         model, params, ds = trained

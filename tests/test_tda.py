@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -635,6 +636,36 @@ class TestRanking:
                     model, params, ds, ds.example(0), method="grad-effect", epsilon=epsilon
                 )
 
+    @pytest.mark.parametrize(
+        "method, epsilon, message",
+        [
+            ("bogus", 1e-3, "method must be one of"),
+            ("influence", 1e-3, "influence needs a precomputed dense Hessian"),
+            ("relatif", 1e-3, "relatif needs a precomputed dense Hessian"),
+            ("grad-effect", 0.0, "epsilon must be positive"),
+        ],
+    )
+    def test_arguments_are_checked_before_any_gradient(self, monkeypatch, method, epsilon, message):
+        model, params, flat = saturated_dense()
+        ds = Dataset(np.vstack([flat.x, flat.x]), [0, 0])  # two degenerate training gradients
+        calls = count_param_grads(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                rank_training_set(model, params, ds, LabeledExample(np.array([1.0, 1.0]), 1), method, epsilon=epsilon)
+        assert calls == []
+
+    def test_a_degenerate_test_gradient_is_reported_before_training_rows_are_skipped(self, monkeypatch):
+        model, params, flat = saturated_dense()
+        ds = Dataset(np.vstack([flat.x, [1.0, 1.0]]), [0, 1])
+        calls = count_param_grads(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGradientError) as raised:
+                rank_training_set(model, params, ds, flat)
+        assert raised.value.side == "test"
+        assert calls == [flat]  # the test gradient only
+
 
 def count_param_grads(monkeypatch):
     """Record the example of every Model.param_grad call from here on."""
@@ -655,8 +686,9 @@ class TestGradientStore:
         h = dense_hessian(model, params, ds)
         lam = h.default_damping() + max(0.0, -1.1 * float(np.linalg.eigvalsh(h.matrix)[0]))
         calls = count_param_grads(monkeypatch)
+        z = ds.example(0)  # one object for both rankings: the store keys by identity
         for method in ("influence", "relatif"):
-            rank_training_set(model, params, ds, ds.example(0), method, hessian=h, lam=lam)
+            rank_training_set(model, params, ds, z, method, hessian=h, lam=lam)
         assert len(calls) == len(ds) + 1  # N training gradients and one query
 
     def test_grad_cos_for_two_test_images_computes_training_gradients_once(self, monkeypatch):
@@ -680,22 +712,43 @@ class TestGradientStore:
 
     @pytest.mark.parametrize("change", ["params", "x", "y"])
     def test_query_gradient_is_kept_until_an_input_changes(self, change):
+        """Parameters and examples refuse an in-place write; a new one, differing in one value, rebuilds."""
         model, params, ds = trained_blobs(seed=23, n_per=5, epochs=2)
-        z = LabeledExample(ds.X[0].copy(), ds.y[0])  # writable, unlike a dataset's rows: still keyed by content
+        z = ds.example(0)
         g = query_gradient(model, params, z)
         assert not g.flags.writeable
         np.testing.assert_array_equal(g, model.param_grad(params, z))
         assert query_gradient(model, params, z) is g
         if change == "params":
-            params.data += 0.05
+            with pytest.raises(ValueError, match="read-only"):
+                params.data[0] += 0.05
+            params = models.ParamVector(params.data + 0.05, params.layout)
         elif change == "x":
-            z.x[0] += 0.1
+            with pytest.raises(ValueError, match="read-only"):
+                z.x[0] += 0.1
+            x = z.x.copy()
+            x[0] += 0.1
+            z = LabeledExample(x, z.y)
         else:
             z = LabeledExample(z.x, (z.y + 1) % 3)
         after = query_gradient(model, params, z)
         assert after is not g
         assert not np.array_equal(after, g)
         np.testing.assert_array_equal(after, model.param_grad(params, z))
+
+    def test_an_equal_example_rebuilds_the_query_gradient_and_the_solve(self, monkeypatch):
+        """Entries are keyed by identity, so an equal-content twin of z_test is computed again, equal."""
+        model, params, ds = trained_blobs(seed=29, n_per=5, epochs=2)
+        h = dense_hessian(model, params, ds)
+        z = ds.example(0)
+        first = rank_training_set(model, params, ds, z, "influence", hessian=h)
+        u = model._kept["solve"][2]
+        calls = count_param_grads(monkeypatch)
+        twin = LabeledExample(z.x, z.y)
+        assert rank_training_set(model, params, ds, twin, "influence", hessian=h) == first
+        assert calls == [twin]
+        assert model._kept["solve"][2] is not u
+        np.testing.assert_array_equal(model._kept["solve"][2], u)
 
     def test_three_queries_by_influence_and_relatif_make_one_training_solve(self, monkeypatch):
         model, params, ds = trained_blobs(seed=24, n_per=5, epochs=2)
@@ -709,52 +762,64 @@ class TestGradientStore:
 
         monkeypatch.setattr(tda, "cho_solve", counted)
         for q in (0, 1, 2):
+            z = ds.example(q)
             for method in ("influence", "relatif"):
-                rank_training_set(model, params, ds, ds.example(q), method, hessian=h)
+                rank_training_set(model, params, ds, z, method, hessian=h)
         assert sorted(columns) == [1] * 3 + [len(ds)]  # one solve per test gradient, kept for RelatIF
-
-    def test_a_ranking_hashes_only_the_parameters_and_the_test_input(self, blake2b_inputs):
-        model, params, ds = trained_blobs(seed=26, n_per=5, epochs=2)
-        rank_training_set(model, params, ds, ds.example(0))  # takes the dataset's digest, once
-        assert blake2b_inputs.count(ds.X.nbytes) == 1
-        blake2b_inputs.clear()
-        for q in (1, 2):
-            rank_training_set(model, params, ds, ds.example(q))
-        p, x = params.data.nbytes, ds.X[0].nbytes
-        # the store keys: parameters and dataset digest; parameters, input and label
-        assert sorted(blake2b_inputs) == sorted([p, 64, p, x, 8] * 2)
 
     def test_kept_solve_is_read_only_and_recomputed_at_a_new_damping(self):
         model, params, ds = trained_blobs(seed=27, n_per=5, epochs=2)
         h = dense_hessian(model, params, ds)
-        g = query_gradient(model, params, ds.example(0))
+        z = ds.example(0)
+        g = query_gradient(model, params, z)
         lam = h.damping()
-        u = h.solve(g, lam)
+        rank_training_set(model, params, ds, z, "influence", hessian=h, lam=lam)
+        u = model._kept["solve"][2]
         assert not u.flags.writeable
-        assert h.solve(g, lam) is u
-        assert h.solve(g.copy(), lam) is not u  # a writable right-hand side is solved anew
-        np.testing.assert_array_equal(h.solve(g.copy(), lam), u)
-        u3 = h.solve(g, 3.0 * lam)
+        fresh = h.solve(g, lam)  # the Hessian itself keeps no solve
+        assert fresh is not u and fresh.flags.writeable and h.solve(g, lam) is not fresh
+        np.testing.assert_array_equal(fresh, u)
+        rank_training_set(model, params, ds, z, "influence", hessian=h, lam=lam)
+        assert model._kept["solve"][2] is u
+        rank_training_set(model, params, ds, z, "influence", hessian=h, lam=3.0 * lam)
+        u3 = model._kept["solve"][2]
         assert u3 is not u
         np.testing.assert_array_equal(u3, DampedHessian(h.matrix).solve(g, 3.0 * lam))
-        assert h.solve(g, lam) is not u  # the entry at lam went with its factor
+        rank_training_set(model, params, ds, z, "influence", hessian=h, lam=lam)
+        assert model._kept["solve"][2] is not u  # one entry per slot: lam's went when 3 lam came
 
     def test_relatif_norms_are_rebuilt_for_new_gradients_and_damping(self):
         model, params, ds = trained_blobs(seed=25, n_per=5, epochs=2)
         h = dense_hessian(model, params, ds)
         lam = h.damping()
 
-        def ranked(hessian, lam):
+        def ranked(params, hessian, lam):
             return rank_training_set(
                 model, params, ds, ds.example(0), "relatif", hessian=hessian, lam=lam
             ).records
 
-        first = ranked(h, lam)
-        params.data += 0.05  # in place: the gradient store rebuilds G
-        rebuilt = ranked(h, lam)
+        first = ranked(params, h, lam)
+        params = models.ParamVector(params.data + 0.05, params.layout)  # new parameters: G is rebuilt
+        rebuilt = ranked(params, h, lam)
         assert rebuilt != first
-        assert rebuilt == ranked(DampedHessian(h.matrix), lam)
-        assert ranked(h, 3.0 * lam) == ranked(DampedHessian(h.matrix), 3.0 * lam)
+        assert rebuilt == ranked(params, DampedHessian(h.matrix), lam)
+        assert ranked(params, h, 3.0 * lam) == ranked(params, DampedHessian(h.matrix), 3.0 * lam)
+
+    def test_solves_follow_a_caller_who_unlocks_and_writes_the_operand(self):
+        """The Hessian keeps no result, so an operand written after a solve is solved anew."""
+        model, params, ds = trained_blobs(seed=30, n_per=5, epochs=2)
+        h = dense_hessian(model, params, ds)
+        lam = h.damping()
+        G = np.array(model.param_grads(params, ds))
+        v = np.array(G[0])
+        G.flags.writeable = v.flags.writeable = False
+        h.response_norms(G, lam), h.solve(v, lam)
+        G.flags.writeable = v.flags.writeable = True
+        G *= 10.0
+        v *= 10.0
+        fresh = DampedHessian(h.matrix)
+        np.testing.assert_array_equal(h.response_norms(G, lam), fresh.response_norms(G, lam))
+        np.testing.assert_array_equal(h.solve(v, lam), fresh.solve(v, lam))
 
 
 class TestKernel:
