@@ -59,7 +59,7 @@ from .outputs import format_csv, read_key_value, write_csv, write_grid_artifacts
 from .ridge import ToySetup, feature_contributions, representer_coefficients
 from .rng import child_seed
 from .saliency import channel_aggregate, smoothgrad_saliency
-from .tda import METHODS, InsufficientDampingError, dense_hessian, rank_training_set
+from .tda import HESSIAN_METHODS, METHODS, InsufficientDampingError, dense_hessian, rank_training_set
 
 
 class UsageError(Exception):
@@ -396,7 +396,7 @@ def cmd_rank(args) -> int:
     run = Run(args.run)
     z_test = run.test_example(args.test_index)
     hessian = None
-    if args.method in ("influence", "relatif"):
+    if args.method in HESSIAN_METHODS:
         k = min(args.hessian_examples, len(run.train_ds))  # evenly spaced, so every class of a class-ordered split
         subset = run.train_ds.subset(np.arange(k) * len(run.train_ds) // k)
         start = perf_counter()
@@ -581,10 +581,7 @@ def cmd_toy_ridge(args) -> int:
     print(f"# prediction alpha.y = {prediction!r}", file=sys.stderr)
     if args.out:
         write_csv(Path(args.out) / "tables" / "toy_ridge.csv", header, rows)
-        write_manifest(
-            Path(args.out) / "manifest.txt",
-            {"command": "toy-ridge", "n": args.n, "c": args.c, "lambda": args.lam, "t": args.t},
-        )
+        write_manifest(Path(args.out) / "manifest.txt", {"command": "toy-ridge", **parsed_flags(args)})
     return 0
 
 

@@ -42,8 +42,8 @@ class SyntheticShapesSpec:
             raise ValueError("image size must be at least 12 pixels")
         if not 2 <= self.num_classes <= 3:
             raise ValueError("class count must be 2 or 3")
-        if self.noise < 0:
-            raise ValueError("noise level must be non-negative")
+        if not 0 <= self.noise < np.inf:
+            raise ValueError("noise level must be non-negative and finite")
         if self.train_per_class < 1 or self.test_per_class < 1 or self.holdout_per_class < 0:
             raise ValueError("split sizes must be positive (holdout may be zero)")
 

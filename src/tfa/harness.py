@@ -54,8 +54,10 @@ class InterventionConfig:
             raise ValueError(f"k percents must be distinct, got {self.k_percents}")
         if self.num_tests < 1 or self.top_m < 1 or self.samples < 1:
             raise ValueError("num_tests, top_m and samples must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be non-negative and finite")
+        if not -np.inf < self.lr_step < np.inf:
+            raise ValueError("lr_step must be finite")
         if self.fill not in FILL_MODES:
             raise ValueError(f"fill must be one of {FILL_MODES}")
 

@@ -232,8 +232,8 @@ class TrainConfig:
     lr_decay: float = 1.0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("learning rate must be positive and finite")
         if not 0 < self.lr_decay <= 1:
             raise ValueError("lr_decay must lie in (0, 1]")
         if self.epochs < 0 or self.batch_size < 1:

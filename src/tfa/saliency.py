@@ -86,8 +86,8 @@ def smoothgrad_saliency(
     effect: the samples run one after another, since a thread pool measured
     slower than that on the tiny CNN.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be non-negative and finite")
     if samples < 1:
         raise ValueError("need at least one sample")
     g_test = query_gradient(model, params, z_test)

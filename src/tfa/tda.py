@@ -28,7 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .models import Dataset, LabeledExample, Model, ParamVector
 
-METHODS = ("grad-cos", "grad-effect", "influence", "relatif")
+HESSIAN_METHODS = ("influence", "relatif")  # the methods that solve against a DampedHessian
+METHODS = ("grad-cos", "grad-effect", *HESSIAN_METHODS)
 
 DEGENERATE_NORM = 1e-12
 DENSE_HESSIAN_MAX_PARAMS = 20_000  # a dense float64 Hessian of this many parameters takes 3.2 GB
@@ -38,7 +39,7 @@ DENSE_HESSIAN_MAX_PARAMS = 20_000  # a dense float64 Hessian of this many parame
 def _scipy_cho():
     """scipy.linalg's (cho_factor, cho_solve), imported at the first call: that
     import, with its own BLAS, takes longer than the rest of `import tfa`, and
-    only the influence and RelatIF solves and the ridge oracles factor a matrix."""
+    only the influence and RelatIF solves factor a matrix."""
     from scipy.linalg import cho_factor, cho_solve
 
     return cho_factor, cho_solve
@@ -216,7 +217,7 @@ def attribution_scores(
     """Oriented scores (positive = helpful) of each gradient row of G (N, p) against g_test."""
     _check_method(method, epsilon, hessian)
     test_norm, norms = _checked_norm(g_test, "test"), _checked_norm(G, "train")
-    u = hessian.solve(g_test, lam) if method in ("influence", "relatif") else g_test
+    u = hessian.solve(g_test, lam) if method in HESSIAN_METHODS else g_test
     response = hessian.response_norms(G, lam) if method == "relatif" else None
     return _scores(G, norms, test_norm, u, response, method, epsilon)
 
@@ -224,10 +225,10 @@ def attribution_scores(
 def _check_method(method, epsilon, hessian) -> None:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    if method in ("influence", "relatif") and hessian is None:
+    if method in HESSIAN_METHODS and hessian is None:
         raise ValueError(f"{method} needs a precomputed dense Hessian")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
 
 
 def _scores(G, norms, test_norm, u, response, method, epsilon) -> np.ndarray:
@@ -260,6 +261,7 @@ def grad_effect(
     that reduces the training example's loss by about epsilon. Negative
     output means the test loss is predicted to drop.
     """
+    _check_method("grad-effect", epsilon, None)  # before either gradient
     g_test = query_gradient(model, params, z_test)
     g_train = model.param_grad(params, z_train)
     return -float(attribution_scores(g_train[None, :], g_test, "grad-effect", epsilon=epsilon)[0])
@@ -317,7 +319,7 @@ def rank_training_set(
         warnings.warn(message, RuntimeWarning, stacklevel=2)
         G, norms = G[keep], norms[keep]
     kept = lambda slot, build, source: model._keep(slot, build, params, source, hessian, value=lam)
-    u = kept("solve", lambda: hessian.solve(g_test, lam), z_test) if method in ("influence", "relatif") else g_test
+    u = kept("solve", lambda: hessian.solve(g_test, lam), z_test) if method in HESSIAN_METHODS else g_test
     response = kept("norms", lambda: hessian.response_norms(G, lam), dataset) if method == "relatif" else None
     scores = _scores(G, norms, test_norm, u, response, method, epsilon)
     index = np.flatnonzero(keep)

@@ -252,6 +252,14 @@ class TestToyRidge:
     def test_rejects_degenerate_n(self, capsys):
         assert cli.main(["toy-ridge", "--n", "1"]) == 1
 
+    def test_manifest_is_the_parsed_flags_by_dest(self, tmp_path, capsys):
+        assert cli.main(["toy-ridge", "--lambda", "0.5", "--out", str(tmp_path)]) == 0
+        manifest = read_key_value(tmp_path / "manifest.txt")
+        subparser = cli.build_parser()._subparsers._group_actions[0].choices["toy-ridge"]
+        dests = [a.dest for a in subparser._actions if a.dest not in ("help", "out")]
+        assert list(manifest) == ["command", *dests] == ["command", "n", "c", "lam", "t"]
+        assert manifest["lam"] == "0.5"
+
 
 class TestTrain:
     def test_run_directory_contents(self, run_dir):

@@ -59,8 +59,9 @@ class TestSyntheticShapes:
             SyntheticShapesSpec(size=8)
         with pytest.raises(ValueError):
             SyntheticShapesSpec(num_classes=4)
-        with pytest.raises(ValueError):
-            SyntheticShapesSpec(noise=-0.1)
+        for noise in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="noise level must be non-negative"):
+                SyntheticShapesSpec(noise=noise)
         with pytest.raises(ValueError):
             SyntheticShapesSpec(train_per_class=0)
 

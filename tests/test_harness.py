@@ -216,8 +216,13 @@ class TestPairedInsertion:
             InterventionConfig(k_percents=(120,))
         with pytest.raises(ValueError):
             InterventionConfig(fill="noise")
-        with pytest.raises(ValueError):
-            InterventionConfig(sigma=-1.0)
+        for sigma in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma must be non-negative"):
+                InterventionConfig(sigma=sigma)
+        for lr_step in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="lr_step must be finite"):
+                InterventionConfig(lr_step=lr_step)
+        assert InterventionConfig(lr_step=-1e-3).lr_step == -1e-3  # either sign, as --lr-step allows
         with pytest.raises(ValueError):
             PairedResult(k=10, mean_random=0, mean_topk=0, mean_paired_delta=0, ci_half_width=-1, pairs=4)
 

@@ -290,8 +290,9 @@ class TestTraining:
 
 class TestTrainConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(lr=0.0)
+        for lr in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="learning rate must be positive"):
+                TrainConfig(lr=lr)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 

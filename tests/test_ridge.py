@@ -44,8 +44,15 @@ class TestRidgeFit:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             RidgeProblem(np.ones((3, 2)), np.ones(4), 1.0)
-        with pytest.raises(ValueError):
-            RidgeProblem(np.ones((3, 2)), np.ones(3), 0.0)
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="ridge penalty must be positive"):
+                RidgeProblem(np.ones((3, 2)), np.ones(3), lam)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            RidgeProblem(np.ones((3, 2)), [1.0, np.nan, 1.0], 1.0)
+        problem = RidgeProblem(np.ones((3, 2)), np.ones(3), 1.0)
+        for oracle in (representer_coefficients, feature_contributions):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                oracle(problem, np.array([np.inf, 1.0]))
 
     def test_overflowing_normal_matrix_is_a_value_error(self):
         problem = ToySetup(c=1e200).problem()  # c^2 overflows to inf in X'X
@@ -121,6 +128,14 @@ class TestToySetup:
         np.testing.assert_allclose(
             float(setup.test_point(1.0) @ ridge_fit(problem)), 0.8, atol=1e-12
         )
+
+    def test_default_toy_is_exact_in_floating_point(self):
+        # alpha_n = c t / (c^2 + lam) = 2/5 and alpha_n y_n = 4/5, correctly rounded
+        setup = ToySetup()
+        problem = setup.problem()
+        alphas = representer_coefficients(problem, setup.test_point(1.0))
+        assert alphas[-1] == 0.4
+        assert float(alphas @ problem.y) == 0.8
 
     def test_general_closed_form_in_t_c_lam(self):
         rng = np.random.default_rng(6)

@@ -238,8 +238,9 @@ class TestSmoothgrad:
 
     def test_parameter_validation(self):
         model, params, ds = trained_cnn()
-        with pytest.raises(ValueError):
-            smoothgrad_saliency(model, params, ds.example(0), ds.example(1), sigma=-0.1, samples=3, seed=0)
+        for sigma in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma must be non-negative"):
+                smoothgrad_saliency(model, params, ds.example(0), ds.example(1), sigma=sigma, samples=3, seed=0)
         with pytest.raises(ValueError):
             smoothgrad_saliency(model, params, ds.example(0), ds.example(1), sigma=0.1, samples=0, seed=0)
 

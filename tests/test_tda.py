@@ -136,10 +136,13 @@ class TestGradEffect:
             grad_effect(model, params, z, z, epsilon=1e-3), -1e-3, rtol=1e-10
         )
 
-    def test_epsilon_must_be_positive(self):
+    def test_epsilon_must_be_positive(self, monkeypatch):
         model, params, ds = trained_blobs(seed=5)
-        with pytest.raises(ValueError):
-            grad_effect(model, params, ds.example(0), ds.example(1), epsilon=0.0)
+        calls = count_param_grads(monkeypatch)
+        for epsilon in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                grad_effect(model, params, ds.example(0), ds.example(1), epsilon=epsilon)
+        assert calls == []  # checked before either gradient
 
 
 def fd_mlp():
@@ -372,6 +375,25 @@ class TestScipyImport:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         np.testing.assert_allclose(json.loads(proc.stdout), [1 / 2, 1 / 3, 1 / 4], rtol=1e-15)
+
+    def test_the_ridge_oracle_never_loads_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import tfa, tfa.cli\n"
+            "from tfa.ridge import ToySetup, feature_contributions, leave_one_out_delta, representer_coefficients, ridge_fit\n"
+            f"assert tfa.cli.main(['toy-ridge', '--out', {str(tmp_path)!r}]) == 0\n"
+            "setup = ToySetup()\n"
+            "problem, x_test = setup.problem(), setup.test_point(1.0)\n"
+            "ridge_fit(problem), representer_coefficients(problem, x_test), feature_contributions(problem, x_test)\n"
+            "leave_one_out_delta(problem, 4, x_test, 1.0)\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(tfa.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "tables" / "toy_ridge.csv").exists()
 
 
 class TestInfluence:
@@ -630,7 +652,7 @@ class TestRanking:
             rank_training_set(model, params, ds, ds.example(0), method="tracin")
         with pytest.raises(ValueError):
             rank_training_set(model, params, ds, ds.example(0), method="influence")
-        for epsilon in (0.0, -1e-3):
+        for epsilon in (0.0, -1e-3, np.nan, np.inf):
             with pytest.raises(ValueError):
                 rank_training_set(
                     model, params, ds, ds.example(0), method="grad-effect", epsilon=epsilon
@@ -643,6 +665,8 @@ class TestRanking:
             ("influence", 1e-3, "influence needs a precomputed dense Hessian"),
             ("relatif", 1e-3, "relatif needs a precomputed dense Hessian"),
             ("grad-effect", 0.0, "epsilon must be positive"),
+            ("grad-effect", np.nan, "epsilon must be positive"),
+            ("grad-effect", np.inf, "epsilon must be positive"),
         ],
     )
     def test_arguments_are_checked_before_any_gradient(self, monkeypatch, method, epsilon, message):
