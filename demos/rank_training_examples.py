@@ -30,7 +30,7 @@ model = Model(arch)
 print(f"{model.num_params} parameters, final train accuracy {history.accuracies[-1]:.2f}")
 
 z_test = test_ds.example(0)
-print(f"\ntest image: class {z_test.y}, predicted {model.predict_one(params, z_test.x)}")
+print(f"\ntest image: class {z_test.y}, predicted {model.predict(params, z_test.x[None])[0]}")
 
 for method in ("grad-cos", "grad-effect"):
     ranking = rank_training_set(model, params, train_ds, z_test, method)

@@ -240,7 +240,7 @@ def paired_insertion_experiment(
         len(test_set), size=num_tests, replace=False
     )
 
-    deltas = {k: [] for k in config.k_percents}
+    deltas = {k: [] for k in config.k_percents}  # k -> one (topk, random) pair per (test, map)
     for t in sorted(int(i) for i in picked):
         z_test = test_set.example(t)
         before = model.loss(params, z_test)  # the pre-step loss of every delta below
@@ -264,26 +264,13 @@ def paired_insertion_experiment(
                     for x in (x_top, x_rand)
                 ))
 
-    results = []
-    for k in config.k_percents:
-        pairs = deltas[k]
-        top_vals, rand_vals = np.array(pairs).T
-        diff = top_vals - rand_vals
-        if len(pairs) > 1:
-            half = Z95 * float(np.std(diff, ddof=1)) / math.sqrt(len(pairs))
-        else:
-            half = 0.0
-        results.append(
-            PairedResult(
-                k=float(k),
-                mean_random=float(rand_vals.mean()),
-                mean_topk=float(top_vals.mean()),
-                mean_paired_delta=float(diff.mean()),
-                ci_half_width=half,
-                pairs=len(pairs),
-            )
-        )
-    return results
+    # (k, pair) arrays reduced along their contiguous pair axis: the same pairwise sums as one k at a time
+    top, rand = np.moveaxis(np.array(list(deltas.values())), 2, 0)
+    diff = top - rand
+    pairs = diff.shape[1]
+    half = Z95 * np.std(diff, axis=1, ddof=1) / math.sqrt(pairs) if pairs > 1 else np.zeros(len(diff))
+    aggregates = zip(config.k_percents, rand.mean(axis=1), top.mean(axis=1), diff.mean(axis=1), half)
+    return [PairedResult(float(k), float(r), float(t), float(d), float(h), pairs) for k, r, t, d, h in aggregates]
 
 
 def explain_misclassification(
@@ -306,7 +293,9 @@ def explain_misclassification(
     scores with the worst offender first. Each listed example gets a
     smoothed saliency map seeded by its train index.
     """
-    predicted = model.predict_one(params, z_test.x)
+    if top_r < 0:
+        raise ValueError(f"top_r must be non-negative, got {top_r}")
+    predicted = int(model.predict(params, z_test.x[None])[0])
     correct = predicted == z_test.y
     if correct:
         warnings.warn(
@@ -339,19 +328,15 @@ def patch_region(image_shape, spec: PatchSpec):
 
 
 def apply_patch(x, spec: PatchSpec) -> np.ndarray:
-    """Stamp the patch color onto a copy of one (C, H, W) image."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"expected a (C, H, W) image, got shape {x.shape}")
-    if len(spec.color) != x.shape[0]:
-        raise ValueError(
-            f"patch color has {len(spec.color)} channels, image has {x.shape[0]}"
-        )
+    """Stamp the patch color onto a copy of one (C, H, W) image or of each image of a (..., C, H, W) stack."""
+    x = np.array(x, dtype=np.float64)
+    if x.ndim < 3:
+        raise ValueError(f"expected a (C, H, W) image or a (..., C, H, W) stack, got shape {x.shape}")
+    if len(spec.color) != x.shape[-3]:
+        raise ValueError(f"patch color has {len(spec.color)} channels, image has {x.shape[-3]}")
     rows, cols = patch_region(x.shape, spec)
-    out = x.copy()
-    for c, v in enumerate(spec.color):
-        out[c, rows, cols] = v
-    return out
+    x[..., rows, cols] = np.reshape(spec.color, (-1, 1, 1))
+    return x
 
 
 def make_patched_dataset(dataset: Dataset, spec: PatchSpec) -> Dataset:
@@ -367,8 +352,7 @@ def make_patched_dataset(dataset: Dataset, spec: PatchSpec) -> Dataset:
     chosen = target[order[:count]]
 
     X = dataset.X.copy()
-    for i in chosen:
-        X[i] = apply_patch(X[i], spec)
+    X[chosen] = apply_patch(X[chosen], spec)
     return Dataset(X, dataset.y)
 
 
@@ -426,14 +410,17 @@ def patch_sweep(
     examples, and the mean patch attribution fraction of those saliency
     grids is reported. Every per-fraction job derives its own seeds from
     the fraction value, so the rows are independent of sweep order. check_patch
-    checks the patch, the class pair and the fractions before any training.
+    checks the patch, the class pair and the fractions, and both counts must
+    be positive, before any training.
     """
     check_patch(arch, spec, probe_class, fractions)
+    if probe_count < 1 or harmful_count < 1:
+        raise ValueError(f"probe_count and harmful_count must be at least 1, got {probe_count} and {harmful_count}")
 
     model = Model(arch)
     probe_pool = np.flatnonzero(base_test.y == probe_class)
     if len(probe_pool) == 0:
-        raise ValueError("test set has no probe-class images")
+        raise ValueError(f"test set has no image of probe class {probe_class}")
     target_test = np.flatnonzero(base_test.y == spec.target_class)
 
     rows = []
@@ -444,15 +431,11 @@ def patch_sweep(
         cfg = dataclasses.replace(train_config, seed=child_seed(seed, f"patch/train/{tag}"))
         params, _ = train(train_ds, arch, cfg, epoch_accuracy=False)
 
-        overall = model.accuracy(params, base_test)
-        if len(target_test):
-            unpatched_target = float(
-                np.mean(model.predict(params, base_test.X[target_test]) == spec.target_class)
-            )
-        else:
-            unpatched_target = 0.0
+        clean = model.predict(params, base_test.X)
+        overall = float(np.mean(clean == base_test.y))
+        unpatched_target = float(np.mean(clean[target_test] == spec.target_class)) if len(target_test) else 0.0
 
-        patched_probe_X = np.stack([apply_patch(base_test.X[i], spec_f) for i in probe_pool])
+        patched_probe_X = apply_patch(base_test.X[probe_pool], spec_f)
         probe_preds = model.predict(params, patched_probe_X)
         patched_probe_acc = float(np.mean(probe_preds == probe_class))
 

@@ -6,15 +6,17 @@ example through the ops. Parameters live in one flat float64 vector of
 as a single differentiation target. Losses are recorded per example;
 minibatch training takes the explicit mean over a batched tensor.
 
-The plain-value passes (``Model.logits`` and ``Model.mean_loss``, and with
-them ``predict`` and ``accuracy``) record at most ``EVAL_ROWS`` examples per
-graph, so their memory stays flat in the dataset size.
+The plain-value passes (``Model.logits``, ``loss`` and ``mean_loss``, and
+with them ``predict`` and ``accuracy``) share one loop that records at most
+``EVAL_ROWS`` examples per graph, so their memory stays flat in the dataset.
 
-Parameters, examples and datasets are immutable values owning read-only
-copies of their arrays. Attribution ranks one training set many times at
-fixed parameters, so a ``Model`` keeps the last result of each slot (the
-matrix of ``Model.param_grads``; the query gradient, solve and RelatIF norms
-of ``tda``), keyed by the identity of the values it came from, held weakly.
+Parameters, examples and datasets are immutable values: their arrays lie
+on immutable bytes, so no array on a ``.base`` chain can be made writable,
+and a dataset's example shares the dataset's row. Attribution ranks one
+training set many times at fixed parameters, so a ``Model`` keeps the last
+result of each slot (the matrix of ``Model.param_grads``; the query
+gradient, solve and RelatIF norms of ``tda``), locked the same way and keyed
+by the identity of the values it came from, held weakly.
 
 Every loss is the softmax cross-entropy of the logits against integer
 labels, the classification loss whose gradients every attribution reads.
@@ -34,10 +36,11 @@ EVAL_ROWS = 32  # examples per graph in plain-value passes, which bounds their m
 
 
 def _read_only(a, dtype) -> np.ndarray:
-    """A view of a read-only copy of a: numpy refuses to make such a view writable again."""
-    a = np.array(a, dtype=dtype)
-    a.flags.writeable = False
-    return a.view()
+    """a as dtype on immutable bytes, which numpy never makes writable; an input already on bytes is kept, not copied."""
+    a = base = np.asarray(a, dtype=dtype)
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return a if type(base) is bytes else np.frombuffer(a.tobytes(), dtype).reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,7 @@ class LabeledExample:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Batched examples: X is (N, ...) float64, y is (N,) int64, both read-only copies."""
+    """Batched examples: X is (N, ...) float64, y is (N,) int64, both read-only copies unless locked already."""
 
     X: np.ndarray
     y: np.ndarray
@@ -247,7 +250,7 @@ class TrainHistory:
 
 
 class Model:
-    """Recording and evaluation helpers for one architecture."""
+    """Recording and evaluation helpers for one architecture; every plain-value pass runs ``_evaluate``."""
 
     def __init__(self, arch: ArchitectureSpec):
         self.arch = arch
@@ -308,20 +311,22 @@ class Model:
 
     # -- plain-value conveniences -------------------------------------------
 
-    def logits(self, params: ParamVector, X: np.ndarray) -> np.ndarray:
-        out = np.empty((len(X), self.arch.num_classes))
+    def _evaluate(self, params: ParamVector, X: np.ndarray, labels=None) -> np.ndarray:
+        """Logits of X, or given labels its per-example losses, recorded EVAL_ROWS rows per graph."""
+        out = np.empty((len(X), self.arch.num_classes) if labels is None else len(X))
         for start in range(0, len(X), EVAL_ROWS):
             rows = slice(start, start + EVAL_ROWS)
-            graph = ad.Graph()  # `node` keeps the last slice alive meanwhile, as in train
-            node = self.record_forward(graph.constant(params.data), graph.constant(X[rows]))
-            out[rows] = node.value
+            graph = ad.Graph()  # no name holds the last slice's output, so its graph is freed before this one
+            theta, X_rows = graph.constant(params.data), graph.constant(X[rows])
+            out[rows] = (self.record_forward(theta, X_rows) if labels is None
+                         else self.record_per_example_loss(theta, X_rows, labels[rows])).value
         return out
+
+    def logits(self, params: ParamVector, X: np.ndarray) -> np.ndarray:
+        return self._evaluate(params, X)
 
     def predict(self, params: ParamVector, X: np.ndarray) -> np.ndarray:
         return self.logits(params, X).argmax(axis=1)
-
-    def predict_one(self, params: ParamVector, x: np.ndarray) -> int:
-        return int(self.predict(params, np.asarray(x)[None])[0])
 
     def accuracy(self, params: ParamVector, dataset: Dataset) -> float:
         if len(dataset) == 0:
@@ -329,22 +334,12 @@ class Model:
         return float(np.mean(self.predict(params, dataset.X) == dataset.y))
 
     def loss(self, params: ParamVector, example: LabeledExample) -> float:
-        graph = ad.Graph()
-        node = self.record_example_loss(graph.constant(params.data), graph.constant(example.x), example.y)
-        return float(node.value)
+        return float(self._evaluate(params, example.x.reshape(1, *self.arch.input_shape), np.array([example.y]))[0])
 
     def mean_loss(self, params: ParamVector, dataset: Dataset) -> float:
-        n = len(dataset)
-        if n == 0:
+        if len(dataset) == 0:
             raise ValueError("mean loss of an empty dataset is undefined")
-        per = np.empty(n)
-        for start in range(0, n, EVAL_ROWS):
-            rows = slice(start, start + EVAL_ROWS)
-            graph = ad.Graph()
-            per[rows] = self.record_per_example_loss(
-                graph.constant(params.data), graph.constant(dataset.X[rows]), dataset.y[rows]
-            ).value
-        return float(np.sum(per) / n)
+        return float(np.sum(self._evaluate(params, dataset.X, dataset.y)) / len(dataset))
 
     def param_grad(self, params: ParamVector, example: LabeledExample) -> np.ndarray:
         """Flat gradient of one example's loss with respect to the parameters."""
@@ -375,8 +370,7 @@ class Model:
         if kept and kept[1] == value and all(ref() is s for ref, s in zip(kept[0], sources)):
             return kept[2]
         self._kept.pop(slot, None)  # free the stale result before the build
-        result = build()
-        result.flags.writeable = False
+        result = _read_only(build(), np.float64)
         self._kept[slot] = ([weakref.ref(s) for s in sources], value, result)
         return result
 
@@ -395,12 +389,15 @@ def train(dataset: Dataset, arch: ArchitectureSpec, config: TrainConfig, *, epoc
     Returns (params, history) where history holds per-epoch mean training
     loss and, unless epoch_accuracy is False, full-set accuracy after each
     epoch. That pass is a large share of an epoch's time, so callers that do
-    not read it turn it off; the parameters do not depend on it.
+    not read it turn it off; the parameters do not depend on it. An empty
+    dataset is rejected unless config.epochs is 0.
     """
+    n = len(dataset)
+    if n == 0 and config.epochs >= 1:
+        raise ValueError("cannot train on an empty dataset")
     model = Model(arch)
     params = init_params(arch, config.seed)
     history = TrainHistory()
-    n = len(dataset)
     for epoch in range(config.epochs):
         lr = config.lr * config.lr_decay**epoch
         order = stream(config.seed, f"shuffle/epoch{epoch}").permutation(n)

@@ -281,10 +281,12 @@ class RankingResult:
     skipped: list
 
     def helpful(self, r: int) -> list:
+        if r < 0:  # a negative r would slice from the other end
+            raise ValueError(f"r must be non-negative, got {r}")
         return self.records[:r]
 
     def harmful(self, r: int) -> list:
-        return list(reversed(self.records[-r:] if r else []))
+        return RankingResult(self.records[::-1], self.skipped).helpful(r)
 
 
 def rank_training_set(

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cifar_records import encode_cifar10_bytes
+from cifar_records import encode_cifar10_bytes, write_batches
 from tfa import cli
 from tfa.datasets import SyntheticShapesSpec, generate_synthetic, load_cifar10_binary
 from tfa.outputs import read_key_value, write_manifest
@@ -198,6 +198,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "no training images" in err and "--cifar-classes" in err
+        assert not out.exists()
+
+    def test_patch_sweep_with_no_probe_class_test_image_is_one_line_data_error(self, tmp_path, monkeypatch, capsys):
+        for name in ("train", "patch_sweep"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("the sweep trained"))
+        rng = np.random.default_rng(1)
+        train_raw = encode_cifar10_bytes(rng.integers(0, 256, size=(12, 3, 32, 32)) / 255.0, np.arange(12) % 3)
+        test_raw = encode_cifar10_bytes(rng.integers(0, 256, size=(12, 3, 32, 32)) / 255.0, np.arange(12) % 2)
+        write_batches(tmp_path, [train_raw] * 5, test_raw)
+        out = tmp_path / "out"
+        argv = ["patch-sweep", *CIFAR_FLAGS, "--data-dir", str(tmp_path), "--cifar-classes", "0,1,2",
+                "--patch-color", "0.9,0.9,0.9", "--probe-class", "2", "--out", str(out)]
+        assert cli.main(argv) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "error: the test split has no image of --probe-class 2"
         assert not out.exists()
 
     def test_cifar_without_data_dir_is_usage_error(self, tmp_path, capsys):

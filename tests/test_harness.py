@@ -275,13 +275,16 @@ class TestExplainMisclassification:
             assert m.values.shape == train_ds.X.shape[1:]
         assert report.test_index == 2
 
-    def test_r_clips_to_dataset_size(self):
+    def test_r_clips_to_dataset_size(self, monkeypatch):
         model, params, train_ds, _, test = shapes12()
         report = explain_misclassification(
             model, params, train_ds, test.example(1), top_r=10_000, samples=1, seed=4
         )
         assert len(report.helpful) == len(train_ds)
         assert len(report.harmful) == len(train_ds)
+        monkeypatch.setattr(harness, "rank_training_set", lambda *a, **k: pytest.fail("a negative top_r was ranked"))
+        with pytest.raises(ValueError, match="top_r must be non-negative"):
+            explain_misclassification(model, params, train_ds, test.example(1), top_r=-1)
 
 
 class TestPatching:
@@ -297,6 +300,11 @@ class TestPatching:
         untouched = out.copy()
         untouched[0, 5:, 5:] = 0.0
         assert np.array_equal(untouched, x)
+        stack = np.random.default_rng(0).uniform(size=(2, 1, 8, 8))
+        before = stack.copy()
+        stamped = apply_patch(stack, self.spec())  # one stamp of the stack: each image's own, byte for byte
+        assert stamped.tobytes() == np.stack([apply_patch(image, self.spec()) for image in stack]).tobytes()
+        assert np.array_equal(stack, before)
 
     def test_patch_must_fit_and_match_channels(self):
         with pytest.raises(ValueError):
@@ -380,6 +388,9 @@ class TestPatchSweepSmoke:
             dict(target_class=7),  # a 3-class model has no class 7
             dict(color=(0.95, 0.95, 0.95)),  # three channels on one-channel images
             dict(size=13),  # larger than the 12x12 images
+            dict(probe_count=0),  # no probe would be mapped: the attribution mean would be nan
+            dict(probe_count=-1),  # would drop the last probe
+            dict(harmful_count=0),
         ],
     )
     def test_bad_patch_is_rejected_before_any_training(self, patch, monkeypatch):
@@ -388,10 +399,12 @@ class TestPatchSweepSmoke:
 
         monkeypatch.setattr("tfa.harness.train", must_not_run)
         _, _, train_ds, _, test = shapes12()
-        spec = PatchSpec(**{**dict(size=3, color=(0.95,), target_class=0, fraction=0.0), **patch})
+        counts = {key: value for key, value in patch.items() if key.endswith("_count")}
+        spec_fields = {key: value for key, value in patch.items() if key not in counts}
+        spec = PatchSpec(**{**dict(size=3, color=(0.95,), target_class=0, fraction=0.0), **spec_fields})
         cfg = TrainConfig(lr=0.2, epochs=1, batch_size=16, seed=5)
         with pytest.raises(ValueError):
-            patch_sweep(train_ds, test, (0.0, 1.0), tiny_cnn((1, 12, 12), 3), cfg, spec, probe_class=1)
+            patch_sweep(train_ds, test, (0.0, 1.0), tiny_cnn((1, 12, 12), 3), cfg, spec, probe_class=1, **counts)
 
     @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.25, 0.5, 0.5000001), (0.0, 1.5)])
     def test_repeated_or_out_of_range_fractions_are_rejected_before_any_training(self, fractions, monkeypatch):

@@ -373,6 +373,10 @@ class TestEvaluationSlices:
             model.mean_loss(params, empty)
         with pytest.raises(ValueError, match="empty dataset"):
             model.accuracy(params, empty)
+        with pytest.raises(ValueError, match="cannot train on an empty dataset"):
+            train(empty, model.arch, TrainConfig(epochs=1))
+        initial, _ = train(empty, model.arch, TrainConfig(epochs=0, seed=4))
+        np.testing.assert_array_equal(initial.data, init_params(model.arch, seed=4).data)
 
 
 class TestGradientStore:
@@ -483,12 +487,21 @@ class TestDataset:
         assert not np.shares_memory(Dataset(X, y).X, X) and not np.shares_memory(Dataset(X, y).y, y)
 
     def test_no_array_of_a_value_can_be_made_writable_or_replaced(self):
-        ds = Dataset(np.zeros((2, 1, 3, 3)), [0, 1])
-        params = init_params(logistic(2, 2), seed=0)
+        """Nor any array on the .base chain of a value's array or of a store result: numpy lets an owner unlock."""
+        arch = logistic(4, 2)
+        model, params = Model(arch), init_params(arch, seed=0)
+        ds = Dataset(np.random.default_rng(0).standard_normal((5, 4)), [0, 1, 0, 1, 1])
         z = ds.example(0)
-        for a in (ds.X, ds.y, params.data, z.x):
-            with pytest.raises(ValueError):
-                a.flags.writeable = True
+        assert np.shares_memory(z.x, ds.X)  # a locked row is kept, not copied
+        h = tda.dense_hessian(model, params, ds)
+        for method in ("influence", "relatif"):
+            tda.rank_training_set(model, params, ds, z, method, hessian=h)
+        stored = [model._kept[slot][2] for slot in ("grads", "query", "solve", "norms")]
+        for a in (ds.X, ds.y, params.data, z.x, *stored):
+            while isinstance(a, np.ndarray):
+                with pytest.raises(ValueError):
+                    a.flags.writeable = True
+                a = a.base
         with pytest.raises(ValueError, match="read-only"):
             params.data[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):

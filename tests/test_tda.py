@@ -607,6 +607,12 @@ class TestRanking:
         assert bottom[0].score == min(scores)
         # the example itself must be the top helpful match
         assert top[0].train_index == 0
+        assert result.helpful(0) == result.harmful(0) == []
+        assert result.harmful(len(ds) + 1) == result.records[::-1]
+        for r in (-1, -len(ds)):  # a negative r would slice from the other end
+            for tail in (result.helpful, result.harmful):
+                with pytest.raises(ValueError, match="r must be non-negative"):
+                    tail(r)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_grad_effect_ranking_matches_grad_alignment(self, method):
