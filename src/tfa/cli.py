@@ -533,8 +533,9 @@ def cmd_patch_sweep(args) -> int:
     except ValueError as e:
         flags = "--fractions, --patch-color, --patch-size, --target-class, --probe-class"
         raise UsageError(f"bad patch flags ({flags}): {e}") from e
-    if args.probe_class not in test_ds.y:
-        raise FormatError(f"the test split has no image of --probe-class {args.probe_class}")
+    for flag, c in (("--probe-class", args.probe_class), ("--target-class", args.target_class)):
+        if c not in test_ds.y:
+            raise FormatError(f"the test split has no image of {flag} {c}")
     rows = patch_sweep(
         train_ds,
         test_ds,

@@ -411,7 +411,8 @@ def patch_sweep(
     grids is reported. Every per-fraction job derives its own seeds from
     the fraction value, so the rows are independent of sweep order. check_patch
     checks the patch, the class pair and the fractions, and both counts must
-    be positive, before any training.
+    be positive, and the test split must hold both a probe-class and a
+    target-class image, before any training.
     """
     check_patch(arch, spec, probe_class, fractions)
     if probe_count < 1 or harmful_count < 1:
@@ -419,9 +420,10 @@ def patch_sweep(
 
     model = Model(arch)
     probe_pool = np.flatnonzero(base_test.y == probe_class)
-    if len(probe_pool) == 0:
-        raise ValueError(f"test set has no image of probe class {probe_class}")
     target_test = np.flatnonzero(base_test.y == spec.target_class)
+    for name, c, pool in (("probe", probe_class, probe_pool), ("target", spec.target_class, target_test)):
+        if len(pool) == 0:
+            raise ValueError(f"test set has no image of {name} class {c}")
 
     rows = []
     for f in fractions:
@@ -433,7 +435,7 @@ def patch_sweep(
 
         clean = model.predict(params, base_test.X)
         overall = float(np.mean(clean == base_test.y))
-        unpatched_target = float(np.mean(clean[target_test] == spec.target_class)) if len(target_test) else 0.0
+        unpatched_target = float(np.mean(clean[target_test] == spec.target_class))
 
         patched_probe_X = apply_patch(base_test.X[probe_pool], spec_f)
         probe_preds = model.predict(params, patched_probe_X)

@@ -19,8 +19,8 @@ is an error. rank_training_set keeps g, u and V's norms in the model's store.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,28 +33,6 @@ METHODS = ("grad-cos", "grad-effect", *HESSIAN_METHODS)
 
 DEGENERATE_NORM = 1e-12
 DENSE_HESSIAN_MAX_PARAMS = 20_000  # a dense float64 Hessian of this many parameters takes 3.2 GB
-
-
-@cache
-def _scipy_cho():
-    """scipy.linalg's (cho_factor, cho_solve), imported at the first call: that
-    import, with its own BLAS, takes longer than the rest of `import tfa`, and
-    only the influence and RelatIF solves factor a matrix."""
-    from scipy.linalg import cho_factor, cho_solve
-
-    return cho_factor, cho_solve
-
-
-def cho_factor(a: np.ndarray):
-    """Cholesky factor of a symmetric matrix, in place if Fortran-ordered; LinAlgError if not positive definite."""
-    return _scipy_cho()[0](a, overwrite_a=True)
-
-
-def cho_solve(factor, b: np.ndarray) -> np.ndarray:
-    """Solution x of A x = b, given cho_factor(A); b is checked finite, the factor not again (A was, when factored)."""
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return _scipy_cho()[1](factor, b, check_finite=False)
 
 
 class DegenerateGradientError(ValueError):
@@ -94,14 +72,14 @@ def query_gradient(model: Model, params: ParamVector, z_test: LabeledExample) ->
 class DampedHessian:
     """Dense symmetric Hessian of the mean training loss, trusted not to change.
 
-    Damping is chosen per solve, damping() when none is given; the Cholesky
-    factorization of H + lam I is kept for the last damping only, and each
-    solve computes afresh from it. lambda_min, the smallest eigenvalue, is
-    computed on first use only: a solve does not need it.
+    H = Q diag(w) Q' is taken once, at first use, by one eigendecomposition,
+    and answers everything: lambda_min is w[0], H + lam I is positive
+    definite exactly when w[0] + lam > 0, and a solve at any damping is
+    Q (Q'v / (w + lam)), so a new damping costs no new factorization.
+    Damping is chosen per solve, damping() when none is given.
     """
 
     matrix: np.ndarray
-    _factor: tuple | None = field(default=None, repr=False)  # (lam, Cholesky factor)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -121,9 +99,14 @@ class DampedHessian:
         return 1e-3 * float(np.trace(self.matrix)) / self.dim
 
     @cached_property
+    def _eigh(self) -> tuple:
+        """(w, Q): H's eigenvalues in ascending order and its orthonormal eigenvectors."""
+        return np.linalg.eigh(self.matrix)
+
+    @property
     def lambda_min(self) -> float:
         """Smallest eigenvalue of H."""
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return float(self._eigh[0][0])
 
     def damping(self) -> float:
         """default_damping() plus 1.1 |lambda_min| when H is indefinite.
@@ -136,28 +119,27 @@ class DampedHessian:
         return self.default_damping() + max(0.0, -1.1 * self.lambda_min)
 
     def solve(self, v: np.ndarray, lam: float | None = None) -> np.ndarray:
-        """(H + lam I)^-1 v by Cholesky, lam defaulting to damping().
+        """(H + lam I)^-1 v = Q (Q'v / (w + lam)) for v of shape (p,) or (p, k), lam defaulting to damping().
 
         Raises InsufficientDampingError if H + lam I is not positive definite.
         """
-        return cho_solve(self._factored(lam), v)
+        Q, shifted = self._damped(lam)
+        return Q @ ((Q.T @ np.asarray_chkfinite(v)).T / shifted).T
 
     def response_norms(self, G: np.ndarray, lam: float | None = None) -> np.ndarray:
-        """||(H + lam I)^-1 G_i|| for each row of G, by one N-column solve."""
-        return np.linalg.norm(cho_solve(self._factored(lam), G.T).T, axis=1)
+        """||(H + lam I)^-1 G_i|| for each row of G: the row norms of G Q / (w + lam), Q being orthogonal."""
+        Q, shifted = self._damped(lam)
+        return np.linalg.norm(np.asarray_chkfinite(G) @ Q / shifted, axis=1)
 
-    def _factored(self, lam: float | None):
-        """The Cholesky factor of H + lam I, kept for the last lam."""
+    def _damped(self, lam: float | None) -> tuple:
+        """(Q, w + lam); ValueError for a non-finite lam, InsufficientDampingError unless w[0] + lam > 0."""
         lam = self.damping() if lam is None else float(lam)
-        if self._factor is None or self._factor[0] != lam:
-            damped = np.array(self.matrix, order="F")  # factored in place: the one p x p allocation
-            damped += lam * 0.0  # the bytes of matrix + lam * eye, signed zeros included
-            damped.flat[:: self.dim + 1] = self.matrix.diagonal() + lam
-            try:
-                self._factor = (lam, cho_factor(damped))
-            except np.linalg.LinAlgError:
-                raise InsufficientDampingError(lam, self.lambda_min + lam) from None
-        return self._factor[1]
+        if not np.isfinite(lam):
+            raise ValueError(f"damping must be finite, got {lam}")
+        w, Q = self._eigh
+        if not w[0] + lam > 0:
+            raise InsufficientDampingError(lam, float(w[0] + lam))
+        return Q, w + lam
 
 
 def dense_hessian(model: Model, params: ParamVector, dataset: Dataset) -> DampedHessian:

@@ -201,19 +201,22 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_patch_sweep_with_no_probe_class_test_image_is_one_line_data_error(self, tmp_path, monkeypatch, capsys):
+        """The test batch holds classes 0 and 1 only, so class 2 can be neither the probe nor the target."""
         for name in ("train", "patch_sweep"):
             monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("the sweep trained"))
         rng = np.random.default_rng(1)
         train_raw = encode_cifar10_bytes(rng.integers(0, 256, size=(12, 3, 32, 32)) / 255.0, np.arange(12) % 3)
         test_raw = encode_cifar10_bytes(rng.integers(0, 256, size=(12, 3, 32, 32)) / 255.0, np.arange(12) % 2)
         write_batches(tmp_path, [train_raw] * 5, test_raw)
-        out = tmp_path / "out"
-        argv = ["patch-sweep", *CIFAR_FLAGS, "--data-dir", str(tmp_path), "--cifar-classes", "0,1,2",
-                "--patch-color", "0.9,0.9,0.9", "--probe-class", "2", "--out", str(out)]
-        assert cli.main(argv) == 2
-        (line,) = capsys.readouterr().err.strip().splitlines()
-        assert line == "error: the test split has no image of --probe-class 2"
-        assert not out.exists()
+        cases = [("--probe-class", ["--probe-class", "2"]), ("--target-class", ["--target-class", "2", "--probe-class", "0"])]
+        for flag, classes in cases:
+            out = tmp_path / "out"
+            argv = ["patch-sweep", *CIFAR_FLAGS, "--data-dir", str(tmp_path), "--cifar-classes", "0,1,2",
+                    "--patch-color", "0.9,0.9,0.9", *classes, "--out", str(out)]
+            assert cli.main(argv) == 2
+            (line,) = capsys.readouterr().err.strip().splitlines()
+            assert line == f"error: the test split has no image of {flag} 2"
+            assert not out.exists()
 
     def test_cifar_without_data_dir_is_usage_error(self, tmp_path, capsys):
         code = cli.main(
@@ -477,7 +480,7 @@ class TestRank:
         manifest = read_key_value(run_dir / "manifest_rank_test2_influence.txt")
         run = cli.Run(run_dir)
         hessian = dense_hessian(run.model, run.params, run.train_ds.subset(np.arange(20) * 75 // 20))
-        smallest = float(np.linalg.eigvalsh(hessian.matrix)[0])
+        smallest = float(np.linalg.eigh(hessian.matrix)[0][0])
         assert float(manifest["lambda_min"]) == smallest
         assert float(manifest["lam"]) == hessian.default_damping() + max(0.0, -1.1 * smallest)
         assert cli.main(base) == 0

@@ -416,6 +416,17 @@ class TestPatchSweepSmoke:
         with pytest.raises(ValueError, match=re.escape(reason)):
             patch_sweep(train_ds, test, fractions, tiny_cnn((1, 12, 12), 3), cfg, spec, probe_class=1)
 
+    @pytest.mark.parametrize("target, probe, missing", [(0, 2, "probe class 2"), (2, 0, "target class 2")])
+    def test_a_class_absent_from_the_test_split_is_rejected_before_any_training(self, target, probe, missing, monkeypatch):
+        """An unpatched target accuracy over no image is undefined, as is a probe accuracy."""
+        monkeypatch.setattr("tfa.harness.train", lambda *a, **k: pytest.fail("patch_sweep trained"))
+        _, _, train_ds, _, test = shapes12()
+        spec = PatchSpec(size=3, color=(0.95,), target_class=target, fraction=0.0)
+        cfg = TrainConfig(lr=0.2, epochs=1, batch_size=16, seed=5)
+        two_classes = test.subset(np.flatnonzero(test.y != 2))
+        with pytest.raises(ValueError, match=f"test set has no image of {missing}$"):
+            patch_sweep(train_ds, two_classes, (0.0,), tiny_cnn((1, 12, 12), 3), cfg, spec, probe_class=probe)
+
     def test_rows_and_validation(self):
         spec = SyntheticShapesSpec(
             size=12, noise=0.05, train_per_class=20, holdout_per_class=0, test_per_class=10, seed=5

@@ -356,44 +356,48 @@ class TestDenseHessian:
 
 
 class TestScipyImport:
-    def test_scipy_loads_at_the_first_factorization_not_at_import(self):
+    def test_the_ridge_oracle_never_loads_scipy(self, tmp_path):
+        """No library call loads scipy: import, the ridge oracles, and the Hessian's
+        smallest eigenvalue, solves, response norms and a RelatIF ranking."""
         code = (
-            "import sys\n"
+            "import json, sys\n"
             "import numpy as np\n"
             "import tfa, tfa.cli\n"
+            "from tfa.ridge import ToySetup, feature_contributions, leave_one_out_delta, representer_coefficients, ridge_fit\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "assert not loaded, loaded\n"
-            "try:\n"
-            "    tfa.DampedHessian(np.diag([-1.0, 2.0])).solve(np.ones(2), lam=0.5)\n"
-            "    raise SystemExit('an indefinite H + lam I was factored')\n"
-            "except tfa.tda.InsufficientDampingError:\n"
-            "    pass\n"
-            "print(tfa.DampedHessian(np.diag([1.0, 2.0, 3.0])).solve(np.ones(3), lam=1.0).tolist())\n"
-        )
-        src = str(Path(tfa.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        np.testing.assert_allclose(json.loads(proc.stdout), [1 / 2, 1 / 3, 1 / 4], rtol=1e-15)
-
-    def test_the_ridge_oracle_never_loads_scipy(self, tmp_path):
-        code = (
-            "import sys\n"
-            "import tfa, tfa.cli\n"
-            "from tfa.ridge import ToySetup, feature_contributions, leave_one_out_delta, representer_coefficients, ridge_fit\n"
             f"assert tfa.cli.main(['toy-ridge', '--out', {str(tmp_path)!r}]) == 0\n"
             "setup = ToySetup()\n"
             "problem, x_test = setup.problem(), setup.test_point(1.0)\n"
             "ridge_fit(problem), representer_coefficients(problem, x_test), feature_contributions(problem, x_test)\n"
             "leave_one_out_delta(problem, 4, x_test, 1.0)\n"
+            "try:\n"
+            "    tfa.DampedHessian(np.diag([-1.0, 2.0])).solve(np.ones(2), lam=0.5)\n"
+            "    raise SystemExit('an indefinite H + lam I was solved')\n"
+            "except tfa.tda.InsufficientDampingError:\n"
+            "    pass\n"
+            "h = tfa.DampedHessian(np.diag([1.0, 2.0, 3.0]))\n"
+            "solved = h.solve(np.ones(3), lam=1.0).tolist()\n"
+            "norms = h.response_norms(np.eye(3), lam=1.0).tolist()\n"
+            "arch = tfa.ArchitectureSpec((tfa.Dense(2, 4), tfa.Relu(), tfa.Dense(4, 3)), input_shape=(2,), num_classes=3)\n"
+            "model, params = tfa.Model(arch), tfa.init_params(arch, 0)\n"
+            "ds = tfa.Dataset(np.random.default_rng(0).standard_normal((6, 2)), np.arange(6) % 3)\n"
+            "hessian = tfa.dense_hessian(model, params, ds)\n"
+            "ranking = tfa.rank_training_set(model, params, ds, ds.example(0), 'relatif', hessian=hessian)\n"
+            "assert len(ranking.records) + len(ranking.skipped) == 6\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "assert not loaded, loaded\n"
+            "print(json.dumps({'solved': solved, 'lambda_min': h.lambda_min, 'norms': norms}))\n"
         )
         src = str(Path(tfa.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "tables" / "toy_ridge.csv").exists()
+        out = json.loads(proc.stdout.splitlines()[-1])  # after the toy-ridge report
+        np.testing.assert_allclose(out["solved"], [1 / 2, 1 / 3, 1 / 4], rtol=1e-15)
+        np.testing.assert_allclose(out["norms"], [1 / 2, 1 / 3, 1 / 4], rtol=1e-15)
+        assert out["lambda_min"] == 1.0
 
 
 class TestInfluence:
@@ -414,11 +418,13 @@ class TestInfluence:
         np.testing.assert_allclose(value, float(g_test @ g_train) / lam, rtol=1e-6)
 
     def test_insufficient_damping_reports_spectrum(self):
-        H = np.diag([1.0, -0.5])
-        h = DampedHessian(H)
-        with pytest.raises(InsufficientDampingError) as info:
-            h.solve(np.ones(2), lam=0.1)
-        assert info.value.smallest_eigenvalue < 0.0
+        h = DampedHessian(np.diag([1.0, -0.5]))
+        # short of the smallest eigenvalue, and exactly at it: H + lam I is singular
+        for lam, smallest in ((0.1, -0.4), (0.5, 0.0)):
+            with pytest.raises(InsufficientDampingError) as info:
+                h.solve(np.ones(2), lam=lam)
+            assert info.value.lam == lam
+            np.testing.assert_allclose(info.value.smallest_eigenvalue, smallest, rtol=1e-12)
         # enough damping fixes it
         np.testing.assert_allclose(
             h.solve(np.ones(2), lam=1.0), [1.0 / 2.0, 1.0 / 0.5], rtol=1e-12
@@ -432,6 +438,13 @@ class TestInfluence:
                 h.solve(rhs, lam=1.0)
             with pytest.raises(ValueError, match="infs or NaNs"):
                 h.response_norms(rhs, lam=1.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_damping_rejected(self, lam):
+        h = DampedHessian(np.diag([1.0, 2.0]))
+        for call in (h.solve, h.response_norms):
+            with pytest.raises(ValueError, match="damping must be finite"):
+                call(np.ones((2, 2)), lam)
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -447,22 +460,22 @@ class TestInfluence:
         h = DampedHessian(np.diag([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(h.default_damping(), 1e-3 * 2.0, rtol=1e-12)
 
-    def test_keeps_one_factor_for_the_last_damping(self, monkeypatch):
+    def test_one_eigendecomposition_serves_every_damping(self, monkeypatch):
         calls = []
-        original = tda.cho_factor
+        original = np.linalg.eigh
 
         def counted(matrix):
             calls.append(matrix)
             return original(matrix)
 
-        monkeypatch.setattr(tda, "cho_factor", counted)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         h = DampedHessian(np.diag([1.0, 2.0, 3.0]))
         v = np.ones(3)
         counts = []
         for lam in (0.5, 0.5, 2.0, 0.5):
             np.testing.assert_allclose(h.solve(v, lam=lam), v / (np.array([1.0, 2.0, 3.0]) + lam), rtol=1e-12)
             counts.append(len(calls))
-        assert counts == [1, 1, 2, 3]
+        assert counts == [1, 1, 1, 1]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -518,29 +531,27 @@ class TestInfluence:
 
 class TestDampedHessianMemory:
     def test_symmetry_check_and_solve_allocate_at_most_a_quarter_matrix_more(self):
+        """The symmetry check allocates at most a quarter matrix; once H is
+        decomposed, a solve at a new damping allocates only vectors."""
         p = 1500
         rng = np.random.default_rng(30)
         A = rng.standard_normal((p, p))
         H = A @ A.T / p + np.eye(p)
-        H[0, 1] = H[1, 0] = -0.0  # the damped matrix keeps the old sum's signed zeros
         v = rng.standard_normal(p)
-        bound = 0.25 * p * p * 8
-        DampedHessian(np.eye(3)).solve(np.ones(3), lam=1.0)  # scipy's import is not the solve's
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             h = DampedHessian(H)
-            assert tracemalloc.get_traced_memory()[1] - base <= bound
+            assert tracemalloc.get_traced_memory()[1] - base <= 0.25 * p * p * 8
+            h.solve(v, 0.5)  # the one eigendecomposition
+            w, Q = np.linalg.eigh(H)
             for lam in (0.7, -0.3):
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 x = h.solve(v, lam)
-                factor = h._factor[1][0]
-                assert tracemalloc.get_traced_memory()[1] - base - factor.nbytes <= bound
-                expected = tda.cho_factor(H + lam * np.eye(p))
-                assert factor.tobytes() == expected[0].tobytes()
-                assert x.tobytes() == tda.cho_solve(expected, v).tobytes()
+                assert tracemalloc.get_traced_memory()[1] - base <= 8 * p * 8
+                assert x.tobytes() == (Q @ (Q.T @ v / (w + lam))).tobytes()
         finally:
             tracemalloc.stop()
 
@@ -783,19 +794,21 @@ class TestGradientStore:
     def test_three_queries_by_influence_and_relatif_make_one_training_solve(self, monkeypatch):
         model, params, ds = trained_blobs(seed=24, n_per=5, epochs=2)
         h = dense_hessian(model, params, ds)
-        columns = []
-        original = tda.cho_solve
+        calls = []
+        for name in ("solve", "response_norms"):
+            original = getattr(DampedHessian, name)
 
-        def counted(factor, b, **kwargs):
-            columns.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
-            return original(factor, b, **kwargs)
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(tda, "cho_solve", counted)
+            monkeypatch.setattr(DampedHessian, name, counted)
         for q in (0, 1, 2):
             z = ds.example(q)
             for method in ("influence", "relatif"):
                 rank_training_set(model, params, ds, z, method, hessian=h)
-        assert sorted(columns) == [1] * 3 + [len(ds)]  # one solve per test gradient, kept for RelatIF
+        # one solve per test gradient, and one set of training norms kept for RelatIF
+        assert sorted(calls) == ["response_norms"] + ["solve"] * 3
 
     def test_kept_solve_is_read_only_and_recomputed_at_a_new_damping(self):
         model, params, ds = trained_blobs(seed=27, n_per=5, epochs=2)
