@@ -356,6 +356,30 @@ class TestDenseHessian:
 
 
 class TestScipyImport:
+    def test_scipy_loads_at_the_first_factorization_not_at_import(self):
+        """Importing tfa loads no scipy, and the first factorization refuses an
+        indefinite H + lam I and solves a diagonal one exactly. The name dates from
+        when that factorization loaded scipy's Cholesky; nothing loads scipy now
+        (test_the_ridge_oracle_never_loads_scipy)."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import tfa, tfa.cli\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
+            "try:\n"
+            "    tfa.DampedHessian(np.diag([-1.0, 2.0])).solve(np.ones(2), lam=0.5)\n"
+            "    raise SystemExit('an indefinite H + lam I was solved')\n"
+            "except tfa.tda.InsufficientDampingError:\n"
+            "    pass\n"
+            "print(tfa.DampedHessian(np.diag([1.0, 2.0, 3.0])).solve(np.ones(3), lam=1.0).tolist())\n"
+        )
+        src = str(Path(tfa.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        np.testing.assert_allclose(json.loads(proc.stdout), [1 / 2, 1 / 3, 1 / 4], rtol=1e-15)
+
     def test_the_ridge_oracle_never_loads_scipy(self, tmp_path):
         """No library call loads scipy: import, the ridge oracles, and the Hessian's
         smallest eigenvalue, solves, response norms and a RelatIF ranking."""
@@ -371,11 +395,6 @@ class TestScipyImport:
             "problem, x_test = setup.problem(), setup.test_point(1.0)\n"
             "ridge_fit(problem), representer_coefficients(problem, x_test), feature_contributions(problem, x_test)\n"
             "leave_one_out_delta(problem, 4, x_test, 1.0)\n"
-            "try:\n"
-            "    tfa.DampedHessian(np.diag([-1.0, 2.0])).solve(np.ones(2), lam=0.5)\n"
-            "    raise SystemExit('an indefinite H + lam I was solved')\n"
-            "except tfa.tda.InsufficientDampingError:\n"
-            "    pass\n"
             "h = tfa.DampedHessian(np.diag([1.0, 2.0, 3.0]))\n"
             "solved = h.solve(np.ones(3), lam=1.0).tolist()\n"
             "norms = h.response_norms(np.eye(3), lam=1.0).tolist()\n"
