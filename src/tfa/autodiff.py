@@ -27,6 +27,13 @@ recorded, without waiting for the cyclic garbage collector. A node kept past
 that point still has its value, but can no longer record operations.
 :meth:`Graph.truncate` releases the nodes after a mark in the same way, so
 several backward sweeps can share one recorded forward pass.
+
+Values are checked where they enter: ``Graph.leaf``, ``Graph.constant`` and
+plain operands must be finite, and public ``take`` and ``scatter`` indices in
+range. What the engine makes itself (backward seed, zero adjoints, relu
+masks, softmax shifts) and its own gathers and scatters (conv windows, pool
+argmaxes, VJP re-gathers) skip those checks. A reshape to the operand's own
+shape returns the operand and records no node.
 """
 
 from __future__ import annotations
@@ -104,6 +111,10 @@ class Graph:
         self.nodes.append(node)
         return node
 
+    def _constant(self, value: np.ndarray) -> Node:
+        """A float64 array the engine made itself, recorded without the finiteness scan."""
+        return self._append("const", (), value)
+
     def leaf(self, value) -> Node:
         """Differentiation input. Values must be finite."""
         value = _as_value(value)
@@ -138,27 +149,28 @@ class Graph:
 _RELEASED = weakref.ref(Graph())
 
 
-def _lift(graph: Graph, x) -> Node:
+def _lift(node: Node, x) -> Node:
     if isinstance(x, Node):
-        if x.graph is not graph:
+        if x._graph is not node._graph:
             raise GraphError("operands belong to different graphs")
         return x
-    return graph.constant(x)
+    return node.graph.constant(x)
 
 
 def _pair(a, b):
     if isinstance(a, Node):
-        return a, _lift(a.graph, b)
+        return a, _lift(a, b)
     if isinstance(b, Node):
-        return _lift(b.graph, a), b
+        return _lift(b, a), b
     raise TypeError("at least one operand must be a Node")
 
 
-def _broadcast_shape(kind, a, b):
-    try:
-        return np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{kind}: cannot broadcast {a.shape} with {b.shape}") from None
+def _check_broadcast(kind, a, b):
+    if a.shape != b.shape:
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise ShapeError(f"{kind}: cannot broadcast {a.shape} with {b.shape}") from None
 
 
 def _unbroadcast(g: Node, shape) -> Node:
@@ -170,9 +182,7 @@ def _unbroadcast(g: Node, shape) -> Node:
     axes += [lead + i for i, d in enumerate(shape) if d == 1 and g.shape[lead + i] > 1]
     if axes:
         g = reduce_sum(g, axis=tuple(axes), keepdims=True)
-    if g.shape != shape:
-        g = reshape(g, shape)
-    return g
+    return reshape(g, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +191,7 @@ def _unbroadcast(g: Node, shape) -> Node:
 
 def add(a, b) -> Node:
     a, b = _pair(a, b)
-    _broadcast_shape("add", a, b)
+    _check_broadcast("add", a, b)
 
     def vjp(g, needs):
         return (
@@ -201,7 +211,7 @@ def neg(a: Node) -> Node:
 
 def mul(a, b) -> Node:
     a, b = _pair(a, b)
-    _broadcast_shape("mul", a, b)
+    _check_broadcast("mul", a, b)
 
     def vjp(g, needs):
         return (
@@ -214,7 +224,7 @@ def mul(a, b) -> Node:
 
 def div(a, b) -> Node:
     a, b = _pair(a, b)
-    _broadcast_shape("div", a, b)
+    _check_broadcast("div", a, b)
 
     def vjp(g, needs):
         ga = _unbroadcast(div(g, b), a.shape) if needs[0] else None
@@ -262,7 +272,7 @@ def relu(a: Node) -> Node:
         if (mask := kept[0]()) is None:
             mask = (a.value > 0.0).astype(np.float64)
             kept[0] = weakref.ref(mask)
-        return (mul(g, a.graph.constant(mask)),)
+        return (mul(g, a.graph._constant(mask)),)
 
     return a.graph._append("relu", (a,), a.value * (a.value > 0.0), vjp)
 
@@ -276,14 +286,15 @@ def reduce_sum(a: Node, axis=None, keepdims: bool = False) -> Node:
         kept = [1] * len(a.shape)
     else:
         for ax in axis:
+            if not -len(kept) <= ax < len(kept):
+                raise ShapeError(f"reduce_sum: axis {ax} out of range for shape {a.shape}")
             kept[ax] = 1
     kept = tuple(kept)
 
     def vjp(g, needs):
-        gg = g if g.shape == kept else reshape(g, kept)
-        return (broadcast_to(gg, a.shape),)
+        return (broadcast_to(reshape(g, kept), a.shape),)
 
-    value = np.sum(a.value, axis=axis, keepdims=keepdims)
+    value = a.value.sum(axis=axis, keepdims=keepdims)
     return a.graph._append("sum", (a,), value, vjp)
 
 
@@ -302,6 +313,8 @@ def broadcast_to(a: Node, shape) -> Node:
 
 def reshape(a: Node, shape) -> Node:
     value = a.value.reshape(shape)
+    if value.shape == a.shape:
+        return a
 
     def vjp(g, needs):
         return (reshape(g, a.shape),)
@@ -311,12 +324,12 @@ def reshape(a: Node, shape) -> Node:
 
 def permute(a: Node, axes) -> Node:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = sorted(range(len(axes)), key=lambda i: axes[i] % len(axes))  # a negative axis counts from the end
 
     def vjp(g, needs):
         return (permute(g, inverse),)
 
-    return a.graph._append("permute", (a,), np.transpose(a.value, axes), vjp)
+    return a.graph._append("permute", (a,), a.value.transpose(axes), vjp)
 
 
 def transpose(a: Node) -> Node:
@@ -344,20 +357,33 @@ def take(a: Node, indices: np.ndarray, kind: str = "take") -> Node:
     indices = np.asarray(indices)
     if indices.size and (indices.min() < 0 or indices.max() >= a.size):
         raise ShapeError(f"take: indices out of range for size {a.size}")
+    return _take(a, indices, kind)
+
+
+def _take(a: Node, indices: np.ndarray, kind: str = "take") -> Node:
+    """take of indices already known to lie in range."""
 
     def vjp(g, needs):
-        return (reshape(scatter(g, indices, a.size), a.shape),)
+        return (reshape(_scatter(g, indices, a.size), a.shape),)
 
     return a.graph._append(kind, (a,), a.value.ravel()[indices], vjp, meta=indices)
 
 
 def scatter(v: Node, indices: np.ndarray, size: int) -> Node:
     """Adjoint of ``take``: sum entries of v into a flat vector of ``size``."""
+    indices = np.asarray(indices)
     if v.shape != indices.shape:
         raise ShapeError(f"scatter: value shape {v.shape} != index shape {indices.shape}")
+    if indices.size and (indices.min() < 0 or indices.max() >= size):
+        raise ShapeError(f"scatter: indices out of range for size {size}")
+    return _scatter(v, indices, size)
+
+
+def _scatter(v: Node, indices: np.ndarray, size: int) -> Node:
+    """scatter of indices already known to lie in range and match v's shape."""
 
     def vjp(g, needs):
-        return (take(g, indices),)
+        return (_take(g, indices),)
 
     value = np.bincount(indices.ravel(), weights=v.value.ravel(), minlength=size)
     return v.graph._append("scatter", (v,), value, vjp, meta=indices)
@@ -423,7 +449,7 @@ def conv2d(x: Node, weight: Node, bias: Node) -> Node:
     idx = idx[:n]
     ho, wo = idx.shape[1:3]
     # rows in (n, ho, wo) order, columns in (cin, kh, kw) order like the kernel reshape
-    cols = take(x, idx.reshape(n * ho * wo, cin * kh * kw), kind="im2col")
+    cols = _take(x, idx.reshape(n * ho * wo, cin * kh * kw), kind="im2col")
     out = add(matmul(cols, transpose(reshape(weight, (cout, cin * kh * kw)))), bias)
     return permute(reshape(out, (n, ho, wo, cout)), (0, 3, 1, 2))
 
@@ -473,7 +499,7 @@ def maxpool2d(x: Node, k: int) -> Node:
     def vjp(g, needs):
         if not kept:
             kept.append(_pool_indices(x.value, k, value))
-        return (reshape(scatter(g, kept[0], x.size), x.shape),)
+        return (reshape(_scatter(g, kept[0], x.size), x.shape),)
 
     return x.graph._append("maxpool", (x,), value, vjp, meta=k)
 
@@ -493,9 +519,11 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range for {k} classes")
     m = logits.value.max(axis=1, keepdims=True)
-    shifted = add(logits, logits.graph.constant(-m))
-    lse = add(log(reduce_sum(exp(shifted), axis=1)), logits.graph.constant(m[:, 0]))
-    picked = take(logits, np.arange(n) * k + labels)
+    if not np.isfinite(m).all():  # the shifts below are recorded unchecked
+        raise ValueError("softmax_cross_entropy: a row of logits has a non-finite maximum")
+    shifted = add(logits, logits.graph._constant(-m))
+    lse = add(log(reduce_sum(exp(shifted), axis=1)), logits.graph._constant(m[:, 0]))
+    picked = _take(logits, np.arange(n) * k + labels)
     return add(lse, neg(picked))
 
 
@@ -503,36 +531,39 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
 # backward
 
 
-def _check_scalar(node: Node, what: str):
-    if node.value.size != 1 or node.value.ndim > 1:
-        raise GraphError(f"{what} must be a scalar node, got shape {node.shape}")
-
-
 def backward(root: Node, wrt) -> list[Node]:
     """Gradients of a scalar root with respect to the given nodes.
 
     The adjoint computations are recorded on the same graph, so the returned
     gradients are nodes and can be fed to ``backward`` again. Targets the
-    root does not depend on get an exact zero of the target's shape.
+    root does not depend on get an exact zero of the target's shape. A
+    target that is not a node of the root's graph is a :class:`GraphError`.
     """
-    _check_scalar(root, "backward root")
+    if root.value.size != 1 or root.value.ndim > 1:
+        raise GraphError(f"backward root must be a scalar node, got shape {root.shape}")
     targets = list(wrt)
+    graph = root.graph
 
     # reaches[id]: a target is reachable from this node via parent edges. Ids are
     # list positions in topological order: one pass up marks, one pass down sweeps.
-    graph = root.graph
     nodes = graph.nodes[: root.id + 1]
-    target_ids = {t.id for t in targets}
-    reaches: list[bool] = []
+    reaches = bytearray(len(graph.nodes))
+    for t in targets:
+        if t._graph is not root._graph:
+            raise GraphError(f"backward target {t.id} ({t.kind}) is not a node of the root's graph")
+        reaches[t.id] = 1
     for n in nodes:
-        reaches.append(n.id in target_ids or any(reaches[p.id] for p in n.parents))
+        for p in n.parents:
+            if reaches[p.id]:
+                reaches[n.id] = 1
+                break
 
-    adjoint: dict[int, Node] = {root.id: graph.constant(np.ones_like(root.value))}
+    adjoint: dict[int, Node] = {root.id: graph._constant(np.ones_like(root.value))}
     for n in reversed(nodes):
         g = adjoint.get(n.id)
         if g is None:
             continue
-        needs = tuple(reaches[p.id] for p in n.parents)
+        needs = [reaches[p.id] for p in n.parents]
         if not any(needs):
             continue
         for parent, contribution in zip(n.parents, n._vjp(g, needs)):
@@ -544,7 +575,7 @@ def backward(root: Node, wrt) -> list[Node]:
     out = []
     for t in targets:
         g = adjoint.get(t.id)
-        out.append(g if g is not None else graph.constant(np.zeros_like(t.value)))
+        out.append(g if g is not None else graph._constant(np.zeros_like(t.value)))
     return out
 
 

@@ -15,8 +15,8 @@ on immutable bytes, so no array on a ``.base`` chain can be made writable,
 and a dataset's example shares the dataset's row. Attribution ranks one
 training set many times at fixed parameters, so a ``Model`` keeps the last
 result of each slot (the matrix of ``Model.param_grads``; the query
-gradient, solve and RelatIF norms of ``tda``), locked the same way and keyed
-by the identity of the values it came from, held weakly.
+gradient, G's row norms, solve and RelatIF norms of ``tda``), locked the
+same way and keyed by the identity of the values it came from, held weakly.
 
 Every loss is the softmax cross-entropy of the logits against integer
 labels, the classification loss whose gradients every attribution reads.

@@ -13,7 +13,8 @@ the kernel; grad_effect keeps the loss-change sign (negative = helpful), the
 test-loss change that its step predicts. One degenerate rule holds
 throughout: a gradient of norm at most DEGENERATE_NORM has no direction.
 rank_training_set skips such training rows with a warning; anywhere else it
-is an error. rank_training_set keeps g, u and V's norms in the model's store.
+is an error. rank_training_set keeps g, G's row norms, u and V's norms in the
+model's store.
 """
 
 from __future__ import annotations
@@ -285,9 +286,10 @@ def rank_training_set(
     """Score every training example against one test example and sort.
 
     Scores are attribution_scores of the matrix of training gradients, so
-    positive = helpful for every method. The model keeps that matrix, the
-    test gradient, u and V's norms for the objects they came from: a repeat
-    with the same params, dataset, z_test and hessian computes none again.
+    positive = helpful for every method. The model keeps that matrix, its
+    row norms, the test gradient, u and V's norms for the objects they came
+    from: a repeat with the same params, dataset, z_test and hessian computes
+    none again.
     Sorting is by descending score, ties broken by ascending train index.
     Degenerate training gradients are skipped with a warning.
     """
@@ -295,7 +297,7 @@ def rank_training_set(
     g_test = query_gradient(model, params, z_test)
     test_norm = _checked_norm(g_test, "test")
     G = model.param_grads(params, dataset)
-    norms = np.linalg.norm(G, axis=1)
+    norms = model._keep("grad_norms", lambda: np.linalg.norm(G, axis=1), params, dataset)
     keep = norms > DEGENERATE_NORM
     skipped = np.flatnonzero(~keep).tolist()
     if skipped:
@@ -309,4 +311,5 @@ def rank_training_set(
     index = np.flatnonzero(keep)
     order = np.lexsort((index, -scores))  # descending score, then ascending index
     pairs = zip(index[order].tolist(), scores[order].tolist())
-    return RankingResult([AttributionRecord(i, method, s) for i, s in pairs], skipped)
+    record = tuple.__new__  # AttributionRecord's own __new__ adds a Python call per record
+    return RankingResult([record(AttributionRecord, (i, method, s)) for i, s in pairs], skipped)

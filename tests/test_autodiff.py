@@ -131,6 +131,39 @@ class TestPrimitiveGradients:
         rhs = float(np.dot(x_val.ravel(), scattered.value))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("indices", [[0, 5], [0, 3], [-1, 0]])
+    def test_take_and_scatter_reject_indices_out_of_range(self, indices):
+        graph = ad.Graph()
+        with pytest.raises(ad.ShapeError, match="take: indices out of range for size 3"):
+            ad.take(graph.leaf(np.ones(3)), np.array(indices))
+        with pytest.raises(ad.ShapeError, match="scatter: indices out of range for size 3"):
+            ad.scatter(graph.leaf(np.ones(2)), indices, 3)
+        assert len(graph.nodes) == 2  # the two leaves: neither op recorded a node
+
+    @pytest.mark.parametrize("axis", [5, -3, (0, 2)])
+    def test_reduce_sum_rejects_an_axis_out_of_range(self, axis):
+        graph = ad.Graph()
+        x = graph.leaf(np.ones((2, 3)))
+        bad = axis[1] if isinstance(axis, tuple) else axis
+        with pytest.raises(ad.ShapeError, match=re.escape(f"reduce_sum: axis {bad} out of range for shape (2, 3)")):
+            ad.reduce_sum(x, axis=axis)
+
+    def test_permute_with_negative_axes_returns_the_operand_shaped_gradient(self):
+        graph = ad.Graph()
+        x = graph.leaf(np.arange(6.0).reshape(2, 3))
+        w = np.arange(6.0).reshape(3, 2)
+        root = ad.reduce_sum(ad.mul(ad.permute(x, (-1, 0)), graph.constant(w)))
+        np.testing.assert_array_equal(ad.grad(root, x), w.T)
+
+    def test_reshape_to_the_own_shape_records_no_node(self):
+        graph = ad.Graph()
+        x = graph.leaf(np.arange(6.0).reshape(2, 3))
+        assert ad.reshape(x, x.shape) is x
+        assert ad.reshape(x, (2, -1)) is x
+        assert len(graph.nodes) == 1
+        y = ad.reshape(x, (3, 2))
+        assert y is not x and y.shape == (3, 2) and len(graph.nodes) == 2
+
     def test_take_gradient_accumulates_repeated_indices(self):
         graph = ad.Graph()
         a = graph.leaf(np.array([1.0, 2.0, 3.0]))
@@ -361,6 +394,14 @@ class TestLosses:
         with pytest.raises(error, match=match):
             ad.softmax_cross_entropy(logits, np.array(labels))
 
+    def test_cross_entropy_rejects_a_non_finite_row_maximum(self):
+        graph = ad.Graph()
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = ad.mul(graph.leaf(np.array([[1.0, 0.0], [1e308, 0.0]])), 10.0)  # row 1 overflows to inf
+            for logits in (big, ad.add(big, ad.neg(big))):  # inf, then inf - inf = nan
+                with pytest.raises(ValueError, match="a row of logits has a non-finite maximum"):
+                    ad.softmax_cross_entropy(logits, np.array([0, 1]))
+
     def test_cross_entropy_checks_logits_rank(self):
         graph = ad.Graph()
         with pytest.raises(ad.ShapeError, match=re.escape("softmax_cross_entropy expects (N, K) logits, got (4,)")):
@@ -430,6 +471,36 @@ class TestBackwardContracts:
         graph = ad.Graph()
         with pytest.raises(ValueError):
             graph.leaf(np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_leaf_constant_and_lifted_operands_reject_non_finite_values(self, bad):
+        graph = ad.Graph()
+        x = graph.leaf(np.ones(2))
+        with pytest.raises(ValueError, match="leaf value contains non-finite entries"):
+            graph.leaf(np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="constant value contains non-finite entries"):
+            graph.constant(np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="constant value contains non-finite entries"):
+            ad.mul(x, bad)
+        assert len(graph.nodes) == 1
+
+    def test_target_outside_the_root_graph_rejected(self):
+        g1, g2 = ad.Graph(), ad.Graph()
+        a, b = g1.leaf(2.0), g1.leaf(3.0)
+        r = ad.mul(a, b)
+        c = g2.leaf(5.0)  # g2's leaf 0, the id of a in g1
+        with pytest.raises(ad.GraphError, match="not a node of the root's graph"):
+            ad.backward(r, [c])
+
+        mark = len(g1.nodes)
+        dropped = g1.leaf(7.0)
+        g1.truncate(mark)
+        again = g1.leaf(7.0)  # takes the dropped node's id
+        assert again.id == dropped.id
+        root = ad.mul(again, b)
+        with pytest.raises(ad.GraphError, match="not a node of the root's graph"):
+            ad.backward(root, [dropped])
+        assert ad.grad(root, again) == 3.0
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(13)

@@ -129,11 +129,11 @@ class TestWorkflowsLeaveNoCycles:
         hessian = dense_hessian(model, params, dataset)
         z = ds.example(0)
         rank_training_set(model, params, dataset, z, "relatif", hessian=hessian)
-        assert sorted(model._kept) == ["grads", "norms", "query", "solve"]
+        assert sorted(model._kept) == ["grad_norms", "grads", "norms", "query", "solve"]
         sources = [weakref.ref(s) for s in (params, dataset, hessian, z)]
         del params, dataset, hessian, z
         assert all(source() is None for source in sources)
-        assert sorted(model._kept) == ["grads", "norms", "query", "solve"]  # entries stay until replaced
+        assert sorted(model._kept) == ["grad_norms", "grads", "norms", "query", "solve"]  # entries stay until replaced
 
     def test_rank_relatif_with_dense_hessian(self, trained, no_cyclic_garbage):
         model, params, ds = trained

@@ -150,6 +150,27 @@ class TestLossAndGrad:
             fd = (f(params.data + bump) - f(params.data - bump)) / 2e-5
             np.testing.assert_allclose(g[j], fd, rtol=2e-5, atol=1e-10)
 
+    def test_one_gradient_of_the_343_parameter_model_records_at_most_69_nodes(self, monkeypatch):
+        arch = ArchitectureSpec(  # acceptance criterion 4's single-block model
+            layers=(Conv2d(1, 4, 3), Relu(), MaxPool(2), Flatten(), Dense(100, 3)),
+            input_shape=(1, 12, 12),
+            num_classes=3,
+        )
+        model = Model(arch)
+        assert model.num_params == 343
+        recorded = []
+        backward = ad.backward
+
+        def counted(root, wrt):
+            out = backward(root, wrt)
+            recorded.append(len(root.graph.nodes))
+            return out
+
+        monkeypatch.setattr(ad, "backward", counted)
+        ex = LabeledExample(np.random.default_rng(5).uniform(0.0, 1.0, size=(1, 12, 12)), 2)
+        model.param_grad(init_params(arch, seed=0), ex)
+        assert len(recorded) == 1 and recorded[0] <= 69  # identity reshapes record nothing
+
     def test_batch_loss_is_mean_of_example_losses(self):
         arch = logistic(4, 3)
         model = Model(arch)

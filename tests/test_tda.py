@@ -760,6 +760,22 @@ class TestGradientStore:
         assert len(calls) == len(ds) + 2
         assert got == expected
 
+    def test_two_rankings_of_one_dataset_take_the_row_norms_of_g_once(self, monkeypatch):
+        model, params, ds = trained_blobs(seed=24, n_per=5, epochs=2)
+        fresh = Model(model.arch)
+        expected = [rank_training_set(fresh, params, ds, ds.example(q)) for q in (1, 2)]
+        norm, row_norms = np.linalg.norm, []
+
+        def counted(x, *args, **kwargs):
+            if np.shape(x) == (len(ds), model.num_params):
+                row_norms.append(kwargs.get("axis"))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        got = [rank_training_set(model, params, ds, ds.example(q)) for q in (1, 2)]
+        assert row_norms == [1]
+        assert got == expected
+
     def test_saliency_after_ranking_computes_no_gradient_again(self, monkeypatch):
         model, params, ds = trained_blobs(seed=22, n_per=5, epochs=2)
         z_test = ds.example(0)
