@@ -34,11 +34,21 @@ range. What the engine makes itself (backward seed, zero adjoints, relu
 masks, softmax shifts) and its own gathers and scatters (conv windows, pool
 argmaxes, VJP re-gathers) skip those checks. A reshape to the operand's own
 shape returns the operand and records no node.
+
+Record once, replay: every op computes its value through one kernel per node
+kind, ``_KERNELS[kind](*parent values, meta)``. ``_trace`` keeps the steps
+one output depends on as a program, and ``_replay`` runs their kernels on
+new input values, checked finite like a leaf's or constant's, building no
+node, closure or adjoint. Relu masks, softmax shifts (with their non-finite
+maximum check) and the maxpool argmax indices its VJP scatters through are
+derived from recorded values, so each node holding one keeps its recipe and
+a replay rebuilds it from the new values. A program keeps no input value.
 """
 
 from __future__ import annotations
 
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +61,12 @@ class GraphError(RuntimeError):
     """Raised on structural misuse: cross-graph operands, non-scalar roots."""
 
 
-def _as_value(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+def _finite(x, kind: str) -> np.ndarray:
+    """x as float64, which must be finite; kind ("leaf" or "constant") names it in the error."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{kind} value contains non-finite entries")
+    return x
 
 
 class Node:
@@ -60,11 +74,14 @@ class Node:
 
     A node holds its graph by weak reference (the graph owns the node), so
     ``node.graph`` raises :class:`GraphError` once the graph is released.
+    A constant or scatter that the engine derived from recorded values holds
+    its recipe, (kernel, source ids, meta): a replay rebuilds the constant's
+    value or the scatter's meta as kernel(*the sources' values, meta).
     """
 
-    __slots__ = ("_graph", "id", "kind", "parents", "value", "meta", "_vjp", "__weakref__")
+    __slots__ = ("_graph", "id", "kind", "parents", "value", "meta", "_vjp", "recipe", "__weakref__")
 
-    def __init__(self, graph_ref, node_id, kind, parents, value, vjp=None, meta=None):
+    def __init__(self, graph_ref, node_id, kind, parents, value, vjp=None, meta=None, recipe=None):
         self._graph = graph_ref
         self.id = node_id
         self.kind = kind
@@ -72,6 +89,7 @@ class Node:
         self.value = value
         self.meta = meta
         self._vjp = vjp
+        self.recipe = recipe
 
     @property
     def graph(self) -> Graph:
@@ -106,28 +124,26 @@ class Graph:
         self.nodes: list[Node] = []
         self._ref = weakref.ref(self)
 
-    def _append(self, kind, parents, value, vjp=None, meta=None) -> Node:
-        node = Node(self._ref, len(self.nodes), kind, parents, value, vjp, meta)
+    def _append(self, kind, parents, value, vjp=None, meta=None, recipe=None) -> Node:
+        node = Node(self._ref, len(self.nodes), kind, parents, value, vjp, meta, recipe)
         self.nodes.append(node)
         return node
 
-    def _constant(self, value: np.ndarray) -> Node:
+    def _constant(self, value: np.ndarray, recipe=None) -> Node:
         """A float64 array the engine made itself, recorded without the finiteness scan."""
-        return self._append("const", (), value)
+        return self._append("const", (), value, recipe=recipe)
+
+    def _derived(self, kernel, sources, meta=None) -> Node:
+        """The constant kernel(*the sources' values, meta), which a replay rebuilds from their new values."""
+        return self._constant(kernel(*[s.value for s in sources], meta), (kernel, tuple(s.id for s in sources), meta))
 
     def leaf(self, value) -> Node:
         """Differentiation input. Values must be finite."""
-        value = _as_value(value)
-        if not np.all(np.isfinite(value)):
-            raise ValueError("leaf value contains non-finite entries")
-        return self._append("leaf", (), value)
+        return self._append("leaf", (), _finite(value, "leaf"))
 
     def constant(self, value) -> Node:
         """Value held fixed under differentiation."""
-        value = _as_value(value)
-        if not np.all(np.isfinite(value)):
-            raise ValueError("constant value contains non-finite entries")
-        return self._append("const", (), value)
+        return self._append("const", (), _finite(value, "constant"))
 
     def truncate(self, length: int) -> None:
         """Drop every node recorded after the first ``length``.
@@ -186,6 +202,56 @@ def _unbroadcast(g: Node, shape) -> Node:
 
 
 # ---------------------------------------------------------------------------
+# kernels: each node kind's value, kernel(*parent values, meta)
+
+
+def _maxpool(x: np.ndarray, k: int) -> np.ndarray:
+    views = _pool_views(x, k)
+    value = views[0]
+    for v in views[1:]:
+        value = np.where(v > value, v, value)  # strict: a tie keeps the first, and -0.0 vs 0.0 is a tie
+    return value
+
+
+# every op records its value through this table, and a replay reads it
+_KERNELS = {
+    "const": lambda value: value,  # a constant's step carries its value as meta
+    "add": lambda a, b, _: a + b,
+    "neg": lambda a, _: -a,
+    "mul": lambda a, b, _: a * b,
+    "div": lambda a, b, _: a / b,
+    "pow": lambda a, exponent: a**exponent,
+    "exp": lambda a, _: np.exp(a),
+    "log": lambda a, _: np.log(a),
+    "relu": lambda a, _: a * (a > 0.0),
+    "sum": lambda a, axis_keepdims: a.sum(axis=axis_keepdims[0], keepdims=axis_keepdims[1]),
+    "broadcast": lambda a, shape: np.broadcast_to(a, shape),
+    "reshape": lambda a, shape: a.reshape(shape),
+    "permute": lambda a, axes: a.transpose(axes),
+    "matmul": lambda a, b, _: a @ b,
+    "take": lambda a, indices: a.ravel()[indices],
+    "scatter": lambda v, indices_size: np.bincount(indices_size[0].ravel(), v.ravel(), indices_size[1]),
+    "maxpool": _maxpool,
+}
+_KERNELS["im2col"] = _KERNELS["take"]
+
+
+# recipes' kernels: the values the engine derives from recorded values
+
+
+def _relu_mask(a: np.ndarray, _) -> np.ndarray:
+    return (a > 0.0).astype(np.float64)
+
+
+def _logit_max(logits: np.ndarray, negate: bool) -> np.ndarray:
+    """Rowwise max of (N, K) logits: negated (N, 1) for the shift, else (N,)."""
+    m = logits.max(axis=1, keepdims=True)
+    if not np.isfinite(m).all():  # the shifts are recorded unchecked
+        raise ValueError("softmax_cross_entropy: a row of logits has a non-finite maximum")
+    return -m if negate else m[:, 0]
+
+
+# ---------------------------------------------------------------------------
 # primitives
 
 
@@ -199,14 +265,14 @@ def add(a, b) -> Node:
             _unbroadcast(g, b.shape) if needs[1] else None,
         )
 
-    return a.graph._append("add", (a, b), a.value + b.value, vjp)
+    return a.graph._append("add", (a, b), _KERNELS["add"](a.value, b.value, None), vjp)
 
 
 def neg(a: Node) -> Node:
     def vjp(g, needs):
         return (neg(g),)
 
-    return a.graph._append("neg", (a,), -a.value, vjp)
+    return a.graph._append("neg", (a,), _KERNELS["neg"](a.value, None), vjp)
 
 
 def mul(a, b) -> Node:
@@ -219,7 +285,7 @@ def mul(a, b) -> Node:
             _unbroadcast(mul(g, a), b.shape) if needs[1] else None,
         )
 
-    return a.graph._append("mul", (a, b), a.value * b.value, vjp)
+    return a.graph._append("mul", (a, b), _KERNELS["mul"](a.value, b.value, None), vjp)
 
 
 def div(a, b) -> Node:
@@ -233,7 +299,7 @@ def div(a, b) -> Node:
             gb = _unbroadcast(neg(div(mul(g, out_ref()), b)), b.shape)
         return (ga, gb)
 
-    out = a.graph._append("div", (a, b), a.value / b.value, vjp)
+    out = a.graph._append("div", (a, b), _KERNELS["div"](a.value, b.value, None), vjp)
     out_ref = weakref.ref(out)  # a strong reference would make the node a cycle
     return out
 
@@ -244,14 +310,14 @@ def power(a: Node, exponent: float) -> Node:
     def vjp(g, needs):
         return (mul(g, mul(power(a, exponent - 1.0), exponent)),)
 
-    return a.graph._append("pow", (a,), a.value**exponent, vjp, meta=exponent)
+    return a.graph._append("pow", (a,), _KERNELS["pow"](a.value, exponent), vjp, exponent)
 
 
 def exp(a: Node) -> Node:
     def vjp(g, needs):
         return (mul(g, out_ref()),)
 
-    out = a.graph._append("exp", (a,), np.exp(a.value), vjp)
+    out = a.graph._append("exp", (a,), _KERNELS["exp"](a.value, None), vjp)
     out_ref = weakref.ref(out)  # a strong reference would make the node a cycle
     return out
 
@@ -260,7 +326,7 @@ def log(a: Node) -> Node:
     def vjp(g, needs):
         return (div(g, a),)
 
-    return a.graph._append("log", (a,), np.log(a.value), vjp)
+    return a.graph._append("log", (a,), _KERNELS["log"](a.value, None), vjp)
 
 
 def relu(a: Node) -> Node:
@@ -270,11 +336,11 @@ def relu(a: Node) -> Node:
 
     def vjp(g, needs):
         if (mask := kept[0]()) is None:
-            mask = (a.value > 0.0).astype(np.float64)
+            mask = _relu_mask(a.value, None)
             kept[0] = weakref.ref(mask)
-        return (mul(g, a.graph._constant(mask)),)
+        return (mul(g, a.graph._constant(mask, (_relu_mask, (a.id,), None))),)
 
-    return a.graph._append("relu", (a,), a.value * (a.value > 0.0), vjp)
+    return a.graph._append("relu", (a,), _KERNELS["relu"](a.value, None), vjp)
 
 
 def reduce_sum(a: Node, axis=None, keepdims: bool = False) -> Node:
@@ -294,32 +360,35 @@ def reduce_sum(a: Node, axis=None, keepdims: bool = False) -> Node:
     def vjp(g, needs):
         return (broadcast_to(reshape(g, kept), a.shape),)
 
-    value = a.value.sum(axis=axis, keepdims=keepdims)
-    return a.graph._append("sum", (a,), value, vjp)
+    meta = (axis, keepdims)
+    return a.graph._append("sum", (a,), _KERNELS["sum"](a.value, meta), vjp, meta)
 
 
 def broadcast_to(a: Node, shape) -> Node:
     shape = tuple(shape)
     try:
-        value = np.broadcast_to(a.value, shape)
+        value = _KERNELS["broadcast"](a.value, shape)
     except ValueError:
         raise ShapeError(f"broadcast: cannot expand {a.shape} to {shape}") from None
 
     def vjp(g, needs):
         return (_unbroadcast(g, a.shape),)
 
-    return a.graph._append("broadcast", (a,), value, vjp)
+    return a.graph._append("broadcast", (a,), value, vjp, shape)
 
 
 def reshape(a: Node, shape) -> Node:
-    value = a.value.reshape(shape)
+    try:
+        value = _KERNELS["reshape"](a.value, shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot reshape {a.shape} to {shape}") from None
     if value.shape == a.shape:
         return a
 
     def vjp(g, needs):
         return (reshape(g, a.shape),)
 
-    return a.graph._append("reshape", (a,), value, vjp)
+    return a.graph._append("reshape", (a,), value, vjp, value.shape)
 
 
 def permute(a: Node, axes) -> Node:
@@ -329,7 +398,7 @@ def permute(a: Node, axes) -> Node:
     def vjp(g, needs):
         return (permute(g, inverse),)
 
-    return a.graph._append("permute", (a,), a.value.transpose(axes), vjp)
+    return a.graph._append("permute", (a,), _KERNELS["permute"](a.value, axes), vjp, axes)
 
 
 def transpose(a: Node) -> Node:
@@ -349,7 +418,7 @@ def matmul(a, b) -> Node:
             matmul(transpose(a), g) if needs[1] else None,
         )
 
-    return a.graph._append("matmul", (a, b), a.value @ b.value, vjp)
+    return a.graph._append("matmul", (a, b), _KERNELS["matmul"](a.value, b.value, None), vjp)
 
 
 def take(a: Node, indices: np.ndarray, kind: str = "take") -> Node:
@@ -366,7 +435,7 @@ def _take(a: Node, indices: np.ndarray, kind: str = "take") -> Node:
     def vjp(g, needs):
         return (reshape(_scatter(g, indices, a.size), a.shape),)
 
-    return a.graph._append(kind, (a,), a.value.ravel()[indices], vjp, meta=indices)
+    return a.graph._append(kind, (a,), _KERNELS[kind](a.value, indices), vjp, indices)
 
 
 def scatter(v: Node, indices: np.ndarray, size: int) -> Node:
@@ -379,14 +448,14 @@ def scatter(v: Node, indices: np.ndarray, size: int) -> Node:
     return _scatter(v, indices, size)
 
 
-def _scatter(v: Node, indices: np.ndarray, size: int) -> Node:
+def _scatter(v: Node, indices: np.ndarray, size: int, recipe=None) -> Node:
     """scatter of indices already known to lie in range and match v's shape."""
 
     def vjp(g, needs):
         return (_take(g, indices),)
 
-    value = np.bincount(indices.ravel(), weights=v.value.ravel(), minlength=size)
-    return v.graph._append("scatter", (v,), value, vjp, meta=indices)
+    meta = (indices, size)
+    return v.graph._append("scatter", (v,), _KERNELS["scatter"](v.value, meta), vjp, meta, recipe)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +530,9 @@ def _pool_views(x: np.ndarray, k: int) -> list:
     return [x[:, :, i:ho:k, j:wo:k] for i in range(k) for j in range(k)]
 
 
-def _pool_indices(x: np.ndarray, k: int, value: np.ndarray) -> np.ndarray:
-    """Flat indices into x of each window's first maximum, (n, c, h // k, w // k).
+def _pool_indices(x: np.ndarray, value: np.ndarray, k: int) -> tuple:
+    """The meta of maxpool's VJP scatter: (flat indices into x of each window's
+    first maximum, (n, c, h // k, w // k); x's size).
 
     value holds the window maxima. Scanning the views from the last offset
     down, arg ends at the lowest offset whose entry equals the maximum, so ties
@@ -477,7 +547,7 @@ def _pool_indices(x: np.ndarray, k: int, value: np.ndarray) -> np.ndarray:
     offsets = (np.arange(k)[:, None] * w + np.arange(k)).ravel()
     rows = np.arange(value.shape[2]) * (k * w)
     cols = np.arange(value.shape[3]) * k
-    return (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1) + (rows[:, None] + cols) + offsets[arg]
+    return (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1) + (rows[:, None] + cols) + offsets[arg], x.size
 
 
 def maxpool2d(x: Node, k: int) -> Node:
@@ -490,18 +560,17 @@ def maxpool2d(x: Node, k: int) -> Node:
     h, w = x.shape[2:]
     if h < k or w < k:
         raise ShapeError(f"maxpool2d: window {k} larger than input {h}x{w}")
-    views = _pool_views(x.value, k)
-    value = views[0]
-    for v in views[1:]:
-        value = np.where(v > value, v, value)  # strict: a tie keeps the first, and -0.0 vs 0.0 is a tie
-    kept = []  # the argmax indices, once built
+    kept = []  # the scatter's (argmax indices, x's size), once built
 
     def vjp(g, needs):
+        pooled = out_ref()
         if not kept:
-            kept.append(_pool_indices(x.value, k, value))
-        return (reshape(_scatter(g, kept[0], x.size), x.shape),)
+            kept.append(_pool_indices(x.value, pooled.value, k))
+        return (reshape(_scatter(g, *kept[0], (_pool_indices, (x.id, pooled.id), k)), x.shape),)
 
-    return x.graph._append("maxpool", (x,), value, vjp, meta=k)
+    out = x.graph._append("maxpool", (x,), _KERNELS["maxpool"](x.value, k), vjp, k)
+    out_ref = weakref.ref(out)  # a strong reference would make the node a cycle
+    return out
 
 
 def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
@@ -518,11 +587,9 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
         raise ShapeError(f"labels shape {labels.shape} does not match {n} rows")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range for {k} classes")
-    m = logits.value.max(axis=1, keepdims=True)
-    if not np.isfinite(m).all():  # the shifts below are recorded unchecked
-        raise ValueError("softmax_cross_entropy: a row of logits has a non-finite maximum")
-    shifted = add(logits, logits.graph._constant(-m))
-    lse = add(log(reduce_sum(exp(shifted), axis=1)), logits.graph._constant(m[:, 0]))
+    graph = logits.graph
+    shifted = add(logits, graph._derived(_logit_max, (logits,), True))
+    lse = add(log(reduce_sum(exp(shifted), axis=1)), graph._derived(_logit_max, (logits,), False))
     picked = _take(logits, np.arange(n) * k + labels)
     return add(lse, neg(picked))
 
@@ -582,6 +649,68 @@ def backward(root: Node, wrt) -> list[Node]:
 def grad(root: Node, target: Node) -> np.ndarray:
     """Value of d(root)/d(target). Convenience wrapper over backward."""
     return backward(root, [target])[0].value
+
+
+# ---------------------------------------------------------------------------
+# record once, replay
+
+
+class _Program(NamedTuple):
+    """A recorded computation as steps over value positions: the inputs come
+    first, then one value per step, (kernel, parent positions, meta, recipe)
+    with the recipe's sources as positions too."""
+
+    kinds: tuple  # "leaf" or "constant" per input: the check its values pass
+    shapes: tuple  # per input
+    steps: tuple
+    output: int  # the output's position
+
+
+def _owned(meta):
+    """meta with each array that views another copied, so a program keeps no batch of window indices alive."""
+    if isinstance(meta, tuple):
+        return tuple(map(_owned, meta))
+    return meta.copy() if isinstance(meta, np.ndarray) and meta.base is not None else meta
+
+
+def _trace(inputs, output: Node) -> _Program:
+    """The program that recomputes output from new values of the input nodes.
+
+    It keeps the steps output depends on, through parents and recipes, and
+    no input value: a derived node keeps its recipe only, and any other
+    leaf must be one of the inputs.
+    """
+    nodes = output.graph.nodes[: output.id + 1]
+    needed = bytearray(len(nodes))
+    needed[output.id] = 1
+    for n in reversed(nodes):
+        if needed[n.id]:
+            for i in [p.id for p in n.parents] + list(n.recipe[1] if n.recipe else ()):
+                needed[i] = 1
+    position = {n.id: i for i, n in enumerate(inputs)}
+    steps = []
+    for n in nodes:
+        if not needed[n.id] or n.id in position:
+            continue
+        if n.kind == "leaf":
+            raise GraphError(f"leaf {n.id} is not an input of the program")
+        recipe, meta = n.recipe, n.value if n.kind == "const" else n.meta
+        if recipe is not None:
+            recipe, meta = (recipe[0], tuple(position[i] for i in recipe[1]), recipe[2]), None
+        steps.append((_KERNELS[n.kind], tuple(position[p.id] for p in n.parents), _owned(meta), recipe))
+        position[n.id] = len(position)
+    kinds = tuple("leaf" if n.kind == "leaf" else "constant" for n in inputs)
+    return _Program(kinds, tuple(n.shape for n in inputs), tuple(steps), position[output.id])
+
+
+def _replay(program: _Program, values) -> np.ndarray:
+    """The program's output at new input values of its recorded shapes."""
+    out = [_finite(v, kind) for v, kind in zip(values, program.kinds, strict=True)]
+    for kernel, parents, meta, recipe in program.steps:
+        if recipe is not None:
+            meta = recipe[0](*[out[i] for i in recipe[1]], recipe[2])
+        out.append(kernel(*[out[i] for i in parents], meta))
+    return out[program.output]
 
 
 def kink_margin(graph: Graph) -> float:

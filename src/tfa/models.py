@@ -17,6 +17,9 @@ training set many times at fixed parameters, so a ``Model`` keeps the last
 result of each slot (the matrix of ``Model.param_grads``; the query
 gradient, G's row norms, solve and RelatIF norms of ``tda``), locked the
 same way and keyed by the identity of the values it came from, held weakly.
+Every parameter gradient of one example replays its label's recorded
+program (``Model.param_grad``): a model records graph nodes only for the
+first gradient of each label and input shape.
 
 Every loss is the softmax cross-entropy of the logits against integer
 labels, the classification loss whose gradients every attribution reads.
@@ -261,10 +264,11 @@ class Model:
             for s in self.layout
         }
         self._kept = {}  # slot -> (weak references to the sources, value, read-only result); see _keep
+        self._programs = {}  # label -> its examples' recorded gradient program; see param_grad
 
     def _param(self, theta: ad.Node, layer: int, name: str) -> ad.Node:
-        index, shape = self._slices[(layer, name)]
-        return ad.reshape(ad.take(theta, index), shape)
+        index, shape = self._slices[(layer, name)]  # the model's own layout: in range
+        return ad.reshape(ad._take(theta, index), shape)
 
     def record_forward(self, theta: ad.Node, X: ad.Node) -> ad.Node:
         """Record logits for a batched input.
@@ -342,11 +346,22 @@ class Model:
         return float(np.sum(self._evaluate(params, dataset.X, dataset.y)) / len(dataset))
 
     def param_grad(self, params: ParamVector, example: LabeledExample) -> np.ndarray:
-        """Flat gradient of one example's loss with respect to the parameters."""
+        """Flat gradient of one example's loss with respect to the parameters.
+
+        The first call for a label records the forward and backward through
+        the ops, and their checks, and the model keeps the result as that
+        label's program. A later call with the same label and shapes replays
+        it on the new values, with the same bytes and the same finiteness and
+        logit checks; a new label or shape records again.
+        """
+        program = self._programs.get(example.y)
+        if program is not None and program.shapes == (params.data.shape, example.x.shape):
+            return ad._replay(program, (params.data, example.x))
         graph = ad.Graph()
-        theta = graph.leaf(params.data)
-        loss = self.record_example_loss(theta, graph.constant(example.x), example.y)
-        return ad.grad(loss, theta)
+        theta, x = graph.leaf(params.data), graph.constant(example.x)
+        (gradient,) = ad.backward(self.record_example_loss(theta, x, example.y), [theta])
+        self._programs[example.y] = ad._trace((theta, x), gradient)
+        return gradient.value
 
     def param_grads(self, params: ParamVector, dataset: Dataset) -> np.ndarray:
         """(N, p) matrix whose row i is ``param_grad`` of example i, read-only.

@@ -64,9 +64,14 @@ def query_gradient(model: Model, params: ParamVector, z_test: LabeledExample) ->
     """Parameter gradient of the test example's loss at its own label, read-only.
 
     The model keeps the last one for these params and z_test objects, so
-    rankings and saliency maps of one test example compute it once.
+    rankings and saliency maps of one test example compute it, and check its
+    norm, once. A degenerate one raises DegenerateGradientError("test", ...).
     """
-    return model._keep("query", lambda: model.param_grad(params, z_test), params, z_test)
+    def build():
+        g = model.param_grad(params, z_test)
+        _checked_norm(g, "test")
+        return g
+    return model._keep("query", build, params, z_test)
 
 
 @dataclass(eq=False)
@@ -295,7 +300,7 @@ def rank_training_set(
     """
     _check_method(method, epsilon, hessian)
     g_test = query_gradient(model, params, z_test)
-    test_norm = _checked_norm(g_test, "test")
+    test_norm = np.linalg.norm(g_test, axis=-1) if method == "grad-cos" else None  # checked at its build
     G = model.param_grads(params, dataset)
     norms = model._keep("grad_norms", lambda: np.linalg.norm(G, axis=1), params, dataset)
     keep = norms > DEGENERATE_NORM

@@ -3,10 +3,16 @@
 import dataclasses
 import inspect
 import re
+import sys
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cifar_records import encode_cifar10_bytes, write_batches
 from tfa import autodiff as ad
@@ -594,3 +600,151 @@ class TestLossKind:
         assert len(entry_points) > 20
         for f in entry_points:
             assert "kind" not in inspect.signature(f).parameters, f.__qualname__
+
+
+def cnn_343():
+    """The single-block CNN of acceptance criterion 4: 343 parameters."""
+    return ArchitectureSpec(
+        layers=(Conv2d(1, 4, 3), Relu(), MaxPool(2), Flatten(), Dense(100, 3)), input_shape=(1, 12, 12), num_classes=3
+    )
+
+
+def mlp_relu_first():
+    """An MLP whose first relu reads the input, so a signed zero of the input reaches it unchanged."""
+    return ArchitectureSpec(layers=(Relu(), Dense(4, 5), Relu(), Dense(5, 3)), input_shape=(4,), num_classes=3)
+
+
+# dyadic values: sums of their products are exact, so relu inputs of exactly
+# zero and pool windows with tied maxima are common
+PARAM_VALUES = [0.0, -0.0, 0.25, -0.25, 0.5, -1.0]
+INPUT_VALUES = [0.0, -0.0, 0.25, 0.5, 1.0]
+
+
+def first_recording(arch, params, example) -> np.ndarray:
+    """param_grad on a fresh Model: the call that records through the ops."""
+    return Model(arch).param_grad(params, example)
+
+
+class TestGradientPrograms:
+    """Model.param_grad records once per label and replays that program on new values."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_a_replay_is_bitwise_the_first_recording(self, data):
+        arch = data.draw(st.sampled_from([logistic(), mlp_relu_first(), cnn_343()]))
+        shape, p = arch.input_shape, Model(arch).num_params
+        layout = init_params(arch, 0).layout
+        draw_params = lambda: models.ParamVector(data.draw(hnp.arrays(np.float64, p, elements=st.sampled_from(PARAM_VALUES))), layout)
+        draw_x = lambda: data.draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(INPUT_VALUES)))
+        k = arch.num_classes
+        # each label's program is recorded at other params and inputs than it replays
+        model, recorded_at = Model(arch), draw_params()
+        for y in range(k):
+            model.param_grad(recorded_at, LabeledExample(draw_x(), y))
+        params = draw_params()
+        ds = Dataset(np.stack([draw_x() for _ in range(2 * k)]), np.arange(2 * k) % k)
+        for i in range(len(ds)):
+            assert model.param_grad(params, ds.example(i)).tobytes() == first_recording(arch, params, ds.example(i)).tobytes()
+        G = model.param_grads(params, ds)
+        for i in range(len(ds)):
+            assert G[i].tobytes() == first_recording(arch, params, ds.example(i)).tobytes()
+        assert len(model._programs) == k
+
+    def test_a_replay_rebuilds_relu_masks_and_pool_argmaxes_from_its_own_values(self):
+        """Exact zeros of both signs before a relu, and tied pool windows, replayed
+        on a model whose program was recorded at other values."""
+        rng = np.random.default_rng(31)
+        cnn, mlp = cnn_343(), mlp_relu_first()
+        data = rng.choice([0.25, -0.5, 1.0], size=343)
+        data[0:9] = data[36] = 0.0  # conv channel 0 reads nothing and adds nothing: its relu inputs are exactly 0.0
+        blocks = np.kron(rng.choice([0.0, 0.5, 1.0], size=(3, 3)), np.ones((4, 4)))[None]  # constant blocks tie windows
+        cases = [
+            (cnn, models.ParamVector(data, init_params(cnn, 0).layout), blocks),
+            (mlp, init_params(mlp, 4), np.array([-0.0, 0.0, 0.5, -0.0])),  # the first relu reads the input
+        ]
+        for arch, params, x in cases:
+            model = Model(arch)
+            model.param_grad(init_params(arch, 3), LabeledExample(rng.uniform(0.0, 1.0, arch.input_shape), 1))
+            graph = ad.Graph()
+            model.record_example_loss(graph.leaf(params.data), graph.constant(x), 1)
+            relu_in = [n.parents[0].value for n in graph.nodes if n.kind == "relu"][0]
+            assert (relu_in == 0.0).any() and (relu_in != 0.0).any()
+            if arch is mlp:
+                assert np.signbit(relu_in[relu_in == 0.0]).any() and not np.signbit(relu_in[relu_in == 0.0]).all()
+            else:
+                pooled = [n for n in graph.nodes if n.kind == "maxpool"][0]
+                windows = np.sort(np.stack(ad._pool_views(pooled.parents[0].value, 2), axis=-1), axis=-1)
+                assert ((windows[..., -1] == windows[..., -2]) & (windows[..., -1] > 0.0)).any()
+            example = LabeledExample(x, 1)
+            assert model.param_grad(params, example).tobytes() == first_recording(arch, params, example).tobytes()
+
+    def test_the_replay_path_keeps_the_first_calls_checks(self):
+        arch = cnn_343()
+        params = init_params(arch, 0)
+        x = np.random.default_rng(32).uniform(0.0, 1.0, (1, 12, 12))
+        model = Model(arch)
+        for y in range(3):
+            model.param_grad(params, LabeledExample(x, y))
+        nan = params.data.copy()
+        nan[5] = np.nan
+        huge = models.ParamVector(np.full(343, 1e200), params.layout)  # finite, but the logits overflow
+        cases = [
+            (models.ParamVector(nan, params.layout), LabeledExample(x, 0), ValueError, "non-finite"),
+            (huge, LabeledExample(x, 0), ValueError, "non-finite maximum"),
+            (params, LabeledExample(np.zeros((1, 13, 13)), 0), ad.ShapeError, "reshape"),
+            (params, LabeledExample(x, 3), ValueError, "label out of range"),
+        ]
+        for case_params, example, error, match in cases:
+            messages = []
+            for m in (Model(arch), model):  # a first call, then the model that holds every label's program
+                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match) as raised:
+                    m.param_grad(case_params, example)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
+        assert sorted(model._programs) == [0, 1, 2]
+
+    def test_a_model_holds_at_most_one_program_per_class_and_no_value(self):
+        arch = cnn_343()
+        model = Model(arch)
+        params = init_params(arch, 0)
+        example = LabeledExample(np.random.default_rng(33).uniform(0.0, 1.0, (1, 12, 12)), 2)
+        model.param_grad(params, example)
+        sources = [weakref.ref(v) for v in (params, params.data, example, example.x)]
+        del params, example
+        assert all(source() is None for source in sources)
+        params = init_params(arch, 1)
+        for y in [0, 1, 2, 0, 2]:
+            model.param_grad(params, LabeledExample(np.zeros((1, 12, 12)), y))
+            model.param_grad(params, LabeledExample(np.zeros(144), y))  # another shape records its label again
+        assert sorted(model._programs) == [0, 1, 2]
+
+    def test_a_program_keeps_no_batch_of_window_indices_alive(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WINDOW_TABLES", {})
+        arch = cnn_343()
+        params = init_params(arch, 0)
+        rng = np.random.default_rng(35)
+        graph = ad.Graph()  # its 40 rows of window indices are the live batch when param_grad records
+        Model(arch).record_forward(graph.constant(params.data), graph.constant(rng.uniform(0.0, 1.0, (40, 1, 12, 12))))
+        model = Model(arch)
+        model.param_grad(params, LabeledExample(rng.uniform(0.0, 1.0, (1, 12, 12)), 0))
+        (_, batch), = ad._WINDOW_TABLES.values()
+        assert len(batch()) == 40
+        del graph
+        assert batch() is None and list(model._programs) == [0]
+
+    def test_threads_share_a_models_programs(self):
+        """Eight threads, switching every microsecond, record and replay one model's programs with the bytes of a first call."""
+        arch = cnn_343()
+        params = init_params(arch, 5)
+        rng = np.random.default_rng(34)
+        examples = [LabeledExample(rng.uniform(0.0, 1.0, (1, 12, 12)), i % 3) for i in range(12)]
+        expected = [first_recording(arch, params, e).tobytes() for e in examples]
+        model, interval = Model(arch), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda e: model.param_grad(params, e).tobytes(), examples * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected * 4
+        assert sorted(model._programs) == [0, 1, 2]

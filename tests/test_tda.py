@@ -776,6 +776,33 @@ class TestGradientStore:
         assert row_norms == [1]
         assert got == expected
 
+    def test_two_rankings_of_one_query_take_its_gradient_norm_once(self, monkeypatch):
+        model, params, ds = trained_blobs(seed=25, n_per=5, epochs=2)
+        hessian = dense_hessian(model, params, ds)
+        z = ds.example(1)
+        fresh = Model(model.arch)
+        expected = [rank_training_set(fresh, params, ds, z, m, hessian=hessian) for m in ("influence", "relatif")]
+        norm, test_norms = np.linalg.norm, []
+
+        def counted(x, *args, **kwargs):
+            if np.shape(x) == (model.num_params,):
+                test_norms.append(kwargs.get("axis"))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        got = [rank_training_set(model, params, ds, z, m, hessian=hessian) for m in ("influence", "relatif")]
+        assert test_norms == [-1]  # the check where query_gradient builds and keeps g_test
+        assert got == expected
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_degenerate_test_gradient_raises_for_every_method(self, method):
+        model, params, flat = saturated_dense()
+        ds = Dataset(np.array([[1.0, 1.0]]), [1])
+        for _ in range(2):  # nothing degenerate is kept
+            with pytest.raises(DegenerateGradientError) as raised:
+                rank_training_set(model, params, ds, flat, method, hessian=DampedHessian(np.eye(model.num_params)))
+            assert raised.value.side == "test"
+
     def test_saliency_after_ranking_computes_no_gradient_again(self, monkeypatch):
         model, params, ds = trained_blobs(seed=22, n_per=5, epochs=2)
         z_test = ds.example(0)
