@@ -2,9 +2,7 @@
 
 The engine records every operation (including the adjoint computations
 performed by :func:`backward`) as nodes of a :class:`Graph`, so gradients are
-ordinary nodes and can be differentiated again. That second differentiation
-is what the saliency code relies on: it needs the input-gradient of a scalar
-that was itself built from parameter gradients.
+ordinary nodes and can be differentiated again, as the saliency code needs.
 
 Everything is float64. Nonlinear primitives are kept to a minimum; composite
 operations (convolution, pooling, cross-entropy, cosine) are built from the
@@ -12,37 +10,42 @@ primitives so their second derivatives come for free. Convolution is lowered
 to a flat gather (im2col) plus a matmul; gather/scatter are exact linear
 adjoints of one another, which keeps double backprop through both exact. The
 gather reads one window table per layer geometry (channels, height, width,
-kernel): the flat indices of every window of one example, built once and
-shared by every batch size. A batch adds its example offsets, which live only
-while a graph holds them; a graph of fewer examples recorded meanwhile reads a
-prefix of them. Maxpool takes each window's first maximum from the k*k
-strided views of its input. Its VJP scatters through the flat argmax indices
-and relu's multiplies by a float mask; each builds that array at its first
-call and reuses it in later sweeps, so a value-only forward pass builds none.
+kernel), built once and shared by every batch size. A batch adds its example
+offsets, which live only while a graph holds them; a graph of fewer examples
+recorded meanwhile reads a prefix of them. Maxpool's VJP scatters through
+the flat indices of each window's first maximum and relu's multiplies by a
+float mask; each builds that array at its first VJP and reuses it in later
+sweeps, so a value-only forward pass builds none. Relu is one pass,
+``np.maximum(-0.0, a)``, and maxpool folds its k*k strided views with
+``np.maximum(view, value)``. numpy returns the second operand on a tie of
+-0.0 and 0.0 (a test checks this numpy rule), so on finite values these give
+the bytes of ``a * (a > 0.0)`` and of a strict comparison chain in which a
+window's first entry wins a tie. Off them, relu(-inf) is -0.0 and a NaN in
+any view is its window's maximum.
 
 Lifetime: a :class:`Graph` owns its nodes, and each node refers back to its
-graph only weakly, so a graph holds no reference cycle. Once the caller drops
-the graph, reference counting frees it together with every node and array it
-recorded, without waiting for the cyclic garbage collector. A node kept past
-that point still has its value, but can no longer record operations.
-:meth:`Graph.truncate` releases the nodes after a mark in the same way, so
-several backward sweeps can share one recorded forward pass.
+graph only weakly, so reference counting alone frees a dropped graph with
+every node and array it recorded. A node kept past that point still has its
+value, but can no longer record operations. :meth:`Graph.truncate` releases
+the nodes after a mark the same way, so several backward sweeps can share
+one recorded forward pass.
 
 Values are checked where they enter: ``Graph.leaf``, ``Graph.constant`` and
 plain operands must be finite, and public ``take`` and ``scatter`` indices in
 range. What the engine makes itself (backward seed, zero adjoints, relu
-masks, softmax shifts) and its own gathers and scatters (conv windows, pool
-argmaxes, VJP re-gathers) skip those checks. A reshape to the operand's own
-shape returns the operand and records no node.
+masks, softmax shifts, conv-window, pool-argmax and VJP indices) skips those
+checks. A reshape to the operand's own shape returns the operand.
 
 Record once, replay: every op computes its value through one kernel per node
 kind, ``_KERNELS[kind](*parent values, meta)``. ``_trace`` keeps the steps
 one output depends on as a program, and ``_replay`` runs their kernels on
 new input values, checked finite like a leaf's or constant's, building no
-node, closure or adjoint. Relu masks, softmax shifts (with their non-finite
-maximum check) and the maxpool argmax indices its VJP scatters through are
-derived from recorded values, so each node holding one keeps its recipe and
-a replay rebuilds it from the new values. A program keeps no input value.
+node. Relu masks, softmax shifts (with their non-finite maximum check) and
+pool argmax indices are derived from recorded values, so each node holding
+one keeps its recipe, which a replay runs on the new values. The argmax
+recipe passes from the scatter to its VJP's take and back, so second-order
+programs rebuild them too, and ``_trace`` rejects a step with no recipe whose
+meta holds an array that a recipe built. A program keeps no input value.
 """
 
 from __future__ import annotations
@@ -209,7 +212,7 @@ def _maxpool(x: np.ndarray, k: int) -> np.ndarray:
     views = _pool_views(x, k)
     value = views[0]
     for v in views[1:]:
-        value = np.where(v > value, v, value)  # strict: a tie keeps the first, and -0.0 vs 0.0 is a tie
+        value = np.maximum(v, value)  # numpy returns the second operand on a tie: the first view's -0.0 or 0.0
     return value
 
 
@@ -223,7 +226,7 @@ _KERNELS = {
     "pow": lambda a, exponent: a**exponent,
     "exp": lambda a, _: np.exp(a),
     "log": lambda a, _: np.log(a),
-    "relu": lambda a, _: a * (a > 0.0),
+    "relu": lambda a, _: np.maximum(-0.0, a),  # a * (a > 0.0): numpy returns a on a tie, -0.0 or 0.0
     "sum": lambda a, axis_keepdims: a.sum(axis=axis_keepdims[0], keepdims=axis_keepdims[1]),
     "broadcast": lambda a, shape: np.broadcast_to(a, shape),
     "reshape": lambda a, shape: a.reshape(shape),
@@ -241,6 +244,12 @@ _KERNELS["im2col"] = _KERNELS["take"]
 
 def _relu_mask(a: np.ndarray, _) -> np.ndarray:
     return (a > 0.0).astype(np.float64)
+
+
+def _sized(*values_and_meta) -> tuple:
+    """A scatter's meta, (indices, size), from the recipe (kernel, _, meta) of its indices."""
+    *values, (kernel, meta, size) = values_and_meta
+    return kernel(*values, meta), size
 
 
 def _logit_max(logits: np.ndarray, negate: bool) -> np.ndarray:
@@ -401,12 +410,6 @@ def permute(a: Node, axes) -> Node:
     return a.graph._append("permute", (a,), _KERNELS["permute"](a.value, axes), vjp, axes)
 
 
-def transpose(a: Node) -> Node:
-    if a.value.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got {a.shape}")
-    return permute(a, (1, 0))
-
-
 def matmul(a, b) -> Node:
     a, b = _pair(a, b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -414,8 +417,8 @@ def matmul(a, b) -> Node:
 
     def vjp(g, needs):
         return (
-            matmul(g, transpose(b)) if needs[0] else None,
-            matmul(transpose(a), g) if needs[1] else None,
+            matmul(g, permute(b, (1, 0))) if needs[0] else None,
+            matmul(permute(a, (1, 0)), g) if needs[1] else None,
         )
 
     return a.graph._append("matmul", (a, b), _KERNELS["matmul"](a.value, b.value, None), vjp)
@@ -429,13 +432,13 @@ def take(a: Node, indices: np.ndarray, kind: str = "take") -> Node:
     return _take(a, indices, kind)
 
 
-def _take(a: Node, indices: np.ndarray, kind: str = "take") -> Node:
-    """take of indices already known to lie in range."""
+def _take(a: Node, indices: np.ndarray, kind: str = "take", recipe=None) -> Node:
+    """take of indices already known to lie in range; a recipe rebuilds derived indices, and passes to the VJP."""
 
     def vjp(g, needs):
-        return (reshape(_scatter(g, indices, a.size), a.shape),)
+        return (reshape(_scatter(g, indices, a.size, recipe), a.shape),)
 
-    return a.graph._append(kind, (a,), _KERNELS[kind](a.value, indices), vjp, indices)
+    return a.graph._append(kind, (a,), _KERNELS[kind](a.value, indices), vjp, indices, recipe)
 
 
 def scatter(v: Node, indices: np.ndarray, size: int) -> Node:
@@ -449,13 +452,13 @@ def scatter(v: Node, indices: np.ndarray, size: int) -> Node:
 
 
 def _scatter(v: Node, indices: np.ndarray, size: int, recipe=None) -> Node:
-    """scatter of indices already known to lie in range and match v's shape."""
+    """scatter of indices already known to lie in range and match v's shape; a recipe as ``_take``'s."""
 
     def vjp(g, needs):
-        return (_take(g, indices),)
+        return (_take(g, indices, recipe=recipe),)
 
-    meta = (indices, size)
-    return v.graph._append("scatter", (v,), _KERNELS["scatter"](v.value, meta), vjp, meta, recipe)
+    meta, sized = (indices, size), recipe and (_sized, recipe[1], (recipe[0], recipe[2], size))
+    return v.graph._append("scatter", (v,), _KERNELS["scatter"](v.value, meta), vjp, meta, sized)
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +471,9 @@ def dot(a: Node, b: Node) -> Node:
     return reduce_sum(mul(a, b))
 
 
-def norm(a: Node) -> Node:
-    """Euclidean norm of a vector. Not differentiable at exactly zero."""
-    if a.value.ndim != 1:
-        raise ShapeError(f"norm expects a vector, got {a.shape}")
-    return power(reduce_sum(mul(a, a)), 0.5)
-
-
 def cosine(a: Node, b: Node) -> Node:
-    """Cosine similarity of two vectors; caller guards against zero norms."""
-    return div(dot(a, b), mul(norm(a), norm(b)))
+    """Cosine similarity of two vectors; caller guards against zero norms, where it is not differentiable."""
+    return div(dot(a, b), mul(power(dot(a, a), 0.5), power(dot(b, b), 0.5)))
 
 
 # layer geometry -> [window table of one example, weak reference to the last
@@ -519,7 +515,7 @@ def conv2d(x: Node, weight: Node, bias: Node) -> Node:
     ho, wo = idx.shape[1:3]
     # rows in (n, ho, wo) order, columns in (cin, kh, kw) order like the kernel reshape
     cols = _take(x, idx.reshape(n * ho * wo, cin * kh * kw), kind="im2col")
-    out = add(matmul(cols, transpose(reshape(weight, (cout, cin * kh * kw)))), bias)
+    out = add(matmul(cols, permute(reshape(weight, (cout, cin * kh * kw)), (1, 0))), bias)
     return permute(reshape(out, (n, ho, wo, cout)), (0, 3, 1, 2))
 
 
@@ -530,9 +526,9 @@ def _pool_views(x: np.ndarray, k: int) -> list:
     return [x[:, :, i:ho:k, j:wo:k] for i in range(k) for j in range(k)]
 
 
-def _pool_indices(x: np.ndarray, value: np.ndarray, k: int) -> tuple:
-    """The meta of maxpool's VJP scatter: (flat indices into x of each window's
-    first maximum, (n, c, h // k, w // k); x's size).
+def _pool_indices(x: np.ndarray, value: np.ndarray, k: int) -> np.ndarray:
+    """The flat indices into x of each window's first maximum, (n, c, h // k, w // k):
+    what maxpool's VJP scatters through.
 
     value holds the window maxima. Scanning the views from the last offset
     down, arg ends at the lowest offset whose entry equals the maximum, so ties
@@ -547,7 +543,7 @@ def _pool_indices(x: np.ndarray, value: np.ndarray, k: int) -> tuple:
     offsets = (np.arange(k)[:, None] * w + np.arange(k)).ravel()
     rows = np.arange(value.shape[2]) * (k * w)
     cols = np.arange(value.shape[3]) * k
-    return (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1) + (rows[:, None] + cols) + offsets[arg], x.size
+    return (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1) + (rows[:, None] + cols) + offsets[arg]
 
 
 def maxpool2d(x: Node, k: int) -> Node:
@@ -560,13 +556,13 @@ def maxpool2d(x: Node, k: int) -> Node:
     h, w = x.shape[2:]
     if h < k or w < k:
         raise ShapeError(f"maxpool2d: window {k} larger than input {h}x{w}")
-    kept = []  # the scatter's (argmax indices, x's size), once built
+    kept = []  # the scatter's argmax indices, once built
 
     def vjp(g, needs):
         pooled = out_ref()
         if not kept:
             kept.append(_pool_indices(x.value, pooled.value, k))
-        return (reshape(_scatter(g, *kept[0], (_pool_indices, (x.id, pooled.id), k)), x.shape),)
+        return (reshape(_scatter(g, kept[0], x.size, (_pool_indices, (x.id, pooled.id), k)), x.shape),)
 
     out = x.graph._append("maxpool", (x,), _KERNELS["maxpool"](x.value, k), vjp, k)
     out_ref = weakref.ref(out)  # a strong reference would make the node a cycle
@@ -678,7 +674,9 @@ def _trace(inputs, output: Node) -> _Program:
 
     It keeps the steps output depends on, through parents and recipes, and
     no input value: a derived node keeps its recipe only, and any other
-    leaf must be one of the inputs.
+    leaf must be one of the inputs. A step with no recipe whose meta holds an
+    array that a recipe rebuilds is a :class:`GraphError`: a replay would
+    keep the recorded values there.
     """
     nodes = output.graph.nodes[: output.id + 1]
     needed = bytearray(len(nodes))
@@ -688,15 +686,19 @@ def _trace(inputs, output: Node) -> _Program:
             for i in [p.id for p in n.parents] + list(n.recipe[1] if n.recipe else ()):
                 needed[i] = 1
     position = {n.id: i for i, n in enumerate(inputs)}
-    steps = []
+    steps, derived = [], set()  # derived: the ids of the arrays that recipes rebuild
     for n in nodes:
         if not needed[n.id] or n.id in position:
             continue
         if n.kind == "leaf":
             raise GraphError(f"leaf {n.id} is not an input of the program")
         recipe, meta = n.recipe, n.value if n.kind == "const" else n.meta
+        arrays = {id(a) for a in (meta if isinstance(meta, tuple) else (meta,)) if isinstance(a, np.ndarray)}
         if recipe is not None:
+            derived |= arrays
             recipe, meta = (recipe[0], tuple(position[i] for i in recipe[1]), recipe[2]), None
+        elif arrays & derived:
+            raise GraphError(f"step {n.id} ({n.kind}) reads derived values but has no recipe to rebuild them")
         steps.append((_KERNELS[n.kind], tuple(position[p.id] for p in n.parents), _owned(meta), recipe))
         position[n.id] = len(position)
     kinds = tuple("leaf" if n.kind == "leaf" else "constant" for n in inputs)

@@ -268,15 +268,8 @@ def build_run(args):
         raise UsageError(f"bad training flags: {e}") from e
     if args.data == "synthetic":
         try:
-            spec = SyntheticShapesSpec(
-                size=args.size,
-                num_classes=args.classes,
-                noise=args.noise,
-                train_per_class=args.train_per_class,
-                holdout_per_class=args.holdout_per_class,
-                test_per_class=args.test_per_class,
-                seed=record["data_seed"],
-            )
+            sizes = {key: record[key] for key in RUN_KEYS["synthetic"] if key != "classes"}
+            spec = SyntheticShapesSpec(num_classes=args.classes, seed=record["data_seed"], **sizes)
         except ValueError as e:
             raise UsageError(f"bad data flags: {e}") from e
         classes = range(args.classes)

@@ -8,7 +8,8 @@ minibatch training takes the explicit mean over a batched tensor.
 
 The plain-value passes (``Model.logits``, ``loss`` and ``mean_loss``, and
 with them ``predict`` and ``accuracy``) share one loop that records at most
-``EVAL_ROWS`` examples per graph, so their memory stays flat in the dataset.
+``EVAL_ROWS`` examples per graph and keeps one slice's nodes while it records
+the next, so their memory peaks at two slices whatever the dataset's size.
 
 Parameters, examples and datasets are immutable values: their arrays lie
 on immutable bytes, so no array on a ``.base`` chain can be made writable,
@@ -320,10 +321,13 @@ class Model:
         out = np.empty((len(X), self.arch.num_classes) if labels is None else len(X))
         for start in range(0, len(X), EVAL_ROWS):
             rows = slice(start, start + EVAL_ROWS)
-            graph = ad.Graph()  # no name holds the last slice's output, so its graph is freed before this one
+            # `result` holds the last slice's nodes until this one is recorded, as train's `loss`
+            # does, so malloc reuses their memory and conv2d their window batch: two slices peak
+            graph = ad.Graph()
             theta, X_rows = graph.constant(params.data), graph.constant(X[rows])
-            out[rows] = (self.record_forward(theta, X_rows) if labels is None
-                         else self.record_per_example_loss(theta, X_rows, labels[rows])).value
+            result = (self.record_forward(theta, X_rows) if labels is None
+                      else self.record_per_example_loss(theta, X_rows, labels[rows]))
+            out[rows] = result.value
         return out
 
     def logits(self, params: ParamVector, X: np.ndarray) -> np.ndarray:

@@ -686,3 +686,94 @@ class TestKinkMargin:
         a = graph.leaf(np.ones(3))
         ad.reduce_sum(ad.mul(a, a))
         assert ad.kink_margin(graph) == np.inf
+
+
+def strict_maxpool(x, k):
+    """The window maxima by a strict comparison chain: a tie keeps the first view's entry."""
+    views = ad._pool_views(x, k)
+    value = views[0]
+    for v in views[1:]:
+        value = np.where(v > value, v, value)
+    return value
+
+
+# finite values with exact ties and zeros of both signs
+TIED = st.sampled_from([0.0, -0.0, 1.5, -1.5, 0.25]) | st.floats(-1e300, 1e300, allow_subnormal=True)
+
+
+class TestKernelTieRule:
+    """relu and maxpool are one np.maximum pass each, byte-equal to the masked product and the strict chain."""
+
+    def test_numpy_maximum_returns_its_second_operand_on_a_signed_zero_tie(self):
+        a, b = np.array([0.0, -0.0, 0.0, -0.0] * 64), np.array([-0.0, 0.0, 0.0, -0.0] * 64)  # scalar and SIMD paths
+        for first, second, out in [(a, b, np.maximum(a, b)), (-0.0, b, np.maximum(-0.0, b)), (a[0], b[0], np.maximum(a[0], b[0]))]:
+            assert np.array_equal(np.signbit(out), np.signbit(second)), (
+                f"numpy {np.__version__}: np.maximum({first!r}, {second!r}) did not return its second operand on a "
+                "-0.0/+0.0 tie; autodiff's relu kernel (np.maximum(-0.0, a)) and _maxpool (np.maximum(v, value)) rely on it"
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, max_side=6), elements=TIED))
+    def test_relu_kernel_is_bitwise_the_masked_product(self, a):
+        assert ad._KERNELS["relu"](a, None).tobytes() == (a * (a > 0.0)).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=hnp.arrays(np.float64, st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(3, 7), st.integers(3, 7)), elements=TIED),
+        k=st.integers(1, 3),
+    )
+    def test_maxpool_kernel_is_bitwise_the_strict_chain(self, x, k):
+        assert ad._KERNELS["maxpool"](x, k).tobytes() == strict_maxpool(x, k).tobytes()
+
+    def test_an_overflowing_pre_activation(self):
+        """relu(-inf) is -0.0 with a zero derivative, +inf stays +inf, and a loss through them still fails loudly."""
+        graph = ad.Graph()
+        a = graph.leaf(np.array([1e200, -1e200, 1.0, -1.0]))
+        with np.errstate(over="ignore"):
+            pre = ad.mul(a, 1e200)  # inf, -inf, 1e200, -1e200
+        out = ad.relu(pre)
+        assert out.value.tobytes() == np.array([np.inf, -0.0, 1e200, -0.0]).tobytes()
+        np.testing.assert_array_equal(ad.grad(ad.reduce_sum(out), pre), [1.0, 0.0, 1.0, 0.0])
+        # a NaN in any view of a window is that window's maximum
+        x = np.zeros((1, 1, 2, 4))
+        x[0, 0, 1, 1], x[0, 0, 0, 2] = np.nan, 5.0
+        assert np.isnan(ad._KERNELS["maxpool"](x, 2)).tolist() == [[[[True, False]]]]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite maximum"):
+            ad.softmax_cross_entropy(ad.reshape(out, (2, 2)), np.array([0, 1]))  # a row of [inf, -0.0]
+
+
+class TestReplay:
+    @staticmethod
+    def saliency_sample(theta_value, x_value, g_value):
+        """d/dx cos(d loss/d theta, g): a second-order graph through conv, relu and maxpool."""
+        graph = ad.Graph()
+        theta, x, g = graph.leaf(theta_value), graph.leaf(x_value), graph.constant(g_value)
+        w, b = ad.reshape(ad.take(theta, np.arange(36)), (4, 1, 3, 3)), ad.take(theta, np.arange(36, 40))
+        pooled = ad.maxpool2d(ad.relu(ad.conv2d(ad.reshape(x, (1, 1, 12, 12)), w, b)), 2)
+        head = ad.reshape(ad.take(theta, np.arange(40, 340)), (100, 3))
+        logits = ad.add(ad.matmul(ad.reshape(pooled, (1, 100)), head), ad.take(theta, np.arange(340, 343)))
+        (g_theta,) = ad.backward(ad.reduce_sum(ad.softmax_cross_entropy(logits, np.array([1]))), [theta])
+        (g_x,) = ad.backward(ad.cosine(g_theta, g), [x])
+        return graph, (theta, x, g), g_x
+
+    def test_a_second_order_program_through_maxpool_replays_a_fresh_recording(self):
+        rng = np.random.default_rng(41)
+        theta, g = rng.uniform(-0.5, 0.5, 343), rng.standard_normal(343)
+        x0, x1 = rng.uniform(0.0, 1.0, 144), rng.uniform(0.0, 1.0, 144)
+        graph, inputs, g_x = self.saliency_sample(theta, x0, g)
+        program = ad._trace(inputs, g_x)
+        fresh_graph, _, fresh = self.saliency_sample(theta, x1, g)
+        argmaxes = [[n.meta[0] for n in gr.nodes if n.kind == "scatter" and n.recipe] for gr in (graph, fresh_graph)]
+        assert not np.array_equal(argmaxes[0][0], argmaxes[1][0])  # the pools pick other entries at x1
+        assert ad._replay(program, (theta, x1, g)).tobytes() == fresh.value.tobytes()
+        assert ad._replay(program, (theta, x0, g)).tobytes() == g_x.value.tobytes()
+
+    def test_trace_rejects_a_step_that_reads_derived_values_without_a_recipe(self):
+        graph = ad.Graph()
+        x = graph.leaf(np.arange(16.0).reshape(1, 1, 4, 4))
+        (g,) = ad.backward(ad.reduce_sum(ad.maxpool2d(x, 2)), [x])
+        scatter = [n for n in graph.nodes if n.kind == "scatter"][0]
+        ad._trace([x], g)  # the scatter carries its recipe
+        unrebuilt = ad._take(g, scatter.meta[0])  # the argmax indices, without it
+        with pytest.raises(ad.GraphError, match=r"reads derived values but has no recipe"):
+            ad._trace([x], unrebuilt)

@@ -19,6 +19,7 @@ from tfa import autodiff as ad
 from tfa import harness, models, saliency, tda
 from tfa.datasets import SyntheticShapesSpec, generate_synthetic, load_cifar10_binary
 from tfa.models import (
+    EVAL_ROWS,
     ArchitectureSpec,
     Conv2d,
     Dataset,
@@ -391,6 +392,27 @@ class TestEvaluationSlices:
         for _ in range(2):  # each pool builds its indices at its first VJP and keeps them
             ad.backward(loss, [theta])
         assert len(built) == 2
+
+    def test_value_only_passes_peak_at_two_slices_whatever_the_row_count(self):
+        """Each slice's nodes live until the next slice is recorded, and no longer."""
+        _, model, params, _ = self.setup_70()
+        rng = np.random.default_rng(18)
+        sets = {n: Dataset(rng.uniform(0.0, 1.0, size=(n, 1, 12, 12)), rng.integers(0, 3, size=n)) for n in (EVAL_ROWS, 70, 700)}
+
+        def peak(f, ds):
+            f(params, ds)  # builds the window tables, which outlive the pass
+            tracemalloc.start()
+            try:
+                f(params, ds)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for f in (model.accuracy, model.mean_loss):
+            one, peaks = peak(f, sets[EVAL_ROWS]), {n: peak(f, sets[n]) for n in (70, 700)}
+            assert peaks[70] <= 2 * one, f.__name__
+            # the outputs grow by about 40 bytes a row, 25 kB here; a third live slice would add `one`
+            assert peaks[700] <= peaks[70] + 0.05 * one, f.__name__
 
     def test_empty_dataset(self):
         _, model, params, ds = self.setup_70()
