@@ -36,16 +36,24 @@ range. What the engine makes itself (backward seed, zero adjoints, relu
 masks, softmax shifts, conv-window, pool-argmax and VJP indices) skips those
 checks. A reshape to the operand's own shape returns the operand.
 
-Record once, replay: every op computes its value through one kernel per node
-kind, ``_KERNELS[kind](*parent values, meta)``. ``_trace`` keeps the steps
-one output depends on as a program, and ``_replay`` runs their kernels on
-new input values, checked finite like a leaf's or constant's, building no
-node. Relu masks, softmax shifts (with their non-finite maximum check) and
-pool argmax indices are derived from recorded values, so each node holding
-one keeps its recipe, which a replay runs on the new values. The argmax
-recipe passes from the scatter to its VJP's take and back, so second-order
-programs rebuild them too, and ``_trace`` rejects a step with no recipe whose
-meta holds an array that a recipe built. A program keeps no input value.
+One row per node kind: every op records its node through one call,
+``_record(kind, parents, meta, recipe)``, which computes the value as
+``_KERNELS[kind](*parent values, meta)``, and ``backward`` asks
+``_VJPS[kind](node, g, needs)`` for the node's adjoint contributions. A VJP
+reads everything from its node (parents, meta, recipe, value), so a node
+holds no closure and no reference to itself. What a VJP builds once per
+node stays in ``node.kept``: relu's mask by weak reference, and maxpool's
+argmax indices.
+
+Record once, replay: ``_trace`` keeps the steps one output depends on as a
+program, and ``_replay`` runs their kernels on new input values, checked
+finite like a leaf's or constant's, building no node. Relu masks, softmax
+shifts (with their non-finite maximum check) and pool argmax indices are
+derived from recorded values, so each node holding one keeps its recipe,
+which a replay runs on the new values. The argmax recipe passes from the
+scatter to its VJP's take and back, so second-order programs rebuild them
+too, and ``_trace`` rejects a step with no recipe whose meta holds an array
+that a recipe built. A program keeps no input value.
 """
 
 from __future__ import annotations
@@ -77,21 +85,24 @@ class Node:
 
     A node holds its graph by weak reference (the graph owns the node), so
     ``node.graph`` raises :class:`GraphError` once the graph is released.
-    A constant or scatter that the engine derived from recorded values holds
-    its recipe, (kernel, source ids, meta): a replay rebuilds the constant's
-    value or the scatter's meta as kernel(*the sources' values, meta).
+    An op's node holds what its kernel and VJP read: ``parents``, ``meta``
+    and, for a constant or scatter that the engine derived from recorded
+    values, its recipe, (kernel, source ids, meta): a replay rebuilds the
+    constant's value or the scatter's meta as kernel(*the sources' values,
+    meta). ``kept`` holds what the VJP builds once per node: a weak reference
+    to relu's mask, or maxpool's argmax indices.
     """
 
-    __slots__ = ("_graph", "id", "kind", "parents", "value", "meta", "_vjp", "recipe", "__weakref__")
+    __slots__ = ("_graph", "id", "kind", "parents", "value", "meta", "kept", "recipe", "__weakref__")
 
-    def __init__(self, graph_ref, node_id, kind, parents, value, vjp=None, meta=None, recipe=None):
+    def __init__(self, graph_ref, node_id, kind, parents, value, meta=None, recipe=None):
         self._graph = graph_ref
         self.id = node_id
         self.kind = kind
         self.parents = parents
         self.value = value
         self.meta = meta
-        self._vjp = vjp
+        self.kept = None
         self.recipe = recipe
 
     @property
@@ -127,8 +138,8 @@ class Graph:
         self.nodes: list[Node] = []
         self._ref = weakref.ref(self)
 
-    def _append(self, kind, parents, value, vjp=None, meta=None, recipe=None) -> Node:
-        node = Node(self._ref, len(self.nodes), kind, parents, value, vjp, meta, recipe)
+    def _append(self, kind, parents, value, meta=None, recipe=None) -> Node:
+        node = Node(self._ref, len(self.nodes), kind, parents, value, meta, recipe)
         self.nodes.append(node)
         return node
 
@@ -184,14 +195,6 @@ def _pair(a, b):
     raise TypeError("at least one operand must be a Node")
 
 
-def _check_broadcast(kind, a, b):
-    if a.shape != b.shape:
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise ShapeError(f"{kind}: cannot broadcast {a.shape} with {b.shape}") from None
-
-
 def _unbroadcast(g: Node, shape) -> Node:
     """Reduce an out-shaped adjoint back to an operand's shape."""
     if g.shape == shape:
@@ -216,7 +219,7 @@ def _maxpool(x: np.ndarray, k: int) -> np.ndarray:
     return value
 
 
-# every op records its value through this table, and a replay reads it
+# _record computes every node's value from this table, and a replay reads it
 _KERNELS = {
     "const": lambda value: value,  # a constant's step carries its value as meta
     "add": lambda a, b, _: a + b,
@@ -247,8 +250,8 @@ def _relu_mask(a: np.ndarray, _) -> np.ndarray:
 
 
 def _sized(*values_and_meta) -> tuple:
-    """A scatter's meta, (indices, size), from the recipe (kernel, _, meta) of its indices."""
-    *values, (kernel, meta, size) = values_and_meta
+    """A scatter's meta, (indices, size), from (the recipe of its indices, size)."""
+    *values, ((kernel, _, meta), size) = values_and_meta
     return kernel(*values, meta), size
 
 
@@ -264,164 +267,86 @@ def _logit_max(logits: np.ndarray, negate: bool) -> np.ndarray:
 # primitives
 
 
-def add(a, b) -> Node:
+def _record(kind: str, parents: tuple, meta=None, recipe=None) -> Node:
+    """Record a node of kind over parents, of value ``_KERNELS[kind](*parent values, meta)``: every op does so here."""
+    return parents[0].graph._append(kind, parents, _KERNELS[kind](*[p.value for p in parents], meta), meta, recipe)
+
+
+def _broadcasting(kind: str, a, b) -> Node:
     a, b = _pair(a, b)
-    _check_broadcast("add", a, b)
+    try:  # the kernel raises before it computes anything
+        return _record(kind, (a, b))
+    except ValueError:
+        raise ShapeError(f"{kind}: cannot broadcast {a.shape} with {b.shape}") from None
 
-    def vjp(g, needs):
-        return (
-            _unbroadcast(g, a.shape) if needs[0] else None,
-            _unbroadcast(g, b.shape) if needs[1] else None,
-        )
 
-    return a.graph._append("add", (a, b), _KERNELS["add"](a.value, b.value, None), vjp)
+def add(a, b) -> Node:
+    return _broadcasting("add", a, b)
 
 
 def neg(a: Node) -> Node:
-    def vjp(g, needs):
-        return (neg(g),)
-
-    return a.graph._append("neg", (a,), _KERNELS["neg"](a.value, None), vjp)
+    return _record("neg", (a,))
 
 
 def mul(a, b) -> Node:
-    a, b = _pair(a, b)
-    _check_broadcast("mul", a, b)
-
-    def vjp(g, needs):
-        return (
-            _unbroadcast(mul(g, b), a.shape) if needs[0] else None,
-            _unbroadcast(mul(g, a), b.shape) if needs[1] else None,
-        )
-
-    return a.graph._append("mul", (a, b), _KERNELS["mul"](a.value, b.value, None), vjp)
+    return _broadcasting("mul", a, b)
 
 
 def div(a, b) -> Node:
-    a, b = _pair(a, b)
-    _check_broadcast("div", a, b)
-
-    def vjp(g, needs):
-        ga = _unbroadcast(div(g, b), a.shape) if needs[0] else None
-        gb = None
-        if needs[1]:
-            gb = _unbroadcast(neg(div(mul(g, out_ref()), b)), b.shape)
-        return (ga, gb)
-
-    out = a.graph._append("div", (a, b), _KERNELS["div"](a.value, b.value, None), vjp)
-    out_ref = weakref.ref(out)  # a strong reference would make the node a cycle
-    return out
+    return _broadcasting("div", a, b)
 
 
 def power(a: Node, exponent: float) -> Node:
-    exponent = float(exponent)
-
-    def vjp(g, needs):
-        return (mul(g, mul(power(a, exponent - 1.0), exponent)),)
-
-    return a.graph._append("pow", (a,), _KERNELS["pow"](a.value, exponent), vjp, exponent)
+    return _record("pow", (a,), float(exponent))
 
 
 def exp(a: Node) -> Node:
-    def vjp(g, needs):
-        return (mul(g, out_ref()),)
-
-    out = a.graph._append("exp", (a,), _KERNELS["exp"](a.value, None), vjp)
-    out_ref = weakref.ref(out)  # a strong reference would make the node a cycle
-    return out
+    return _record("exp", (a,))
 
 
 def log(a: Node) -> Node:
-    def vjp(g, needs):
-        return (div(g, a),)
-
-    return a.graph._append("log", (a,), _KERNELS["log"](a.value, None), vjp)
+    return _record("log", (a,))
 
 
 def relu(a: Node) -> Node:
-    # Derivative at exactly 0 is taken to be 0. The mask, a constant to the second
-    # backward, is held weakly: it lives as long as the nodes recording it.
-    kept = [_RELEASED]
-
-    def vjp(g, needs):
-        if (mask := kept[0]()) is None:
-            mask = _relu_mask(a.value, None)
-            kept[0] = weakref.ref(mask)
-        return (mul(g, a.graph._constant(mask, (_relu_mask, (a.id,), None))),)
-
-    return a.graph._append("relu", (a,), _KERNELS["relu"](a.value, None), vjp)
+    """max(a, 0); its derivative at exactly 0 is taken to be 0."""
+    return _record("relu", (a,))
 
 
 def reduce_sum(a: Node, axis=None, keepdims: bool = False) -> Node:
     if axis is not None and not isinstance(axis, tuple):
         axis = (axis,)
-
-    kept = list(a.shape)
-    if axis is None:
-        kept = [1] * len(a.shape)
-    else:
-        for ax in axis:
-            if not -len(kept) <= ax < len(kept):
-                raise ShapeError(f"reduce_sum: axis {ax} out of range for shape {a.shape}")
-            kept[ax] = 1
-    kept = tuple(kept)
-
-    def vjp(g, needs):
-        return (broadcast_to(reshape(g, kept), a.shape),)
-
-    meta = (axis, keepdims)
-    return a.graph._append("sum", (a,), _KERNELS["sum"](a.value, meta), vjp, meta)
+    for ax in axis or ():
+        if not -a.value.ndim <= ax < a.value.ndim:
+            raise ShapeError(f"reduce_sum: axis {ax} out of range for shape {a.shape}")
+    return _record("sum", (a,), (axis, keepdims))
 
 
 def broadcast_to(a: Node, shape) -> Node:
     shape = tuple(shape)
     try:
-        value = _KERNELS["broadcast"](a.value, shape)
+        return _record("broadcast", (a,), shape)
     except ValueError:
         raise ShapeError(f"broadcast: cannot expand {a.shape} to {shape}") from None
 
-    def vjp(g, needs):
-        return (_unbroadcast(g, a.shape),)
-
-    return a.graph._append("broadcast", (a,), value, vjp, shape)
-
 
 def reshape(a: Node, shape) -> Node:
-    try:
-        value = _KERNELS["reshape"](a.value, shape)
+    try:  # numpy resolves the shape on a zero-byte array of a's shape, copying none of a's values
+        shape = np.empty(a.shape, dtype=[]).reshape(shape).shape
     except ValueError:
         raise ShapeError(f"reshape: cannot reshape {a.shape} to {shape}") from None
-    if value.shape == a.shape:
-        return a
-
-    def vjp(g, needs):
-        return (reshape(g, a.shape),)
-
-    return a.graph._append("reshape", (a,), value, vjp, value.shape)
+    return a if shape == a.shape else _record("reshape", (a,), shape)
 
 
 def permute(a: Node, axes) -> Node:
-    axes = tuple(axes)
-    inverse = sorted(range(len(axes)), key=lambda i: axes[i] % len(axes))  # a negative axis counts from the end
-
-    def vjp(g, needs):
-        return (permute(g, inverse),)
-
-    return a.graph._append("permute", (a,), _KERNELS["permute"](a.value, axes), vjp, axes)
+    return _record("permute", (a,), tuple(axes))
 
 
 def matmul(a, b) -> Node:
     a, b = _pair(a, b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-
-    def vjp(g, needs):
-        return (
-            matmul(g, permute(b, (1, 0))) if needs[0] else None,
-            matmul(permute(a, (1, 0)), g) if needs[1] else None,
-        )
-
-    return a.graph._append("matmul", (a, b), _KERNELS["matmul"](a.value, b.value, None), vjp)
+    return _record("matmul", (a, b))
 
 
 def take(a: Node, indices: np.ndarray, kind: str = "take") -> Node:
@@ -434,11 +359,7 @@ def take(a: Node, indices: np.ndarray, kind: str = "take") -> Node:
 
 def _take(a: Node, indices: np.ndarray, kind: str = "take", recipe=None) -> Node:
     """take of indices already known to lie in range; a recipe rebuilds derived indices, and passes to the VJP."""
-
-    def vjp(g, needs):
-        return (reshape(_scatter(g, indices, a.size, recipe), a.shape),)
-
-    return a.graph._append(kind, (a,), _KERNELS[kind](a.value, indices), vjp, indices, recipe)
+    return _record(kind, (a,), indices, recipe)
 
 
 def scatter(v: Node, indices: np.ndarray, size: int) -> Node:
@@ -453,12 +374,82 @@ def scatter(v: Node, indices: np.ndarray, size: int) -> Node:
 
 def _scatter(v: Node, indices: np.ndarray, size: int, recipe=None) -> Node:
     """scatter of indices already known to lie in range and match v's shape; a recipe as ``_take``'s."""
+    return _record("scatter", (v,), (indices, size), recipe and (_sized, recipe[1], (recipe, size)))
 
-    def vjp(g, needs):
-        return (_take(g, indices, recipe=recipe),)
 
-    meta, sized = (indices, size), recipe and (_sized, recipe[1], (recipe[0], recipe[2], size))
-    return v.graph._append("scatter", (v,), _KERNELS["scatter"](v.value, meta), vjp, meta, sized)
+# ---------------------------------------------------------------------------
+# VJPs: each node kind's adjoint, vjp(node, g, needs) -> one contribution per
+# parent (None where needs says it reaches no target), recorded through the ops
+
+
+def _vjp_mul(n: Node, g: Node, needs) -> tuple:
+    a, b = n.parents
+    return (
+        _unbroadcast(mul(g, b), a.shape) if needs[0] else None,
+        _unbroadcast(mul(g, a), b.shape) if needs[1] else None,
+    )
+
+
+def _vjp_div(n: Node, g: Node, needs) -> tuple:
+    a, b = n.parents
+    return (
+        _unbroadcast(div(g, b), a.shape) if needs[0] else None,
+        _unbroadcast(neg(div(mul(g, n), b)), b.shape) if needs[1] else None,
+    )
+
+
+def _vjp_relu(n: Node, g: Node, needs) -> tuple:
+    # the mask, a constant to the second backward, is held weakly: it lives as long as the nodes recording it
+    (a,) = n.parents
+    if (mask := (n.kept or _RELEASED)()) is None:
+        mask = _relu_mask(a.value, None)
+        n.kept = weakref.ref(mask)
+    return (mul(g, a.graph._constant(mask, (_relu_mask, (a.id,), None))),)
+
+
+def _vjp_sum(n: Node, g: Node, needs) -> tuple:
+    (a,), (axis, _) = n.parents, n.meta
+    summed = range(a.value.ndim) if axis is None else {ax % a.value.ndim for ax in axis}
+    return (broadcast_to(reshape(g, tuple(1 if i in summed else d for i, d in enumerate(a.shape))), a.shape),)
+
+
+def _vjp_matmul(n: Node, g: Node, needs) -> tuple:
+    a, b = n.parents
+    return (
+        matmul(g, permute(b, (1, 0))) if needs[0] else None,
+        matmul(permute(a, (1, 0)), g) if needs[1] else None,
+    )
+
+
+def _vjp_maxpool(n: Node, g: Node, needs) -> tuple:
+    (x,), k = n.parents, n.meta
+    if n.kept is None:  # the scatter's argmax indices, built at the first VJP
+        n.kept = _pool_indices(x.value, n.value, k)
+    return (reshape(_scatter(g, n.kept, x.size, (_pool_indices, (x.id, n.id), k)), x.shape),)
+
+
+# backward reads every node's VJP from this table, as a recording and a replay read its value from _KERNELS
+_VJPS = {
+    "add": lambda n, g, needs: tuple(_unbroadcast(g, p.shape) if need else None for p, need in zip(n.parents, needs)),
+    "neg": lambda n, g, needs: (neg(g),),
+    "mul": _vjp_mul,
+    "div": _vjp_div,
+    "pow": lambda n, g, needs: (mul(g, mul(power(n.parents[0], n.meta - 1.0), n.meta)),),
+    "exp": lambda n, g, needs: (mul(g, n),),
+    "log": lambda n, g, needs: (div(g, n.parents[0]),),
+    "relu": _vjp_relu,
+    "sum": _vjp_sum,
+    "broadcast": lambda n, g, needs: (_unbroadcast(g, n.parents[0].shape),),
+    "reshape": lambda n, g, needs: (reshape(g, n.parents[0].shape),),
+    # the inverse permutation; a negative axis counts from the end
+    "permute": lambda n, g, needs: (permute(g, sorted(range(len(n.meta)), key=lambda i: n.meta[i] % len(n.meta))),),
+    "matmul": _vjp_matmul,
+    "take": lambda n, g, needs: (reshape(_scatter(g, n.meta, n.parents[0].size, n.recipe), n.parents[0].shape),),
+    # a derived scatter's recipe is (_sized, sources, (its indices' recipe, size)): its VJP's take rebuilds the same
+    "scatter": lambda n, g, needs: (_take(g, n.meta[0], recipe=n.recipe and n.recipe[2][0]),),
+    "maxpool": _vjp_maxpool,
+}
+_VJPS["im2col"] = _VJPS["take"]
 
 
 # ---------------------------------------------------------------------------
@@ -547,26 +538,13 @@ def _pool_indices(x: np.ndarray, value: np.ndarray, k: int) -> np.ndarray:
 
 
 def maxpool2d(x: Node, k: int) -> Node:
-    """Max pooling with window and stride k; trailing rows/cols are dropped.
-
-    The argmax indices the VJP scatters through are built at its first call.
-    """
+    """Max pooling with window and stride k; trailing rows/cols are dropped."""
     if x.value.ndim != 4:
         raise ShapeError(f"maxpool2d expects a 4-d input, got {x.shape}")
     h, w = x.shape[2:]
     if h < k or w < k:
         raise ShapeError(f"maxpool2d: window {k} larger than input {h}x{w}")
-    kept = []  # the scatter's argmax indices, once built
-
-    def vjp(g, needs):
-        pooled = out_ref()
-        if not kept:
-            kept.append(_pool_indices(x.value, pooled.value, k))
-        return (reshape(_scatter(g, kept[0], x.size, (_pool_indices, (x.id, pooled.id), k)), x.shape),)
-
-    out = x.graph._append("maxpool", (x,), _KERNELS["maxpool"](x.value, k), vjp, k)
-    out_ref = weakref.ref(out)  # a strong reference would make the node a cycle
-    return out
+    return _record("maxpool", (x,), k)
 
 
 def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
@@ -629,7 +607,7 @@ def backward(root: Node, wrt) -> list[Node]:
         needs = [reaches[p.id] for p in n.parents]
         if not any(needs):
             continue
-        for parent, contribution in zip(n.parents, n._vjp(g, needs)):
+        for parent, contribution in zip(n.parents, _VJPS[n.kind](n, g, needs)):
             if contribution is None:
                 continue
             held = adjoint.get(parent.id)

@@ -88,7 +88,7 @@ class DampedHessian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        self.matrix = np.asarray_chkfinite(self.matrix, dtype=np.float64)  # a NaN or inf passes the asymmetry check
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("Hessian must be square")
         bands = (self.matrix[r : r + 64] - self.matrix[:, r : r + 64].T for r in range(0, self.dim, 64))

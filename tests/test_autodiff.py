@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -777,3 +777,62 @@ class TestReplay:
         unrebuilt = ad._take(g, scatter.meta[0])  # the argmax indices, without it
         with pytest.raises(ad.GraphError, match=r"reads derived values but has no recipe"):
             ad._trace([x], unrebuilt)
+
+
+def through(kind, graph, x):
+    """An (array) node of the (2, 4) leaf x whose graph records at least one node of kind."""
+    rows = ad.reduce_sum(x, axis=0, keepdims=True)  # (1, 4): a broadcast operand that depends on x
+    positive = ad.add(ad.mul(x, x), 1.0)
+    return {
+        "add": lambda: ad.add(x, rows),
+        "neg": lambda: ad.neg(x),
+        "mul": lambda: ad.mul(x, rows),
+        "div": lambda: ad.div(x, ad.add(ad.mul(rows, rows), 1.0)),
+        "pow": lambda: ad.power(positive, 2.5),
+        "exp": lambda: ad.exp(x),
+        "log": lambda: ad.log(positive),
+        "relu": lambda: ad.relu(x),
+        "sum": lambda: ad.reduce_sum(x, axis=-1),
+        "broadcast": lambda: ad.broadcast_to(ad.reshape(x, (1, 2, 4)), (3, 2, 4)),
+        "reshape": lambda: ad.reshape(x, (4, 2)),
+        "permute": lambda: ad.permute(x, (-1, 0)),
+        "matmul": lambda: ad.matmul(x, ad.permute(x, (1, 0))),
+        "take": lambda: ad.take(x, np.array([[0, 7, 7], [3, 0, 5]])),
+        "im2col": lambda: ad.conv2d(ad.reshape(x, (1, 1, 2, 4)), graph.constant(np.ones((2, 1, 2, 2))), graph.constant(np.zeros(2))),
+        "scatter": lambda: ad.scatter(x, np.array([[0, 4, 1, 1], [2, 0, 3, 4]]), 5),
+        "maxpool": lambda: ad.maxpool2d(ad.reshape(x, (1, 2, 2, 2)), 2),
+    }[kind]()
+
+
+class TestVjpTable:
+    """Every node kind has one kernel and one VJP, and its VJP differentiates again."""
+
+    def test_every_kind_with_a_kernel_has_a_vjp(self):
+        assert set(ad._VJPS) == set(ad._KERNELS) - {"const"}
+
+    @staticmethod
+    def gradient(kind, x_value):
+        """The graph, leaf x and d f/dx of f = sum(w * out * out), out through kind."""
+        graph = ad.Graph()
+        x = graph.leaf(x_value)
+        out = through(kind, graph, x)
+        w = graph.constant(np.linspace(1.0, 2.0, out.size).reshape(out.shape))
+        (g,) = ad.backward(ad.reduce_sum(ad.mul(w, ad.mul(out, out))), [x])
+        return graph, x, g
+
+    @pytest.mark.parametrize("kind", sorted(ad._VJPS))
+    @settings(max_examples=15, deadline=None)
+    @given(
+        magnitudes=hnp.arrays(np.float64, (2, 4), elements=st.floats(0.1, 1.5), unique=True),
+        signs=hnp.arrays(np.bool_, (2, 4)),
+        direction=hnp.arrays(np.float64, (2, 4), elements=st.floats(-1.0, 1.0)),
+    )
+    def test_double_backward_matches_central_differences_of_the_gradient(self, kind, magnitudes, signs, direction):
+        x0 = np.where(signs, magnitudes, -magnitudes)
+        graph, x, g = self.gradient(kind, x0)
+        assert kind in {n.kind for n in graph.nodes}
+        step = 1e-5
+        assume(ad.kink_margin(graph) > 10 * step)  # no relu mask or pool argmax flips within the step
+        (hv,) = ad.backward(ad.reduce_sum(ad.mul(g, graph.constant(direction))), [x])
+        central = (self.gradient(kind, x0 + step * direction)[2].value - self.gradient(kind, x0 - step * direction)[2].value) / (2 * step)
+        np.testing.assert_allclose(hv.value, central, rtol=1e-6, atol=1e-7)

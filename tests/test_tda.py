@@ -469,6 +469,15 @@ class TestInfluence:
         with pytest.raises(ValueError):
             DampedHessian(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        # each would pass the asymmetry check: nan > 1e-8 is False, and inf - inf is nan
+        for i, j in ((1, 1), (0, 1)):  # on the diagonal, and a symmetric pair off it
+            H = np.diag([1.0, 2.0])
+            H[i, j] = H[j, i] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                DampedHessian(H)
+
     def test_asymmetry_past_the_first_row_band_rejected(self):
         H = np.eye(150)
         H[140, 3] = 1e-6
