@@ -6,11 +6,14 @@ ordinary nodes and can be differentiated again, as the saliency code needs.
 
 Everything is float64. Nonlinear primitives are kept to a minimum; composite
 operations (convolution, pooling, cross-entropy, cosine) are built from the
-primitives so their second derivatives come for free. Convolution is lowered
-to a flat gather (im2col) plus a matmul; gather/scatter are exact linear
-adjoints of one another, which keeps double backprop through both exact. The
-gather reads one window table per layer geometry (channels, height, width,
-kernel), built once and shared by every batch size. A batch adds its example
+primitives so their second derivatives come for free. Convolution gathers
+one (cin*kh*kw, ho*wo) column block per example (im2col), and one stacked
+``matmul`` (numpy's, over 2-d or 3-d operands, whose VJP sums a shared
+operand's adjoint over the stack) by the (cout, cin*kh*kw) kernel gives a
+contiguous NCHW output. Gather/scatter are exact linear adjoints of one
+another, which keeps double backprop through both exact. The gather reads
+one window table per layer geometry (channels, height, width, kernel),
+built once and shared by every batch size. A batch adds its example
 offsets, which live only while a graph holds them; a graph of fewer examples
 recorded meanwhile reads a prefix of them. Maxpool's VJP scatters through
 the flat indices of each window's first maximum and relu's multiplies by a
@@ -343,10 +346,11 @@ def permute(a: Node, axes) -> Node:
 
 
 def matmul(a, b) -> Node:
+    """a @ b of 2-d operands, or numpy's stacked product where either is 3-d."""
     a, b = _pair(a, b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
+    if not 2 <= a.value.ndim <= 3 or not 2 <= b.value.ndim <= 3 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    return _record("matmul", (a, b))
+    return _broadcasting("matmul", a, b)
 
 
 def take(a: Node, indices: np.ndarray, kind: str = "take") -> Node:
@@ -414,10 +418,11 @@ def _vjp_sum(n: Node, g: Node, needs) -> tuple:
 
 
 def _vjp_matmul(n: Node, g: Node, needs) -> tuple:
-    a, b = n.parents
+    a, b = n.parents  # t swaps the last two axes; a stacked product sums a shared operand's adjoint over the stack
+    t = lambda v: permute(v, (*range(v.value.ndim - 2), v.value.ndim - 1, v.value.ndim - 2))
     return (
-        matmul(g, permute(b, (1, 0))) if needs[0] else None,
-        matmul(permute(a, (1, 0)), g) if needs[1] else None,
+        _unbroadcast(matmul(g, t(b)), a.shape) if needs[0] else None,
+        _unbroadcast(matmul(t(a), g), b.shape) if needs[1] else None,
     )
 
 
@@ -470,24 +475,27 @@ def cosine(a: Node, b: Node) -> Node:
 # layer geometry -> [window table of one example, weak reference to the last
 # batch of its indices built]; a batch lives only while a graph holds it
 _WINDOW_TABLES: dict[tuple, list] = {}
+# pool geometry -> (its k*k window offsets, the flat index of each window's first entry in one example)
+_POOL_TABLES: dict[tuple, tuple] = {}
 
 
 def _window_table(c: int, h: int, w: int, kh: int, kw: int) -> list:
-    """[table, last batch]: the table holds the flat indices of every kh x kw
-    window of one (c, h, w) example, read-only, (ho, wo, c, kh*kw), row-major."""
+    """[table, last batch]: the table holds the flat indices of every kh x kw window of one (c, h, w)
+    example, read-only, (c*kh*kw, ho*wo): rows in (c, kh, kw) order like the kernel reshape, row-major."""
     key = (c, h, w, kh, kw)
     if key not in _WINDOW_TABLES:
         ho, wo = h - kh + 1, w - kw + 1
-        rows = np.arange(ho)[:, None, None, None, None] + np.arange(kh)[:, None]
-        cols = np.arange(wo)[:, None, None, None] + np.arange(kw)
-        table = (np.arange(c)[:, None, None] * (h * w) + rows * w + cols).reshape(ho, wo, c, kh * kw)
+        rows = np.arange(kh)[:, None, None, None] + np.arange(ho)[:, None]
+        cols = np.arange(kw)[:, None, None] + np.arange(wo)
+        table = (np.arange(c)[:, None, None, None, None] * (h * w) + rows * w + cols).reshape(c * kh * kw, ho * wo)
         table.flags.writeable = False
         _WINDOW_TABLES[key] = [table, _RELEASED]  # no batch yet
     return _WINDOW_TABLES[key]
 
 
 def conv2d(x: Node, weight: Node, bias: Node) -> Node:
-    """Valid (no padding), stride-1 2-d convolution of a batched (N, C, H, W) input, plus a per-channel bias."""
+    """Valid (no padding), stride-1 2-d convolution of a batched (N, C, H, W) input, plus a per-channel bias:
+    the (cout, cin*kh*kw) kernel times each example's column block, one stacked matmul, is contiguous NCHW."""
     if x.value.ndim != 4 or weight.value.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {weight.shape}")
     n, cin, h, w = x.shape
@@ -499,15 +507,12 @@ def conv2d(x: Node, weight: Node, bias: Node) -> Node:
     entry = _window_table(cin, h, w, kh, kw)
     idx = entry[1]()  # live graphs share one batch; a smaller batch is its prefix
     if idx is None or len(idx) < n:
-        idx = entry[0] + (np.arange(n) * (cin * h * w))[:, None, None, None, None]
+        idx = entry[0] + (np.arange(n) * (cin * h * w))[:, None, None]
         idx.flags.writeable = False
         entry[1] = weakref.ref(idx)
-    idx = idx[:n]
-    ho, wo = idx.shape[1:3]
-    # rows in (n, ho, wo) order, columns in (cin, kh, kw) order like the kernel reshape
-    cols = _take(x, idx.reshape(n * ho * wo, cin * kh * kw), kind="im2col")
-    out = add(matmul(cols, permute(reshape(weight, (cout, cin * kh * kw)), (1, 0))), bias)
-    return permute(reshape(out, (n, ho, wo, cout)), (0, 3, 1, 2))
+    out = matmul(reshape(weight, (cout, cin * kh * kw)), _take(x, idx[:n], kind="im2col"))
+    return reshape(add(out, reshape(bias, (cout, 1))), (n, cout, h - kh + 1, w - kw + 1))
+
 
 
 def _pool_views(x: np.ndarray, k: int) -> list:
@@ -531,10 +536,15 @@ def _pool_indices(x: np.ndarray, value: np.ndarray, k: int) -> np.ndarray:
         arg += 1
         arg *= v != value
     n, c, h, w = x.shape
-    offsets = (np.arange(k)[:, None] * w + np.arange(k)).ravel()
-    rows = np.arange(value.shape[2]) * (k * w)
-    cols = np.arange(value.shape[3]) * k
-    return (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1) + (rows[:, None] + cols) + offsets[arg]
+    if (key := (c, h, w, k)) not in _POOL_TABLES:
+        flat = np.arange(c * h * w).reshape(1, c, h, w)
+        _POOL_TABLES[key] = flat[0, 0, :k, :k].ravel(), _pool_views(flat, k)[0][0].copy()
+    offsets, base = _POOL_TABLES[key]
+    idx = offsets[arg]
+    idx += base
+    if n > 1:
+        idx += (np.arange(n) * (c * h * w))[:, None, None, None]
+    return idx
 
 
 def maxpool2d(x: Node, k: int) -> Node:

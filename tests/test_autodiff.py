@@ -333,6 +333,20 @@ class TestConvAndPool:
         assert out.value.tobytes() == expected_out.tobytes()  # -0.0 and 0.0 differ in bytes
         np.testing.assert_array_equal(gx.value, expected_gx)
 
+    def test_conv2d_output_is_contiguous_nchw_and_records_no_permute(self):
+        rng = np.random.default_rng(9)
+        graph = ad.Graph()
+        x = graph.leaf(rng.standard_normal((3, 2, 12, 12)))
+        w1, b1 = graph.leaf(rng.standard_normal((4, 2, 3, 3))), graph.leaf(rng.standard_normal(4))
+        w2, b2 = graph.leaf(rng.standard_normal((5, 4, 3, 3))), graph.leaf(rng.standard_normal(5))
+        first = ad.conv2d(x, w1, b1)
+        pooled = ad.maxpool2d(ad.relu(first), 2)
+        second = ad.conv2d(pooled, w2, b2)
+        assert "permute" not in {n.kind for n in graph.nodes}
+        assert first.value.flags.c_contiguous and second.value.flags.c_contiguous
+        gathered = [n.parents[0] for n in graph.nodes if n.kind == "im2col"]
+        assert gathered[1] is pooled and pooled.value.flags.c_contiguous
+
     def test_maxpool_floors_odd_sizes_and_ignores_trailing(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((1, 1, 5, 5))
@@ -779,8 +793,8 @@ class TestReplay:
             ad._trace([x], unrebuilt)
 
 
-def through(kind, graph, x):
-    """An (array) node of the (2, 4) leaf x whose graph records at least one node of kind."""
+def through(case, graph, x):
+    """An (array) node of the (2, 4) leaf x whose graph records at least one node of the case's kind."""
     rows = ad.reduce_sum(x, axis=0, keepdims=True)  # (1, 4): a broadcast operand that depends on x
     positive = ad.add(ad.mul(x, x), 1.0)
     return {
@@ -797,11 +811,14 @@ def through(kind, graph, x):
         "reshape": lambda: ad.reshape(x, (4, 2)),
         "permute": lambda: ad.permute(x, (-1, 0)),
         "matmul": lambda: ad.matmul(x, ad.permute(x, (1, 0))),
+        # numpy's stacked products: a shared 2-d operand, and a batch axis of 1 against one of 2
+        "matmul 2-d @ 3-d": lambda: ad.matmul(x, ad.reshape(x, (2, 4, 1))),
+        "matmul 3-d @ 3-d": lambda: ad.matmul(ad.reshape(x, (1, 2, 4)), ad.reshape(x, (2, 4, 1))),
         "take": lambda: ad.take(x, np.array([[0, 7, 7], [3, 0, 5]])),
         "im2col": lambda: ad.conv2d(ad.reshape(x, (1, 1, 2, 4)), graph.constant(np.ones((2, 1, 2, 2))), graph.constant(np.zeros(2))),
         "scatter": lambda: ad.scatter(x, np.array([[0, 4, 1, 1], [2, 0, 3, 4]]), 5),
         "maxpool": lambda: ad.maxpool2d(ad.reshape(x, (1, 2, 2, 2)), 2),
-    }[kind]()
+    }[case]()
 
 
 class TestVjpTable:
@@ -811,28 +828,31 @@ class TestVjpTable:
         assert set(ad._VJPS) == set(ad._KERNELS) - {"const"}
 
     @staticmethod
-    def gradient(kind, x_value):
-        """The graph, leaf x and d f/dx of f = sum(w * out * out), out through kind."""
+    def gradient(case, x_value):
+        """The graph, leaf x and d f/dx of f = sum(w * out * out), out through the case."""
         graph = ad.Graph()
         x = graph.leaf(x_value)
-        out = through(kind, graph, x)
+        out = through(case, graph, x)
         w = graph.constant(np.linspace(1.0, 2.0, out.size).reshape(out.shape))
         (g,) = ad.backward(ad.reduce_sum(ad.mul(w, ad.mul(out, out))), [x])
         return graph, x, g
 
-    @pytest.mark.parametrize("kind", sorted(ad._VJPS))
+    @pytest.mark.parametrize("case", sorted(ad._VJPS) + ["matmul 2-d @ 3-d", "matmul 3-d @ 3-d"])
     @settings(max_examples=15, deadline=None)
     @given(
         magnitudes=hnp.arrays(np.float64, (2, 4), elements=st.floats(0.1, 1.5), unique=True),
         signs=hnp.arrays(np.bool_, (2, 4)),
         direction=hnp.arrays(np.float64, (2, 4), elements=st.floats(-1.0, 1.0)),
     )
-    def test_double_backward_matches_central_differences_of_the_gradient(self, kind, magnitudes, signs, direction):
+    def test_double_backward_matches_central_differences_of_the_gradient(self, case, magnitudes, signs, direction):
         x0 = np.where(signs, magnitudes, -magnitudes)
-        graph, x, g = self.gradient(kind, x0)
-        assert kind in {n.kind for n in graph.nodes}
+        graph, x, g = self.gradient(case, x0)
+        assert case.split()[0] in {n.kind for n in graph.nodes}
         step = 1e-5
         assume(ad.kink_margin(graph) > 10 * step)  # no relu mask or pool argmax flips within the step
         (hv,) = ad.backward(ad.reduce_sum(ad.mul(g, graph.constant(direction))), [x])
-        central = (self.gradient(kind, x0 + step * direction)[2].value - self.gradient(kind, x0 - step * direction)[2].value) / (2 * step)
-        np.testing.assert_allclose(hv.value, central, rtol=1e-6, atol=1e-7)
+        # H v is linear in v: differences along v / max|v|, scaled back, keep the step's rounding off a tiny v
+        scale = np.abs(direction).max() or 1.0
+        unit = direction / scale
+        central = (self.gradient(case, x0 + step * unit)[2].value - self.gradient(case, x0 - step * unit)[2].value) / (2 * step)
+        np.testing.assert_allclose(hv.value, scale * central, rtol=1e-6, atol=1e-7)
