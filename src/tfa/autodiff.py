@@ -40,27 +40,31 @@ masks, softmax shifts, conv-window, pool-argmax and VJP indices) skips those
 checks. A reshape to the operand's own shape returns the operand.
 
 One row per node kind: every op records its node through one call,
-``_record(kind, parents, meta, recipe)``, which computes the value as
+``_record(kind, parents, meta)``, which computes the value as
 ``_KERNELS[kind](*parent values, meta)``, and ``backward`` asks
 ``_VJPS[kind](node, g, needs)`` for the node's adjoint contributions. A VJP
-reads everything from its node (parents, meta, recipe, value), so a node
-holds no closure and no reference to itself. What a VJP builds once per
-node stays in ``node.kept``: relu's mask by weak reference, and maxpool's
-argmax indices.
+reads everything from its node (parents, meta, value), so a node holds no
+closure and no reference to itself. A value derived from other values is a
+node over them too: relu's mask (``relu_mask``), the softmax shifts
+(``logit_max``) and the pool argmax indices (``argmax``), which maxpool's
+VJP scatters through as the second parent of an ``unpool`` node, whose VJP
+is a ``take_at`` through the same node and back. These derived kinds alone
+have no VJP, and ``backward`` reaches no target through them, so they stay
+constants under differentiation. What a VJP builds once per node stays in
+``node.kept`` and later sweeps record it again: relu's mask by weak
+reference, and maxpool's argmax indices.
 
-Record once, replay: ``_trace`` keeps the steps one output depends on as a
+Record once, replay: ``_trace`` keeps the steps some outputs depend on as a
 program, and ``_replay`` runs their kernels on new input values, checked
-finite like a leaf's or constant's, building no node. Relu masks, softmax
-shifts (with their non-finite maximum check) and pool argmax indices are
-derived from recorded values, so each node holding one keeps its recipe,
-which a replay runs on the new values. The argmax recipe passes from the
-scatter to its VJP's take and back, so second-order programs rebuild them
-too, and ``_trace`` rejects a step with no recipe whose meta holds an array
-that a recipe built. A program keeps no input value.
+finite like a leaf's or constant's, building no node. Every step is
+kernel(*its parents' values, meta), so a replay rebuilds each derived value
+from its own inputs, to any derivative order, with the recording's checks,
+such as a non-finite logit maximum. A program keeps no input value.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import NamedTuple
 
@@ -88,17 +92,15 @@ class Node:
 
     A node holds its graph by weak reference (the graph owns the node), so
     ``node.graph`` raises :class:`GraphError` once the graph is released.
-    An op's node holds what its kernel and VJP read: ``parents``, ``meta``
-    and, for a constant or scatter that the engine derived from recorded
-    values, its recipe, (kernel, source ids, meta): a replay rebuilds the
-    constant's value or the scatter's meta as kernel(*the sources' values,
-    meta). ``kept`` holds what the VJP builds once per node: a weak reference
-    to relu's mask, or maxpool's argmax indices.
+    An op's node holds what its kernel and VJP read, ``parents`` and
+    ``meta``: its value is ``_KERNELS[kind](*the parents' values, meta)``.
+    ``kept`` holds what the VJP builds once per node: a weak reference to
+    relu's mask, or maxpool's argmax indices.
     """
 
-    __slots__ = ("_graph", "id", "kind", "parents", "value", "meta", "kept", "recipe", "__weakref__")
+    __slots__ = ("_graph", "id", "kind", "parents", "value", "meta", "kept", "__weakref__")
 
-    def __init__(self, graph_ref, node_id, kind, parents, value, meta=None, recipe=None):
+    def __init__(self, graph_ref, node_id, kind, parents, value, meta=None):
         self._graph = graph_ref
         self.id = node_id
         self.kind = kind
@@ -106,7 +108,6 @@ class Node:
         self.value = value
         self.meta = meta
         self.kept = None
-        self.recipe = recipe
 
     @property
     def graph(self) -> Graph:
@@ -141,18 +142,14 @@ class Graph:
         self.nodes: list[Node] = []
         self._ref = weakref.ref(self)
 
-    def _append(self, kind, parents, value, meta=None, recipe=None) -> Node:
-        node = Node(self._ref, len(self.nodes), kind, parents, value, meta, recipe)
+    def _append(self, kind, parents, value, meta=None) -> Node:
+        node = Node(self._ref, len(self.nodes), kind, parents, value, meta)
         self.nodes.append(node)
         return node
 
-    def _constant(self, value: np.ndarray, recipe=None) -> Node:
+    def _constant(self, value: np.ndarray) -> Node:
         """A float64 array the engine made itself, recorded without the finiteness scan."""
-        return self._append("const", (), value, recipe=recipe)
-
-    def _derived(self, kernel, sources, meta=None) -> Node:
-        """The constant kernel(*the sources' values, meta), which a replay rebuilds from their new values."""
-        return self._constant(kernel(*[s.value for s in sources], meta), (kernel, tuple(s.id for s in sources), meta))
+        return self._append("const", (), value)
 
     def leaf(self, value) -> Node:
         """Differentiation input. Values must be finite."""
@@ -222,6 +219,14 @@ def _maxpool(x: np.ndarray, k: int) -> np.ndarray:
     return value
 
 
+def _logit_max(logits: np.ndarray, negate: bool) -> np.ndarray:
+    """Rowwise max of (N, K) logits: negated (N, 1) for the shift, else (N,)."""
+    m = logits.max(axis=1, keepdims=True)
+    if not np.isfinite(m).all():  # the shifts skip the constants' finiteness scan
+        raise ValueError("softmax_cross_entropy: a row of logits has a non-finite maximum")
+    return -m if negate else m[:, 0]
+
+
 # _record computes every node's value from this table, and a replay reads it
 _KERNELS = {
     "const": lambda value: value,  # a constant's step carries its value as meta
@@ -241,38 +246,24 @@ _KERNELS = {
     "take": lambda a, indices: a.ravel()[indices],
     "scatter": lambda v, indices_size: np.bincount(indices_size[0].ravel(), v.ravel(), indices_size[1]),
     "maxpool": _maxpool,
+    # maxpool's VJP scatters through its argmax node, the second parent of this scatter and take pair
+    "unpool": lambda v, indices, shape: np.bincount(indices.ravel(), v.ravel(), math.prod(shape)).reshape(shape),
+    "take_at": lambda a, indices, _: a.ravel()[indices],
+    # values derived from their parents' values that backward holds fixed: these kinds alone have no VJP
+    "relu_mask": lambda a, _: (a > 0.0).astype(np.float64),
+    "logit_max": _logit_max,
+    "argmax": lambda x, pooled, k: _pool_indices(x, pooled, k),
 }
 _KERNELS["im2col"] = _KERNELS["take"]
-
-
-# recipes' kernels: the values the engine derives from recorded values
-
-
-def _relu_mask(a: np.ndarray, _) -> np.ndarray:
-    return (a > 0.0).astype(np.float64)
-
-
-def _sized(*values_and_meta) -> tuple:
-    """A scatter's meta, (indices, size), from (the recipe of its indices, size)."""
-    *values, ((kernel, _, meta), size) = values_and_meta
-    return kernel(*values, meta), size
-
-
-def _logit_max(logits: np.ndarray, negate: bool) -> np.ndarray:
-    """Rowwise max of (N, K) logits: negated (N, 1) for the shift, else (N,)."""
-    m = logits.max(axis=1, keepdims=True)
-    if not np.isfinite(m).all():  # the shifts are recorded unchecked
-        raise ValueError("softmax_cross_entropy: a row of logits has a non-finite maximum")
-    return -m if negate else m[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # primitives
 
 
-def _record(kind: str, parents: tuple, meta=None, recipe=None) -> Node:
+def _record(kind: str, parents: tuple, meta=None) -> Node:
     """Record a node of kind over parents, of value ``_KERNELS[kind](*parent values, meta)``: every op does so here."""
-    return parents[0].graph._append(kind, parents, _KERNELS[kind](*[p.value for p in parents], meta), meta, recipe)
+    return parents[0].graph._append(kind, parents, _KERNELS[kind](*[p.value for p in parents], meta), meta)
 
 
 def _broadcasting(kind: str, a, b) -> Node:
@@ -353,17 +344,12 @@ def matmul(a, b) -> Node:
     return _broadcasting("matmul", a, b)
 
 
-def take(a: Node, indices: np.ndarray, kind: str = "take") -> Node:
+def take(a: Node, indices: np.ndarray) -> Node:
     """Gather from the flattened input; indices are a fixed integer array."""
     indices = np.asarray(indices)
     if indices.size and (indices.min() < 0 or indices.max() >= a.size):
         raise ShapeError(f"take: indices out of range for size {a.size}")
-    return _take(a, indices, kind)
-
-
-def _take(a: Node, indices: np.ndarray, kind: str = "take", recipe=None) -> Node:
-    """take of indices already known to lie in range; a recipe rebuilds derived indices, and passes to the VJP."""
-    return _record(kind, (a,), indices, recipe)
+    return _record("take", (a,), indices)  # the engine's own gathers call _record directly, unchecked
 
 
 def scatter(v: Node, indices: np.ndarray, size: int) -> Node:
@@ -373,12 +359,7 @@ def scatter(v: Node, indices: np.ndarray, size: int) -> Node:
         raise ShapeError(f"scatter: value shape {v.shape} != index shape {indices.shape}")
     if indices.size and (indices.min() < 0 or indices.max() >= size):
         raise ShapeError(f"scatter: indices out of range for size {size}")
-    return _scatter(v, indices, size)
-
-
-def _scatter(v: Node, indices: np.ndarray, size: int, recipe=None) -> Node:
-    """scatter of indices already known to lie in range and match v's shape; a recipe as ``_take``'s."""
-    return _record("scatter", (v,), (indices, size), recipe and (_sized, recipe[1], (recipe, size)))
+    return _record("scatter", (v,), (indices, size))
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +384,12 @@ def _vjp_div(n: Node, g: Node, needs) -> tuple:
 
 
 def _vjp_relu(n: Node, g: Node, needs) -> tuple:
-    # the mask, a constant to the second backward, is held weakly: it lives as long as the nodes recording it
+    # the mask is held weakly: it lives as long as the relu_mask nodes recording it
     (a,) = n.parents
     if (mask := (n.kept or _RELEASED)()) is None:
-        mask = _relu_mask(a.value, None)
+        mask = _KERNELS["relu_mask"](a.value, None)
         n.kept = weakref.ref(mask)
-    return (mul(g, a.graph._constant(mask, (_relu_mask, (a.id,), None))),)
+    return (mul(g, a.graph._append("relu_mask", (a,), mask)),)
 
 
 def _vjp_sum(n: Node, g: Node, needs) -> tuple:
@@ -428,9 +409,9 @@ def _vjp_matmul(n: Node, g: Node, needs) -> tuple:
 
 def _vjp_maxpool(n: Node, g: Node, needs) -> tuple:
     (x,), k = n.parents, n.meta
-    if n.kept is None:  # the scatter's argmax indices, built at the first VJP
+    if n.kept is None:  # the argmax indices, built at the first VJP
         n.kept = _pool_indices(x.value, n.value, k)
-    return (reshape(_scatter(g, n.kept, x.size, (_pool_indices, (x.id, n.id), k)), x.shape),)
+    return (_record("unpool", (g, x.graph._append("argmax", (x, n), n.kept, k)), x.shape),)
 
 
 # backward reads every node's VJP from this table, as a recording and a replay read its value from _KERNELS
@@ -449,10 +430,12 @@ _VJPS = {
     # the inverse permutation; a negative axis counts from the end
     "permute": lambda n, g, needs: (permute(g, sorted(range(len(n.meta)), key=lambda i: n.meta[i] % len(n.meta))),),
     "matmul": _vjp_matmul,
-    "take": lambda n, g, needs: (reshape(_scatter(g, n.meta, n.parents[0].size, n.recipe), n.parents[0].shape),),
-    # a derived scatter's recipe is (_sized, sources, (its indices' recipe, size)): its VJP's take rebuilds the same
-    "scatter": lambda n, g, needs: (_take(g, n.meta[0], recipe=n.recipe and n.recipe[2][0]),),
+    "take": lambda n, g, needs: (
+        reshape(_record("scatter", (g,), (n.meta, n.parents[0].size)), n.parents[0].shape),),
+    "scatter": lambda n, g, needs: (_record("take", (g,), n.meta[0]),),
     "maxpool": _vjp_maxpool,
+    "unpool": lambda n, g, needs: (_record("take_at", (g, n.parents[1])), None),
+    "take_at": lambda n, g, needs: (_record("unpool", (g, n.parents[1]), n.parents[0].shape), None),
 }
 _VJPS["im2col"] = _VJPS["take"]
 
@@ -510,7 +493,7 @@ def conv2d(x: Node, weight: Node, bias: Node) -> Node:
         idx = entry[0] + (np.arange(n) * (cin * h * w))[:, None, None]
         idx.flags.writeable = False
         entry[1] = weakref.ref(idx)
-    out = matmul(reshape(weight, (cout, cin * kh * kw)), _take(x, idx[:n], kind="im2col"))
+    out = matmul(reshape(weight, (cout, cin * kh * kw)), _record("im2col", (x,), idx[:n]))
     return reshape(add(out, reshape(bias, (cout, 1))), (n, cout, h - kh + 1, w - kw + 1))
 
 
@@ -571,10 +554,9 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
         raise ShapeError(f"labels shape {labels.shape} does not match {n} rows")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range for {k} classes")
-    graph = logits.graph
-    shifted = add(logits, graph._derived(_logit_max, (logits,), True))
-    lse = add(log(reduce_sum(exp(shifted), axis=1)), graph._derived(_logit_max, (logits,), False))
-    picked = _take(logits, np.arange(n) * k + labels)
+    shifted = add(logits, _record("logit_max", (logits,), True))
+    lse = add(log(reduce_sum(exp(shifted), axis=1)), _record("logit_max", (logits,), False))
+    picked = _record("take", (logits,), np.arange(n) * k + labels)
     return add(lse, neg(picked))
 
 
@@ -606,7 +588,7 @@ def backward(root: Node, wrt) -> list[Node]:
     for n in nodes:
         for p in n.parents:
             if reaches[p.id]:
-                reaches[n.id] = 1
+                reaches[n.id] = n.kind in _VJPS  # a kind with no VJP is a constant to backward
                 break
 
     adjoint: dict[int, Node] = {root.id: graph._constant(np.ones_like(root.value))}
@@ -641,13 +623,13 @@ def grad(root: Node, target: Node) -> np.ndarray:
 
 class _Program(NamedTuple):
     """A recorded computation as steps over value positions: the inputs come
-    first, then one value per step, (kernel, parent positions, meta, recipe)
-    with the recipe's sources as positions too."""
+    first, then one value per step, kernel(*the values at its parent
+    positions, meta)."""
 
     kinds: tuple  # "leaf" or "constant" per input: the check its values pass
     shapes: tuple  # per input
-    steps: tuple
-    output: int  # the output's position
+    steps: tuple  # (kernel, parent positions, meta) per step
+    outputs: tuple  # the outputs' positions
 
 
 def _owned(meta):
@@ -657,50 +639,42 @@ def _owned(meta):
     return meta.copy() if isinstance(meta, np.ndarray) and meta.base is not None else meta
 
 
-def _trace(inputs, output: Node) -> _Program:
-    """The program that recomputes output from new values of the input nodes.
+def _trace(inputs, outputs) -> _Program:
+    """The program that recomputes the output nodes from new values of the input nodes.
 
-    It keeps the steps output depends on, through parents and recipes, and
-    no input value: a derived node keeps its recipe only, and any other
-    leaf must be one of the inputs. A step with no recipe whose meta holds an
-    array that a recipe rebuilds is a :class:`GraphError`: a replay would
-    keep the recorded values there.
+    It keeps the steps the outputs depend on and no input value: a value
+    derived from recorded values, such as a relu mask, is a node over its
+    sources, so a replay rebuilds it, and any other leaf must be one of the
+    inputs. A constant's step keeps its recorded value.
     """
-    nodes = output.graph.nodes[: output.id + 1]
+    nodes = outputs[0].graph.nodes[: max(o.id for o in outputs) + 1]
     needed = bytearray(len(nodes))
-    needed[output.id] = 1
+    for o in outputs:
+        needed[o.id] = 1
     for n in reversed(nodes):
         if needed[n.id]:
-            for i in [p.id for p in n.parents] + list(n.recipe[1] if n.recipe else ()):
-                needed[i] = 1
+            for p in n.parents:
+                needed[p.id] = 1
     position = {n.id: i for i, n in enumerate(inputs)}
-    steps, derived = [], set()  # derived: the ids of the arrays that recipes rebuild
+    steps = []
     for n in nodes:
         if not needed[n.id] or n.id in position:
             continue
         if n.kind == "leaf":
             raise GraphError(f"leaf {n.id} is not an input of the program")
-        recipe, meta = n.recipe, n.value if n.kind == "const" else n.meta
-        arrays = {id(a) for a in (meta if isinstance(meta, tuple) else (meta,)) if isinstance(a, np.ndarray)}
-        if recipe is not None:
-            derived |= arrays
-            recipe, meta = (recipe[0], tuple(position[i] for i in recipe[1]), recipe[2]), None
-        elif arrays & derived:
-            raise GraphError(f"step {n.id} ({n.kind}) reads derived values but has no recipe to rebuild them")
-        steps.append((_KERNELS[n.kind], tuple(position[p.id] for p in n.parents), _owned(meta), recipe))
+        meta = n.value if n.kind == "const" else n.meta
+        steps.append((_KERNELS[n.kind], tuple(position[p.id] for p in n.parents), _owned(meta)))
         position[n.id] = len(position)
     kinds = tuple("leaf" if n.kind == "leaf" else "constant" for n in inputs)
-    return _Program(kinds, tuple(n.shape for n in inputs), tuple(steps), position[output.id])
+    return _Program(kinds, tuple(n.shape for n in inputs), tuple(steps), tuple(position[o.id] for o in outputs))
 
 
-def _replay(program: _Program, values) -> np.ndarray:
-    """The program's output at new input values of its recorded shapes."""
+def _replay(program: _Program, values) -> tuple:
+    """The program's output values at new input values of its recorded shapes."""
     out = [_finite(v, kind) for v, kind in zip(values, program.kinds, strict=True)]
-    for kernel, parents, meta, recipe in program.steps:
-        if recipe is not None:
-            meta = recipe[0](*[out[i] for i in recipe[1]], recipe[2])
+    for kernel, parents, meta in program.steps:
         out.append(kernel(*[out[i] for i in parents], meta))
-    return out[program.output]
+    return tuple(out[i] for i in program.outputs)
 
 
 def kink_margin(graph: Graph) -> float:

@@ -72,6 +72,11 @@ class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
+    def _get_values(self, action, arg_strings):  # argparse drops the `--` of `--flag=--`, leaving a one-value flag []
+        if (values := super()._get_values(action, arg_strings)) == [] and action.nargs is None:
+            raise argparse.ArgumentError(action, "expected one value, got '--'")
+        return values
+
 
 def checked(convert, ok, rule):
     """An argparse type: `convert` the text and require `ok` of the value."""

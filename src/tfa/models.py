@@ -18,9 +18,10 @@ training set many times at fixed parameters, so a ``Model`` keeps the last
 result of each slot (the matrix of ``Model.param_grads``; the query
 gradient, G's row norms, solve and RelatIF norms of ``tda``), locked the
 same way and keyed by the identity of the values it came from, held weakly.
-Every parameter gradient of one example replays its label's recorded
-program (``Model.param_grad``): a model records graph nodes only for the
-first gradient of each label and input shape.
+Every parameter gradient of one example, and every saliency sample of
+``tfa.saliency``, replays its label's recorded program from the model's one
+store (``Model._replayed``): a model records graph nodes only for the first
+call of each kind, label and input shape.
 
 Every loss is the softmax cross-entropy of the logits against integer
 labels, the classification loss whose gradients every attribution reads.
@@ -265,11 +266,11 @@ class Model:
             for s in self.layout
         }
         self._kept = {}  # slot -> (weak references to the sources, value, read-only result); see _keep
-        self._programs = {}  # label -> its examples' recorded gradient program; see param_grad
+        self._programs = {}  # (kind, label) -> its recorded program; see _replayed
 
     def _param(self, theta: ad.Node, layer: int, name: str) -> ad.Node:
         index, shape = self._slices[(layer, name)]  # the model's own layout: in range
-        return ad.reshape(ad._take(theta, index), shape)
+        return ad.reshape(ad._record("take", (theta,), index), shape)
 
     def record_forward(self, theta: ad.Node, X: ad.Node) -> ad.Node:
         """Record logits for a batched input.
@@ -349,23 +350,29 @@ class Model:
             raise ValueError("mean loss of an empty dataset is undefined")
         return float(np.sum(self._evaluate(params, dataset.X, dataset.y)) / len(dataset))
 
-    def param_grad(self, params: ParamVector, example: LabeledExample) -> np.ndarray:
-        """Flat gradient of one example's loss with respect to the parameters.
+    def _replayed(self, key, record, *values) -> tuple:
+        """The values of the outputs that ``record(graph, *values)`` returns as (input nodes, output nodes).
 
-        The first call for a label records the forward and backward through
-        the ops, and their checks, and the model keeps the result as that
-        label's program. A later call with the same label and shapes replays
-        it on the new values, with the same bytes and the same finiteness and
-        logit checks; a new label or shape records again.
+        The first call for a key records on a fresh graph, through the ops
+        and their checks, and the model keeps the program as the key's one.
+        A later call with the same key and input shapes replays it on the new
+        values, with the same bytes and the same finiteness and logit checks;
+        a new shape records again.
         """
-        program = self._programs.get(example.y)
-        if program is not None and program.shapes == (params.data.shape, example.x.shape):
-            return ad._replay(program, (params.data, example.x))
+        program = self._programs.get(key)
+        if program is not None and program.shapes == tuple(np.shape(v) for v in values):
+            return ad._replay(program, values)
         graph = ad.Graph()
-        theta, x = graph.leaf(params.data), graph.constant(example.x)
-        (gradient,) = ad.backward(self.record_example_loss(theta, x, example.y), [theta])
-        self._programs[example.y] = ad._trace((theta, x), gradient)
-        return gradient.value
+        inputs, outputs = record(graph, *values)
+        self._programs[key] = ad._trace(inputs, outputs)
+        return tuple(o.value for o in outputs)
+
+    def param_grad(self, params: ParamVector, example: LabeledExample) -> np.ndarray:
+        """Flat gradient of one example's loss with respect to the parameters, replayed from its label's program."""
+        def record(graph, theta, x):
+            theta, x = graph.leaf(theta), graph.constant(x)
+            return (theta, x), ad.backward(self.record_example_loss(theta, x, example.y), [theta])
+        return self._replayed(("grad", example.y), record, params.data, example.x)[0]
 
     def param_grads(self, params: ParamVector, dataset: Dataset) -> np.ndarray:
         """(N, p) matrix whose row i is ``param_grad`` of example i, read-only.

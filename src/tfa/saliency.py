@@ -7,10 +7,12 @@ backward pass: the first reverse sweep produces the parameter gradient of
 the training loss as graph nodes, the cosine against the (constant) test
 gradient is recorded on top, and a second reverse sweep reaches the pixels.
 
-Noise-averaged maps follow the usual denoising recipe: resample the map at
+Noise-averaged maps follow the usual denoising method: resample the map at
 gaussian-perturbed copies of the training image and average. Sample i draws
 its noise from its own child seed and the samples are summed in index order,
-so a map depends only on its seed. The noiseless map is the sigma = 0,
+so a map depends only on its seed. Every sample replays the model's
+program for its training label, recorded at the first sample of that label
+and input shape. The noiseless map is the sigma = 0,
 one-sample case of the same function. A SaliencyMap holds the values alone;
 recording what shaped them is the caller's (the CLI manifests do it).
 channel_aggregate collapses a map to the non-negative pixel grid that the
@@ -43,15 +45,15 @@ def _pair_score_gradient(
     y_train: int,
     g_test: np.ndarray,
 ) -> np.ndarray:
-    """d/dx_train of cos(grad_theta loss(x_train), g_test)."""
-    graph = ad.Graph()
-    theta = graph.leaf(params.data)
-    x = graph.leaf(x_train)
-    loss = model.record_example_loss(theta, x, y_train)
-    (g_train,) = ad.backward(loss, [theta])
-    _checked_norm(g_train.value, "train")
-    score = ad.cosine(g_train, graph.constant(g_test))
-    return ad.grad(score, x)
+    """d/dx_train of cos(grad_theta loss(x_train), g_test), replayed from the model's program for y_train."""
+    def record(graph, theta, x, g):
+        theta, x, g = graph.leaf(theta), graph.leaf(x), graph.constant(g)
+        (g_train,) = ad.backward(model.record_example_loss(theta, x, y_train), [theta])
+        return (theta, x, g), (*ad.backward(ad.cosine(g_train, g), [x]), g_train)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate g_train raises below, not a warning
+        d_x, g_train = model._replayed(("pair", y_train), record, params.data, x_train, g_test)
+    _checked_norm(g_train, "train")
+    return d_x
 
 
 def tfa_saliency(

@@ -187,7 +187,7 @@ class TestPrimitiveGradients:
         masks = []
         for _ in range(2):
             ad.backward(root, [a])
-            masks.append([n.value for n in graph.nodes if n.kind == "const" and n.shape == a.shape][-1])
+            masks.append([n.value for n in graph.nodes if n.kind == "relu_mask"][-1])
         assert masks[0] is masks[1]
         assert masks[0].tobytes() == np.array([0.0, 0.0, 1.0, 0.0]).tobytes()
         mask = weakref.ref(masks[0])
@@ -775,28 +775,20 @@ class TestReplay:
         theta, g = rng.uniform(-0.5, 0.5, 343), rng.standard_normal(343)
         x0, x1 = rng.uniform(0.0, 1.0, 144), rng.uniform(0.0, 1.0, 144)
         graph, inputs, g_x = self.saliency_sample(theta, x0, g)
-        program = ad._trace(inputs, g_x)
+        program = ad._trace(inputs, (g_x,))
         fresh_graph, _, fresh = self.saliency_sample(theta, x1, g)
-        argmaxes = [[n.meta[0] for n in gr.nodes if n.kind == "scatter" and n.recipe] for gr in (graph, fresh_graph)]
+        argmaxes = [[n.value for n in gr.nodes if n.kind == "argmax"] for gr in (graph, fresh_graph)]
         assert not np.array_equal(argmaxes[0][0], argmaxes[1][0])  # the pools pick other entries at x1
-        assert ad._replay(program, (theta, x1, g)).tobytes() == fresh.value.tobytes()
-        assert ad._replay(program, (theta, x0, g)).tobytes() == g_x.value.tobytes()
-
-    def test_trace_rejects_a_step_that_reads_derived_values_without_a_recipe(self):
-        graph = ad.Graph()
-        x = graph.leaf(np.arange(16.0).reshape(1, 1, 4, 4))
-        (g,) = ad.backward(ad.reduce_sum(ad.maxpool2d(x, 2)), [x])
-        scatter = [n for n in graph.nodes if n.kind == "scatter"][0]
-        ad._trace([x], g)  # the scatter carries its recipe
-        unrebuilt = ad._take(g, scatter.meta[0])  # the argmax indices, without it
-        with pytest.raises(ad.GraphError, match=r"reads derived values but has no recipe"):
-            ad._trace([x], unrebuilt)
+        assert ad._replay(program, (theta, x1, g))[0].tobytes() == fresh.value.tobytes()
+        assert ad._replay(program, (theta, x0, g))[0].tobytes() == g_x.value.tobytes()
 
 
 def through(case, graph, x):
     """An (array) node of the (2, 4) leaf x whose graph records at least one node of the case's kind."""
     rows = ad.reduce_sum(x, axis=0, keepdims=True)  # (1, 4): a broadcast operand that depends on x
     positive = ad.add(ad.mul(x, x), 1.0)
+    # maxpool's VJP unpools through an argmax node, and unpool's VJP is a take_at through the same node
+    unpooled = lambda: ad.backward(ad.reduce_sum(ad.power(through("maxpool", graph, x), 2.0)), [x])[0]
     return {
         "add": lambda: ad.add(x, rows),
         "neg": lambda: ad.neg(x),
@@ -818,6 +810,8 @@ def through(case, graph, x):
         "im2col": lambda: ad.conv2d(ad.reshape(x, (1, 1, 2, 4)), graph.constant(np.ones((2, 1, 2, 2))), graph.constant(np.zeros(2))),
         "scatter": lambda: ad.scatter(x, np.array([[0, 4, 1, 1], [2, 0, 3, 4]]), 5),
         "maxpool": lambda: ad.maxpool2d(ad.reshape(x, (1, 2, 2, 2)), 2),
+        "unpool": unpooled,
+        "take_at": lambda: ad.backward(ad.reduce_sum(ad.mul(unpooled(), x)), [x])[0],
     }[case]()
 
 
@@ -825,7 +819,7 @@ class TestVjpTable:
     """Every node kind has one kernel and one VJP, and its VJP differentiates again."""
 
     def test_every_kind_with_a_kernel_has_a_vjp(self):
-        assert set(ad._VJPS) == set(ad._KERNELS) - {"const"}
+        assert set(ad._VJPS) == set(ad._KERNELS) - {"const", "relu_mask", "logit_max", "argmax"}
 
     @staticmethod
     def gradient(case, x_value):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cifar_records import encode_cifar10_bytes, write_batches
@@ -154,6 +154,12 @@ class TestExitCodes:
             (["insertion", "--run", "RUN", "--ks", "10,20,10"], "--ks"),  # a repeated k would count its pairs twice
             (["patch-sweep", "--size", "12", "--fractions", "0.5,0.5", "--out", "OUT"], "--fractions"),  # one seed
             (["patch-sweep", "--size", "12", "--fractions", "0.5,0.5000001", "--out", "OUT"], "--fractions"),
+            # argparse drops the value `--` of `--flag=--`
+            (["train", "--size", "12", "--out=--"], "--out"),
+            (["toy-ridge", "--out=--"], "--out"),
+            (["saliency", "--run=--", "--train-index", "0", "--test-index", "0"], "--run"),
+            (["--config=--", "toy-ridge"], "--config"),
+            (["train", "--data", "cifar10", "--data-dir=--", "--out", "OUT"], "--data-dir"),
         ],
     )
     def test_bad_value_is_one_line_usage_error(self, argv, flag, run_dir, tmp_path, library_must_not_run, capsys):
@@ -827,6 +833,7 @@ class TestRunRecord:
         lr=st.floats(1e-300, 1e300),
         lr_decay=st.floats(1e-300, 1.0),
     )
+    @example(data="cifar10", seed=0, counts=(1, 1, 1, 1, 1), noise=0.0, data_dir="--", labels=[0], lr=1.0, lr_decay=1.0)
     def test_record_parses_back_to_the_same_values(self, tmp_path, data, seed, counts, noise, data_dir, labels, lr, lr_decay):
         size, train_per_class, holdout_per_class, cap, epochs = counts
         flags = [

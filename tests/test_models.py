@@ -723,7 +723,7 @@ class TestGradientPrograms:
                     m.param_grad(case_params, example)
                 messages.append(str(raised.value))
             assert messages[0] == messages[1]
-        assert sorted(model._programs) == [0, 1, 2]
+        assert sorted(model._programs) == [("grad", 0), ("grad", 1), ("grad", 2)]
 
     def test_a_model_holds_at_most_one_program_per_class_and_no_value(self):
         arch = cnn_343()
@@ -738,7 +738,7 @@ class TestGradientPrograms:
         for y in [0, 1, 2, 0, 2]:
             model.param_grad(params, LabeledExample(np.zeros((1, 12, 12)), y))
             model.param_grad(params, LabeledExample(np.zeros(144), y))  # another shape records its label again
-        assert sorted(model._programs) == [0, 1, 2]
+        assert sorted(model._programs) == [("grad", 0), ("grad", 1), ("grad", 2)]
 
     def test_a_program_keeps_no_batch_of_window_indices_alive(self, monkeypatch):
         monkeypatch.setattr(ad, "_WINDOW_TABLES", {})
@@ -752,7 +752,7 @@ class TestGradientPrograms:
         (_, batch), = ad._WINDOW_TABLES.values()
         assert len(batch()) == 40
         del graph
-        assert batch() is None and list(model._programs) == [0]
+        assert batch() is None and list(model._programs) == [("grad", 0)]
 
     def test_threads_share_a_models_programs(self):
         """Eight threads, switching every microsecond, record and replay one model's programs with the bytes of a first call."""
@@ -769,4 +769,4 @@ class TestGradientPrograms:
         finally:
             sys.setswitchinterval(interval)
         assert got == expected * 4
-        assert sorted(model._programs) == [0, 1, 2]
+        assert sorted(model._programs) == [("grad", 0), ("grad", 1), ("grad", 2)]

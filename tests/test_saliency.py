@@ -7,6 +7,9 @@ attribution score on a small CNN, at probe points safely away from
 ReLU/maxpool kinks.
 """
 
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -248,6 +251,55 @@ class TestSmoothgrad:
                 smoothgrad_saliency(model, params, ds.example(0), ds.example(1), sigma=sigma, samples=3, seed=0)
         with pytest.raises(ValueError):
             smoothgrad_saliency(model, params, ds.example(0), ds.example(1), sigma=0.1, samples=0, seed=0)
+
+
+class TestReplayedSamples:
+    """Every sample replays its label's program from the model's store, with the bytes and checks of a recording."""
+
+    def test_maps_of_one_model_are_bitwise_those_of_fresh_models(self):
+        model, params, ds = trained_cnn()
+        z_test = ds.example(1)
+        # labels alternate: each label's program is recorded at its first image and replayed at the others
+        for i in range(6):
+            z_train = ds.example(i)
+            for sigma in (0.0, 0.05):
+                kwargs = dict(sigma=sigma, samples=1, seed=i)
+                held = smoothgrad_saliency(model, params, z_train, z_test, **kwargs)
+                fresh = smoothgrad_saliency(Model(model.arch), params, z_train, z_test, **kwargs)
+                assert held.values.tobytes() == fresh.values.tobytes()
+        assert sorted(key for key in model._programs if key[0] == "pair") == [("pair", 0), ("pair", 1)]
+
+    def test_a_model_holds_one_pair_program_per_class_and_no_value(self):
+        model, params, ds = trained_cnn()
+        z_train, z_test = ds.subset([0]).example(0), ds.subset([3]).example(0)  # rows only this test holds
+        tfa_saliency(model, params, z_train, z_test)
+        sources = [weakref.ref(v) for v in (params, params.data, z_train, z_train.x, z_test, z_test.x)]
+        del params, z_train, z_test
+        assert all(source() is None for source in sources)
+        _, params, _ = trained_cnn()
+        for y in [0, 1, 1, 0]:
+            x = ds.X[y]
+            tfa_saliency(model, params, LabeledExample(x, y), ds.example(3))
+            tfa_saliency(model, params, LabeledExample(x.ravel(), y), ds.example(3))  # another shape records again
+        assert sorted(key for key in model._programs if key[0] == "pair") == [("pair", 0), ("pair", 1)]
+
+    def test_a_replayed_degenerate_sample_raises_as_its_recording_and_warns_nothing(self):
+        arch = ArchitectureSpec((Dense(2, 2),), (2,), 2)
+        params = ParamVector(np.array([40.0, 0.0, 0.0, 0.0, 0.0, 0.0]), init_params(arch, 0).layout)
+        z_test = LabeledExample(np.array([0.0, 1.0]), 1)
+        degenerate = LabeledExample(np.array([1.0, 0.0]), 0)  # logits (40, 0): p rounds to (1, 4e-18)
+        model, messages = Model(arch), []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tfa_saliency(model, params, LabeledExample(np.array([0.0, 1.0]), 0), z_test)  # records label 0's program
+            program = model._programs[("pair", 0)]
+            for m in (Model(arch), model):  # a recording, then a replay
+                with pytest.raises(DegenerateGradientError) as raised:
+                    tfa_saliency(m, params, degenerate, z_test)
+                assert raised.value.side == "train"
+                messages.append(str(raised.value))
+        assert model._programs[("pair", 0)] is program
+        assert messages[0] == messages[1] and "6.0" in messages[0]
 
 
 class TestChannelAggregate:
