@@ -4,22 +4,19 @@ The engine records every operation (including the adjoint computations
 performed by :func:`backward`) as nodes of a :class:`Graph`, so gradients are
 ordinary nodes and can be differentiated again, as the saliency code needs.
 
-Everything is float64. Nonlinear primitives are kept to a minimum; composite
-operations (convolution, pooling, cross-entropy, cosine) are built from the
-primitives so their second derivatives come for free. Convolution gathers
-one (cin*kh*kw, ho*wo) column block per example (im2col), and one stacked
-``matmul`` (numpy's, over 2-d or 3-d operands, whose VJP sums a shared
-operand's adjoint over the stack) by the (cout, cin*kh*kw) kernel gives a
-contiguous NCHW output. Gather/scatter are exact linear adjoints of one
-another, which keeps double backprop through both exact. The gather reads
-one window table per layer geometry (channels, height, width, kernel),
-built once and shared by every batch size. A batch adds its example
-offsets, which live only while a graph holds them; a graph of fewer examples
-recorded meanwhile reads a prefix of them. Maxpool's VJP scatters through
-the flat indices of each window's first maximum and relu's multiplies by a
-float mask; each builds that array at its first VJP and reuses it in later
-sweeps, so a value-only forward pass builds none. Relu is one pass,
-``np.maximum(-0.0, a)``, and maxpool folds its k*k strided views with
+Everything is float64 but relu's boolean mask. Nonlinear primitives are kept
+to a minimum; composite operations (convolution, pooling, cross-entropy,
+cosine) are built from the primitives so their second derivatives come for
+free. Convolution gathers one (cin*kh*kw, ho*wo) column block per example
+(im2col), and one stacked ``matmul`` (numpy's, over 2-d or 3-d operands,
+whose VJP sums a shared operand's adjoint over the stack) by the (cout,
+cin*kh*kw) kernel gives a contiguous NCHW output. Gather/scatter are exact
+linear adjoints of one another, which keeps double backprop through both
+exact. The gather reads one window table per layer geometry (channels,
+height, width, kernel), built once and shared by every batch size. A batch
+adds its example offsets, which live only while a graph holds them; a graph
+of fewer examples recorded meanwhile reads a prefix of them. Relu is one
+pass, ``np.maximum(-0.0, a)``, and maxpool folds its k*k strided views with
 ``np.maximum(view, value)``. numpy returns the second operand on a tie of
 -0.0 and 0.0 (a test checks this numpy rule), so on finite values these give
 the bytes of ``a * (a > 0.0)`` and of a strict comparison chain in which a
@@ -45,14 +42,14 @@ One row per node kind: every op records its node through one call,
 ``_VJPS[kind](node, g, needs)`` for the node's adjoint contributions. A VJP
 reads everything from its node (parents, meta, value), so a node holds no
 closure and no reference to itself. A value derived from other values is a
-node over them too: relu's mask (``relu_mask``), the softmax shifts
-(``logit_max``) and the pool argmax indices (``argmax``), which maxpool's
-VJP scatters through as the second parent of an ``unpool`` node, whose VJP
-is a ``take_at`` through the same node and back. These derived kinds alone
-have no VJP, and ``backward`` reaches no target through them, so they stay
-constants under differentiation. What a VJP builds once per node stays in
-``node.kept`` and later sweeps record it again: relu's mask by weak
-reference, and maxpool's argmax indices.
+node over them too, recorded with its op: relu's mask ``a > 0.0``
+(``relu_mask``, relu's second parent, which its VJP multiplies by) and the
+softmax shifts (``logit_max``). Maxpool's argmax indices (``argmax``) are
+built at its first VJP and kept in ``node.kept``, because a value pass never
+needs them; every sweep scatters through them as the second parent of an
+``unpool`` node, whose VJP is a ``take_at`` through the same node and back.
+These derived kinds alone have no VJP, and ``backward`` reaches no target
+through them, so they stay constants under differentiation.
 
 Record once, replay: ``_trace`` keeps the steps some outputs depend on as a
 program, and ``_replay`` runs their kernels on new input values, checked
@@ -94,8 +91,7 @@ class Node:
     ``node.graph`` raises :class:`GraphError` once the graph is released.
     An op's node holds what its kernel and VJP read, ``parents`` and
     ``meta``: its value is ``_KERNELS[kind](*the parents' values, meta)``.
-    ``kept`` holds what the VJP builds once per node: a weak reference to
-    relu's mask, or maxpool's argmax indices.
+    A maxpool node's ``kept`` holds the argmax indices its first VJP builds.
     """
 
     __slots__ = ("_graph", "id", "kind", "parents", "value", "meta", "kept", "__weakref__")
@@ -237,7 +233,7 @@ _KERNELS = {
     "pow": lambda a, exponent: a**exponent,
     "exp": lambda a, _: np.exp(a),
     "log": lambda a, _: np.log(a),
-    "relu": lambda a, _: np.maximum(-0.0, a),  # a * (a > 0.0): numpy returns a on a tie, -0.0 or 0.0
+    "relu": lambda a, mask, _: np.maximum(-0.0, a),  # a * (a > 0.0): numpy returns a on a tie, -0.0 or 0.0
     "sum": lambda a, axis_keepdims: a.sum(axis=axis_keepdims[0], keepdims=axis_keepdims[1]),
     "broadcast": lambda a, shape: np.broadcast_to(a, shape),
     "reshape": lambda a, shape: a.reshape(shape),
@@ -250,7 +246,7 @@ _KERNELS = {
     "unpool": lambda v, indices, shape: np.bincount(indices.ravel(), v.ravel(), math.prod(shape)).reshape(shape),
     "take_at": lambda a, indices, _: a.ravel()[indices],
     # values derived from their parents' values that backward holds fixed: these kinds alone have no VJP
-    "relu_mask": lambda a, _: (a > 0.0).astype(np.float64),
+    "relu_mask": lambda a, _: a > 0.0,  # bool: g * mask casts it exactly
     "logit_max": _logit_max,
     "argmax": lambda x, pooled, k: _pool_indices(x, pooled, k),
 }
@@ -304,7 +300,7 @@ def log(a: Node) -> Node:
 
 def relu(a: Node) -> Node:
     """max(a, 0); its derivative at exactly 0 is taken to be 0."""
-    return _record("relu", (a,))
+    return _record("relu", (a, _record("relu_mask", (a,))))
 
 
 def reduce_sum(a: Node, axis=None, keepdims: bool = False) -> Node:
@@ -383,15 +379,6 @@ def _vjp_div(n: Node, g: Node, needs) -> tuple:
     )
 
 
-def _vjp_relu(n: Node, g: Node, needs) -> tuple:
-    # the mask is held weakly: it lives as long as the relu_mask nodes recording it
-    (a,) = n.parents
-    if (mask := (n.kept or _RELEASED)()) is None:
-        mask = _KERNELS["relu_mask"](a.value, None)
-        n.kept = weakref.ref(mask)
-    return (mul(g, a.graph._append("relu_mask", (a,), mask)),)
-
-
 def _vjp_sum(n: Node, g: Node, needs) -> tuple:
     (a,), (axis, _) = n.parents, n.meta
     summed = range(a.value.ndim) if axis is None else {ax % a.value.ndim for ax in axis}
@@ -423,7 +410,7 @@ _VJPS = {
     "pow": lambda n, g, needs: (mul(g, mul(power(n.parents[0], n.meta - 1.0), n.meta)),),
     "exp": lambda n, g, needs: (mul(g, n),),
     "log": lambda n, g, needs: (div(g, n.parents[0]),),
-    "relu": _vjp_relu,
+    "relu": lambda n, g, needs: (mul(g, n.parents[1]), None),
     "sum": _vjp_sum,
     "broadcast": lambda n, g, needs: (_unbroadcast(g, n.parents[0].shape),),
     "reshape": lambda n, g, needs: (reshape(g, n.parents[0].shape),),

@@ -59,7 +59,7 @@ from .outputs import format_csv, read_key_value, write_csv, write_grid_artifacts
 from .ridge import ToySetup, feature_contributions, representer_coefficients
 from .rng import child_seed
 from .saliency import channel_aggregate, smoothgrad_saliency
-from .tda import HESSIAN_METHODS, METHODS, InsufficientDampingError, dense_hessian, rank_training_set
+from .tda import DENSE_HESSIAN_MAX_PARAMS, HESSIAN_METHODS, METHODS, InsufficientDampingError, dense_hessian, rank_training_set
 
 
 class UsageError(Exception):
@@ -395,6 +395,8 @@ def cmd_rank(args) -> int:
     z_test = run.test_example(args.test_index)
     hessian = None
     if args.method in HESSIAN_METHODS:
+        if (p := run.model.num_params) > (cap := DENSE_HESSIAN_MAX_PARAMS):
+            raise UsageError(f"--method {args.method}: {p} parameters exceed the dense-Hessian cap {cap}")
         k = min(args.hessian_examples, len(run.train_ds))  # evenly spaced, so every class of a class-ordered split
         subset = run.train_ds.subset(np.arange(k) * len(run.train_ds) // k)
         start = perf_counter()

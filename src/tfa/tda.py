@@ -33,7 +33,7 @@ HESSIAN_METHODS = ("influence", "relatif")  # the methods that solve against a D
 METHODS = ("grad-cos", "grad-effect", *HESSIAN_METHODS)
 
 DEGENERATE_NORM = 1e-12
-DENSE_HESSIAN_MAX_PARAMS = 20_000  # a dense float64 Hessian of this many parameters takes 3.2 GB
+DENSE_HESSIAN_MAX_PARAMS = 20_000  # H holds p*p doubles (3.2 GB at the cap), DampedHessian's eigh about 5p*p (16 GB)
 
 
 class DegenerateGradientError(ValueError):
@@ -162,7 +162,8 @@ def dense_hessian(model: Model, params: ParamVector, dataset: Dataset) -> Damped
     """
     p = model.num_params
     if p > DENSE_HESSIAN_MAX_PARAMS:
-        raise ValueError(f"{p} parameters exceeds the dense-Hessian cap {DENSE_HESSIAN_MAX_PARAMS}")
+        raise ValueError(f"{p} parameters exceeds the dense-Hessian cap {DENSE_HESSIAN_MAX_PARAMS}: the "
+                         f"Hessian's eigendecomposition would hold about 5p*p doubles, {40 * p * p / 1e9:.0f} GB")
     if len(dataset) == 0:
         raise ValueError("Hessian of an empty dataset is undefined")
     graph = ad.Graph()

@@ -179,20 +179,24 @@ class TestPrimitiveGradients:
         (g,) = ad.backward(root, [a])
         np.testing.assert_array_equal(g.value, [0.0, 0.0, 1.0])
 
-    def test_relu_mask_is_reused_while_recorded_and_freed_with_its_graph(self):
+    def test_relu_records_its_mask_as_its_second_parent_and_no_sweep_records_another(self):
         graph = ad.Graph()
         a = graph.leaf(np.array([-1.0, 0.0, 2.0, -0.0]))
         out = ad.relu(a)
+        mask = out.parents[1]
+        assert (mask.kind, mask.parents, mask.value.dtype) == ("relu_mask", (a,), np.bool_)
+        assert mask.value.tolist() == [False, False, True, False]
         root = ad.reduce_sum(out)
-        masks = []
+        recorded = len(graph.nodes)
         for _ in range(2):
-            ad.backward(root, [a])
-            masks.append([n.value for n in graph.nodes if n.kind == "relu_mask"][-1])
-        assert masks[0] is masks[1]
-        assert masks[0].tobytes() == np.array([0.0, 0.0, 1.0, 0.0]).tobytes()
-        mask = weakref.ref(masks[0])
-        del graph, masks
-        assert mask() is None  # though the relu node that built it is still held by `out`
+            (g,) = ad.backward(root, [a])
+            assert g.value.tobytes() == np.array([0.0, 0.0, 1.0, 0.0]).tobytes()  # the bytes of a float mask
+        assert "relu_mask" not in {n.kind for n in graph.nodes[recorded:]}
+        held = weakref.ref(mask.value)
+        del graph, mask, root, g
+        assert held() is not None  # a parent of `out`, which is still held
+        del out
+        assert held() is None
 
 
 class TestConvAndPool:
@@ -729,7 +733,7 @@ class TestKernelTieRule:
     @settings(max_examples=60, deadline=None)
     @given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, max_side=6), elements=TIED))
     def test_relu_kernel_is_bitwise_the_masked_product(self, a):
-        assert ad._KERNELS["relu"](a, None).tobytes() == (a * (a > 0.0)).tobytes()
+        assert ad._KERNELS["relu"](a, a > 0.0, None).tobytes() == (a * (a > 0.0)).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -10,6 +10,11 @@ case below gives equal bytes at both thread counts, except the strict xfail
 of the ``influence`` case: ``np.linalg.eigh`` of a Hessian whose bytes match
 gives eigenvalues, eigenvectors and so scores that differ at roundoff. A
 one-batch ``train`` at 128 px still differs too, and has no case here.
+
+The last test bounds that roundoff instead of comparing bytes: the
+influence values at 2 threads, and at 1 thread with OpenBLAS's Prescott
+kernel, agree with the default kernel's at 1 thread to 1e-12 of each
+quantity's largest magnitude.
 """
 
 import os
@@ -93,9 +98,24 @@ def dense_hessian_two_conv_blocks(per_class: int) -> str:
     )
 
 
-def digest_at(threads: int, code: str) -> str:
+# its influence and RelatIF scores in training order, damping() and lambda_min: one quantity per line, as float.hex
+VALUES_343 = CNN_343 + (
+    "from tfa import rank_training_set\n"
+    "for method in ('influence', 'relatif'):\n"
+    "    records = rank_training_set(model, params, train_ds, test_ds.example(0), method, hessian=hessian).records\n"
+    "    print(*[r.score.hex() for r in sorted(records, key=lambda r: r.train_index)])\n"
+    "print(hessian.damping().hex())\n"
+    "print(hessian.lambda_min.hex())\n"
+)
+
+
+def output_at(threads: int, code: str, coretype: str | None = None) -> str:
+    """code's stdout from a fresh process at the OpenBLAS thread count, and at the kernel coretype if one is named."""
     src = str(Path(tfa.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -121,4 +141,16 @@ def digest_at(threads: int, code: str) -> str:
     ],
 )
 def test_bytes_do_not_depend_on_the_blas_thread_count(code):
-    assert digest_at(1, code) == digest_at(2, code)
+    assert output_at(1, code) == output_at(2, code)
+
+
+def test_influence_values_agree_at_roundoff_across_thread_counts_and_kernels():
+    """The bytes of the [influence] case differ, but its values stay at roundoff: each of the influence
+    and RelatIF scores, damping() and lambda_min agrees within 1e-12 of its largest magnitude."""
+    values = lambda out: [np.array([float.fromhex(v) for v in line.split()]) for line in out.splitlines()]
+    reference = values(output_at(1, VALUES_343))
+    for threads, coretype in [(2, None), (1, "Prescott")]:
+        other = values(output_at(threads, VALUES_343, coretype))
+        for name, a, b in zip(["influence", "relatif", "damping", "lambda_min"], reference, other, strict=True):
+            bound = 1e-12 * max(np.abs(a).max(), np.abs(b).max())
+            assert np.abs(a - b).max() <= bound, f"{name} at {threads} threads, kernel {coretype or 'default'}"

@@ -22,7 +22,7 @@ from cifar_records import encode_cifar10_bytes, write_batches
 from tfa import cli
 from tfa.datasets import SyntheticShapesSpec, generate_synthetic, load_cifar10_binary
 from tfa.outputs import read_key_value, write_manifest
-from tfa.tda import InsufficientDampingError, dense_hessian, rank_training_set
+from tfa.tda import DENSE_HESSIAN_MAX_PARAMS, InsufficientDampingError, dense_hessian, rank_training_set
 
 
 @pytest.fixture(scope="module")
@@ -549,6 +549,18 @@ class TestRank:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "--hessian-examples" in err
+
+    def test_a_model_above_the_dense_hessian_cap_is_one_line_usage_error(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run128"
+        assert cli.main(["train", "--size", "128", "--epochs", "0", "--train-per-class", "2",
+                         "--holdout-per-class", "0", "--test-per-class", "1", "--out", str(out)]) == 0
+        assert "trained 44451 parameters" in capsys.readouterr().out
+        monkeypatch.setattr(cli, "dense_hessian", lambda *args: pytest.fail("the Hessian was built"))
+        for method in ("influence", "relatif"):
+            assert cli.main(["rank", "--run", str(out), "--test-index", "0", "--method", method]) == 1
+            assert capsys.readouterr().err == (
+                f"--method {method}: 44451 parameters exceed the dense-Hessian cap {DENSE_HESSIAN_MAX_PARAMS}\n")
+        assert not list(out.glob("**/*rank*"))
 
     def test_indefinite_user_damping_is_usage_error(self, run_dir, capsys):
         code = cli.main(

@@ -311,6 +311,23 @@ class TestDenseHessian:
                 assert root.kind == "take" and root.parents[0] is slice_grads[s] and root.meta.tolist() == [k]
                 assert len(targets) == len(reads) - s and all(t is r for t, r in zip(targets, reads[s:]))
 
+    def test_column_sweeps_through_relu_reuse_its_recorded_mask(self, monkeypatch):
+        arch = cnn_343()
+        model, params = Model(arch), init_params(arch, seed=8)
+        ds = Dataset(np.random.default_rng(5).uniform(0.0, 1.0, size=(3, 1, 12, 12)), np.array([0, 1, 2]))
+        sweeps, truncate = [], ad.Graph.truncate
+
+        def spy(graph, length):  # each column's sweep is truncated away after it
+            swept = graph.nodes[length:]
+            sweeps.append(({n.kind for n in swept}, any(p.kind == "relu_mask" for n in swept for p in n.parents)))
+            truncate(graph, length)
+
+        monkeypatch.setattr(ad.Graph, "truncate", spy)
+        dense_hessian(model, params, ds)
+        assert len(sweeps) == model.num_params
+        assert sum(through_relu for _, through_relu in sweeps) == 40  # each conv column multiplies by a mask again
+        assert not any("relu_mask" in kinds for kinds, _ in sweeps)
+
     @pytest.mark.parametrize("extra_read", ["mul", "second take"])
     def test_forward_reading_theta_outside_one_take_per_slice_is_rejected(self, extra_read, monkeypatch):
         model, params, ds = fd_mlp()
