@@ -7,15 +7,18 @@ ordinary nodes and can be differentiated again, as the saliency code needs.
 Everything is float64 but relu's boolean mask. Nonlinear primitives are kept
 to a minimum; composite operations (convolution, pooling, cross-entropy,
 cosine) are built from the primitives so their second derivatives come for
-free. Convolution gathers one (cin*kh*kw, ho*wo) column block per example
-(im2col), and one stacked ``matmul`` (numpy's, over 2-d or 3-d operands,
-whose VJP sums a shared operand's adjoint over the stack) by the (cout,
-cin*kh*kw) kernel gives a contiguous NCHW output. Gather/scatter are exact
-linear adjoints of one another, which keeps double backprop through both
-exact. The gather reads one window table per layer geometry (channels,
-height, width, kernel), built once and shared by every batch size. A batch
-adds its example offsets, which live only while a graph holds them; a graph
-of fewer examples recorded meanwhile reads a prefix of them. Relu is one
+free. Convolution copies one (cin*kh*kw, ho*wo) column block per example
+out of a strided view of its input (``im2col``), and one ``matmul_add`` node
+(numpy's stacked product, over 2-d or 3-d operands, whose VJP sums a shared
+operand's adjoint over the stack) by the (cout, cin*kh*kw) kernel, plus the
+bias added into the product's own array, gives a contiguous NCHW output.
+``im2col`` and its adjoint ``col2im``, a ``bincount`` through the windows'
+flat indices, are exact linear adjoints of one another, as are ``take`` and
+``scatter``, which keeps double backprop through them exact. ``col2im``
+reads one window table per layer geometry (channels, height, width,
+kernel), built once and shared by every batch size; it adds the example
+offsets to it for that call alone, so no node, program or cache holds an
+index array that grows with the batch. Relu is one
 pass, ``np.maximum(-0.0, a)``, and maxpool folds its k*k strided views with
 ``np.maximum(view, value)``. numpy returns the second operand on a tie of
 -0.0 and 0.0 (a test checks this numpy rule), so on finite values these give
@@ -33,7 +36,7 @@ one recorded forward pass.
 Values are checked where they enter: ``Graph.leaf``, ``Graph.constant`` and
 plain operands must be finite, and public ``take`` and ``scatter`` indices in
 range. What the engine makes itself (backward seed, zero adjoints, relu
-masks, softmax shifts, conv-window, pool-argmax and VJP indices) skips those
+masks, softmax shifts, conv windows, pool-argmax and VJP indices) skips those
 checks. A reshape to the operand's own shape returns the operand.
 
 One row per node kind: every op records its node through one call,
@@ -56,7 +59,8 @@ program, and ``_replay`` runs their kernels on new input values, checked
 finite like a leaf's or constant's, building no node. Every step is
 kernel(*its parents' values, meta), so a replay rebuilds each derived value
 from its own inputs, to any derivative order, with the recording's checks,
-such as a non-finite logit maximum. A program keeps no input value.
+such as a non-finite logit maximum. A program keeps no input value, and each
+step's meta as recorded.
 """
 
 from __future__ import annotations
@@ -215,6 +219,24 @@ def _maxpool(x: np.ndarray, k: int) -> np.ndarray:
     return value
 
 
+def _im2col(x: np.ndarray, kh_kw: tuple) -> np.ndarray:
+    """The (n, c*kh*kw, ho*wo) column blocks of an (n, c, h, w) array: a copy of its strided
+    (n, c, kh, kw, ho, wo) window view, rows in (c, kh, kw) order like the kernel reshape."""
+    (kh, kw), (n, c, h, w) = kh_kw, x.shape
+    x = np.ascontiguousarray(x)
+    windows = np.ndarray((n, c, kh, kw, h - kh + 1, w - kw + 1), x.dtype, x, 0, (*x.strides, *x.strides[2:]))
+    return windows.reshape(n, c * kh * kw, (h - kh + 1) * (w - kw + 1))
+
+
+def _col2im(cols: np.ndarray, meta: tuple) -> np.ndarray:
+    """im2col's adjoint: each (n, c*kh*kw, ho*wo) entry summed into its input position, (n, c, h, w)."""
+    (n, c, h, w), kh, kw = meta
+    idx = _window_table(c, h, w, kh, kw)
+    if n > 1:  # the example offsets live for this call alone
+        idx = idx + (np.arange(n) * (c * h * w))[:, None, None]
+    return np.bincount(idx.ravel(), cols.ravel(), n * c * h * w).reshape(n, c, h, w)
+
+
 def _logit_max(logits: np.ndarray, negate: bool) -> np.ndarray:
     """Rowwise max of (N, K) logits: negated (N, 1) for the shift, else (N,)."""
     m = logits.max(axis=1, keepdims=True)
@@ -239,8 +261,11 @@ _KERNELS = {
     "reshape": lambda a, shape: a.reshape(shape),
     "permute": lambda a, axes: a.transpose(axes),
     "matmul": lambda a, b, _: a @ b,
+    "matmul_add": lambda a, b, c, _: np.add(v := a @ b, c, out=v),  # a @ b + c, summed into the product's array
     "take": lambda a, indices: a.ravel()[indices],
     "scatter": lambda v, indices_size: np.bincount(indices_size[0].ravel(), v.ravel(), indices_size[1]),
+    "im2col": _im2col,
+    "col2im": _col2im,
     "maxpool": _maxpool,
     # maxpool's VJP scatters through its argmax node, the second parent of this scatter and take pair
     "unpool": lambda v, indices, shape: np.bincount(indices.ravel(), v.ravel(), math.prod(shape)).reshape(shape),
@@ -250,7 +275,6 @@ _KERNELS = {
     "logit_max": _logit_max,
     "argmax": lambda x, pooled, k: _pool_indices(x, pooled, k),
 }
-_KERNELS["im2col"] = _KERNELS["take"]
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +356,26 @@ def permute(a: Node, axes) -> Node:
     return _record("permute", (a,), tuple(axes))
 
 
-def matmul(a, b) -> Node:
-    """a @ b of 2-d operands, or numpy's stacked product where either is 3-d."""
+def _matmul_operands(a, b) -> tuple:
     a, b = _pair(a, b)
     if not 2 <= a.value.ndim <= 3 or not 2 <= b.value.ndim <= 3 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    return _broadcasting("matmul", a, b)
+    return a, b
+
+
+def matmul(a, b) -> Node:
+    """a @ b of 2-d operands, or numpy's stacked product where either is 3-d."""
+    return _broadcasting("matmul", *_matmul_operands(a, b))
+
+
+def matmul_add(a, b, c) -> Node:
+    """matmul(a, b) + c as one node, c broadcast to the product's shape: the bytes of both ops, one array fewer."""
+    a, b = _matmul_operands(a, b)
+    c = _lift(a, c)
+    try:  # the kernel raises before it adds anything
+        return _record("matmul_add", (a, b, c))
+    except ValueError:
+        raise ShapeError(f"matmul_add: cannot add {c.shape} to {a.shape} @ {b.shape}") from None
 
 
 def take(a: Node, indices: np.ndarray) -> Node:
@@ -386,12 +424,19 @@ def _vjp_sum(n: Node, g: Node, needs) -> tuple:
 
 
 def _vjp_matmul(n: Node, g: Node, needs) -> tuple:
-    a, b = n.parents  # t swaps the last two axes; a stacked product sums a shared operand's adjoint over the stack
+    a, b = n.parents[:2]  # t swaps the last two axes; a stacked product sums a shared operand's adjoint over the stack
     t = lambda v: permute(v, (*range(v.value.ndim - 2), v.value.ndim - 1, v.value.ndim - 2))
     return (
         _unbroadcast(matmul(g, t(b)), a.shape) if needs[0] else None,
         _unbroadcast(matmul(t(a), g), b.shape) if needs[1] else None,
     )
+
+
+def _vjp_matmul_add(n: Node, g: Node, needs) -> tuple:
+    # the bias contribution is recorded before the product's, in the order of add's VJP then matmul's,
+    # so a second sweep sums the adjoints in that order and to the bytes of a matmul then an add
+    bias = _unbroadcast(g, n.parents[2].shape) if needs[2] else None
+    return (*_vjp_matmul(n, g, needs), bias)
 
 
 def _vjp_maxpool(n: Node, g: Node, needs) -> tuple:
@@ -417,14 +462,16 @@ _VJPS = {
     # the inverse permutation; a negative axis counts from the end
     "permute": lambda n, g, needs: (permute(g, sorted(range(len(n.meta)), key=lambda i: n.meta[i] % len(n.meta))),),
     "matmul": _vjp_matmul,
+    "matmul_add": _vjp_matmul_add,
     "take": lambda n, g, needs: (
         reshape(_record("scatter", (g,), (n.meta, n.parents[0].size)), n.parents[0].shape),),
     "scatter": lambda n, g, needs: (_record("take", (g,), n.meta[0]),),
+    "im2col": lambda n, g, needs: (_record("col2im", (g,), (n.parents[0].shape, *n.meta)),),
+    "col2im": lambda n, g, needs: (_record("im2col", (g,), n.meta[1:]),),
     "maxpool": _vjp_maxpool,
     "unpool": lambda n, g, needs: (_record("take_at", (g, n.parents[1])), None),
     "take_at": lambda n, g, needs: (_record("unpool", (g, n.parents[1]), n.parents[0].shape), None),
 }
-_VJPS["im2col"] = _VJPS["take"]
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +489,15 @@ def cosine(a: Node, b: Node) -> Node:
     return div(dot(a, b), mul(power(dot(a, a), 0.5), power(dot(b, b), 0.5)))
 
 
-# layer geometry -> [window table of one example, weak reference to the last
-# batch of its indices built]; a batch lives only while a graph holds it
-_WINDOW_TABLES: dict[tuple, list] = {}
+# layer geometry -> the window table of one example, which col2im reads
+_WINDOW_TABLES: dict[tuple, np.ndarray] = {}
 # pool geometry -> (its k*k window offsets, the flat index of each window's first entry in one example)
 _POOL_TABLES: dict[tuple, tuple] = {}
 
 
-def _window_table(c: int, h: int, w: int, kh: int, kw: int) -> list:
-    """[table, last batch]: the table holds the flat indices of every kh x kw window of one (c, h, w)
-    example, read-only, (c*kh*kw, ho*wo): rows in (c, kh, kw) order like the kernel reshape, row-major."""
+def _window_table(c: int, h: int, w: int, kh: int, kw: int) -> np.ndarray:
+    """The flat indices of every kh x kw window of one (c, h, w) example, read-only, (c*kh*kw, ho*wo):
+    rows in (c, kh, kw) order like the kernel reshape, row-major: the positions im2col copies and col2im sums into."""
     key = (c, h, w, kh, kw)
     if key not in _WINDOW_TABLES:
         ho, wo = h - kh + 1, w - kw + 1
@@ -459,13 +505,14 @@ def _window_table(c: int, h: int, w: int, kh: int, kw: int) -> list:
         cols = np.arange(kw)[:, None, None] + np.arange(wo)
         table = (np.arange(c)[:, None, None, None, None] * (h * w) + rows * w + cols).reshape(c * kh * kw, ho * wo)
         table.flags.writeable = False
-        _WINDOW_TABLES[key] = [table, _RELEASED]  # no batch yet
+        _WINDOW_TABLES[key] = table
     return _WINDOW_TABLES[key]
 
 
 def conv2d(x: Node, weight: Node, bias: Node) -> Node:
     """Valid (no padding), stride-1 2-d convolution of a batched (N, C, H, W) input, plus a per-channel bias:
-    the (cout, cin*kh*kw) kernel times each example's column block, one stacked matmul, is contiguous NCHW."""
+    the (cout, cin*kh*kw) kernel times each example's column block plus the bias, one stacked matmul_add,
+    is contiguous NCHW."""
     if x.value.ndim != 4 or weight.value.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {weight.shape}")
     n, cin, h, w = x.shape
@@ -474,15 +521,9 @@ def conv2d(x: Node, weight: Node, bias: Node) -> Node:
         raise ShapeError(f"conv2d: input has {cin} channels, kernel expects {cin_w}")
     if kh > h or kw > w:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{w}")
-    entry = _window_table(cin, h, w, kh, kw)
-    idx = entry[1]()  # live graphs share one batch; a smaller batch is its prefix
-    if idx is None or len(idx) < n:
-        idx = entry[0] + (np.arange(n) * (cin * h * w))[:, None, None]
-        idx.flags.writeable = False
-        entry[1] = weakref.ref(idx)
-    out = matmul(reshape(weight, (cout, cin * kh * kw)), _record("im2col", (x,), idx[:n]))
-    return reshape(add(out, reshape(bias, (cout, 1))), (n, cout, h - kh + 1, w - kw + 1))
-
+    cols = _record("im2col", (x,), (kh, kw))
+    out = matmul_add(reshape(weight, (cout, cin * kh * kw)), cols, reshape(bias, (cout, 1)))
+    return reshape(out, (n, cout, h - kh + 1, w - kw + 1))
 
 
 def _pool_views(x: np.ndarray, k: int) -> list:
@@ -619,13 +660,6 @@ class _Program(NamedTuple):
     outputs: tuple  # the outputs' positions
 
 
-def _owned(meta):
-    """meta with each array that views another copied, so a program keeps no batch of window indices alive."""
-    if isinstance(meta, tuple):
-        return tuple(map(_owned, meta))
-    return meta.copy() if isinstance(meta, np.ndarray) and meta.base is not None else meta
-
-
 def _trace(inputs, outputs) -> _Program:
     """The program that recomputes the output nodes from new values of the input nodes.
 
@@ -650,7 +684,7 @@ def _trace(inputs, outputs) -> _Program:
         if n.kind == "leaf":
             raise GraphError(f"leaf {n.id} is not an input of the program")
         meta = n.value if n.kind == "const" else n.meta
-        steps.append((_KERNELS[n.kind], tuple(position[p.id] for p in n.parents), _owned(meta)))
+        steps.append((_KERNELS[n.kind], tuple(position[p.id] for p in n.parents), meta))
         position[n.id] = len(position)
     kinds = tuple("leaf" if n.kind == "leaf" else "constant" for n in inputs)
     return _Program(kinds, tuple(n.shape for n in inputs), tuple(steps), tuple(position[o.id] for o in outputs))

@@ -287,7 +287,7 @@ class Model:
         for i, layer in enumerate(self.arch.layers):
             if isinstance(layer, (Dense, Conv2d)):  # theta's reads: weight, bias, in layout order
                 w, b = self._param(theta, i, "weight"), self._param(theta, i, "bias")
-                h = ad.conv2d(h, w, b) if isinstance(layer, Conv2d) else ad.add(ad.matmul(h, w), b)
+                h = ad.conv2d(h, w, b) if isinstance(layer, Conv2d) else ad.matmul_add(h, w, b)
             elif isinstance(layer, Relu):
                 h = ad.relu(h)
             elif isinstance(layer, MaxPool):
@@ -323,7 +323,7 @@ class Model:
         for start in range(0, len(X), EVAL_ROWS):
             rows = slice(start, start + EVAL_ROWS)
             # `result` holds the last slice's nodes until this one is recorded, as train's `loss`
-            # does, so malloc reuses their memory and conv2d their window batch: two slices peak
+            # does, so malloc reuses their memory: two slices peak
             graph = ad.Graph()
             theta, X_rows = graph.constant(params.data), graph.constant(X[rows])
             result = (self.record_forward(theta, X_rows) if labels is None

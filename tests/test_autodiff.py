@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -760,6 +760,56 @@ class TestKernelTieRule:
             ad.softmax_cross_entropy(ad.reshape(out, (2, 2)), np.array([0, 1]))  # a row of [inf, -0.0]
 
 
+class TestConvKernels:
+    """The strided im2col, its col2im adjoint and the fused matmul_add give the bytes of the table gather,
+    the batch-index bincount, and matmul then add."""
+
+    @staticmethod
+    def batch_indices(n, c, h, w, kh, kw):
+        """Flat window indices of a batch: the geometry's table plus each example's offset."""
+        return ad._window_table(c, h, w, kh, kw) + (np.arange(n) * (c * h * w))[:, None, None]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_strided_im2col_is_the_table_gather_on_a_non_contiguous_input(self, n):
+        x = np.random.default_rng(40 + n).standard_normal((7, 6, 2, n)).transpose(3, 2, 1, 0)  # (n, 2, 6, 7)
+        assert not x.flags.c_contiguous
+        got = ad._KERNELS["im2col"](x, (3, 2))
+        assert got.shape == (n, 2 * 3 * 2, 4 * 6)
+        assert got.tobytes() == x.ravel()[self.batch_indices(n, 2, 6, 7, 3, 2)].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_col2im_is_the_batch_index_bincount(self, n):
+        cols = np.random.default_rng(50 + n).standard_normal((n, 2 * 3 * 2, 4 * 6))
+        idx = self.batch_indices(n, 2, 6, 7, 3, 2)
+        want = np.bincount(idx.ravel(), cols.ravel(), n * 2 * 6 * 7).reshape(n, 2, 6, 7)
+        assert ad._KERNELS["col2im"](cols, ((n, 2, 6, 7), 3, 2)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "shapes", [((16, 72), (32, 72, 169), (16, 1)), ((32, 576), (576, 3), (3,))], ids=["conv", "dense"]
+    )
+    def test_matmul_add_is_matmul_then_add(self, shapes):
+        rng = np.random.default_rng(60)
+        a, b, c = (rng.standard_normal(shape) for shape in shapes)
+        assert ad._KERNELS["matmul_add"](a, b, c, None).tobytes() == (a @ b + c).tobytes()
+        # and so are its gradients, the bias contribution summed as add's VJP sums it
+        up = rng.standard_normal((a @ b).shape)
+        grads = []
+        for record in (ad.matmul_add, lambda a, b, c: ad.add(ad.matmul(a, b), c)):
+            graph = ad.Graph()
+            leaves = [graph.leaf(v) for v in (a, b, c)]
+            grads.append([g.value.tobytes() for g in ad.backward(ad.reduce_sum(ad.mul(record(*leaves), up)), leaves)])
+        assert grads[0] == grads[1]
+
+    def test_matmul_add_rejects_a_c_that_does_not_broadcast_to_the_product(self):
+        graph = ad.Graph()
+        a, b = graph.leaf(np.ones((2, 3))), graph.leaf(np.ones((3, 4)))
+        with pytest.raises(ad.ShapeError, match="matmul_add: cannot add"):
+            ad.matmul_add(a, b, np.ones((3, 2, 4)))  # would broadcast the product up to (3, 2, 4)
+        with pytest.raises(ad.ShapeError, match="matmul: incompatible shapes"):
+            ad.matmul_add(a, a, np.ones(3))
+        assert ad.matmul_add(a, b, np.ones((2, 1))).shape == (2, 4)
+
+
 class TestReplay:
     @staticmethod
     def saliency_sample(theta_value, x_value, g_value):
@@ -810,8 +860,16 @@ def through(case, graph, x):
         # numpy's stacked products: a shared 2-d operand, and a batch axis of 1 against one of 2
         "matmul 2-d @ 3-d": lambda: ad.matmul(x, ad.reshape(x, (2, 4, 1))),
         "matmul 3-d @ 3-d": lambda: ad.matmul(ad.reshape(x, (1, 2, 4)), ad.reshape(x, (2, 4, 1))),
+        # every operand depends on x; c broadcasts over the product's columns, and in the stacked case
+        # over its stack too, as a conv bias does
+        "matmul_add": lambda: ad.matmul_add(x, ad.permute(x, (1, 0)), ad.reduce_sum(x, axis=1, keepdims=True)),
+        "matmul_add 2-d @ 3-d": lambda: ad.matmul_add(x, ad.reshape(x, (2, 4, 1)), ad.reduce_sum(x, axis=1, keepdims=True)),
         "take": lambda: ad.take(x, np.array([[0, 7, 7], [3, 0, 5]])),
         "im2col": lambda: ad.conv2d(ad.reshape(x, (1, 1, 2, 4)), graph.constant(np.ones((2, 1, 2, 2))), graph.constant(np.zeros(2))),
+        # im2col's VJP: the input gradient of a two-example conv whose kernel depends on x
+        "col2im": lambda: ad.backward(ad.reduce_sum(ad.power(ad.conv2d(
+            ad.reshape(x, (2, 1, 2, 2)), ad.reshape(ad.take(x, np.array([1, 6])), (1, 1, 2, 1)), graph.constant(np.zeros(1))), 2.0)),
+            [x])[0],
         "scatter": lambda: ad.scatter(x, np.array([[0, 4, 1, 1], [2, 0, 3, 4]]), 5),
         "maxpool": lambda: ad.maxpool2d(ad.reshape(x, (1, 2, 2, 2)), 2),
         "unpool": unpooled,
@@ -835,8 +893,16 @@ class TestVjpTable:
         (g,) = ad.backward(ad.reduce_sum(ad.mul(w, ad.mul(out, out))), [x])
         return graph, x, g
 
-    @pytest.mark.parametrize("case", sorted(ad._VJPS) + ["matmul 2-d @ 3-d", "matmul 3-d @ 3-d"])
+    @pytest.mark.parametrize("case", sorted(ad._VJPS) + ["matmul 2-d @ 3-d", "matmul 3-d @ 3-d", "matmul_add 2-d @ 3-d"])
     @settings(max_examples=15, deadline=None)
+    # pow's gradient reaches |g| 2.4e3 at x[0, 3] = -1.5, and a tiny direction entry there leaves the
+    # central difference's rounding alone at 1.35e-7, past the 1e-7 floor
+    @example(
+        magnitudes=np.array([[0.625, 0.6875, 0.25, 1.5], [0.5, 0.75, 0.875, 1.0]]),
+        signs=np.zeros((2, 4), dtype=bool),
+        direction=np.array([[0.33577881114270247, 0.9168272635559038, 0.8514291544288375, 1.19e-07],
+                            [0.7214028190953554, -0.505706519355785, -0.7175068861979368, 0.3401236986298719]]),
+    )
     @given(
         magnitudes=hnp.arrays(np.float64, (2, 4), elements=st.floats(0.1, 1.5), unique=True),
         signs=hnp.arrays(np.bool_, (2, 4)),
@@ -853,4 +919,8 @@ class TestVjpTable:
         scale = np.abs(direction).max() or 1.0
         unit = direction / scale
         central = (self.gradient(case, x0 + step * unit)[2].value - self.gradient(case, x0 - step * unit)[2].value) / (2 * step)
-        np.testing.assert_allclose(hv.value, scale * central, rtol=1e-6, atol=1e-7)
+        # the central difference's own rounding: each gradient it takes is off by a few ulps, up to about
+        # 4 eps |g| after the several roundings of its recorded chain, so their difference over 2 step is
+        # off by up to 4 eps |g| / step, which scale multiplies back; at |g| 3e3 that alone passes 1e-7
+        rounding = 4.0 * np.finfo(np.float64).eps * np.abs(g.value).max() / step * scale
+        np.testing.assert_allclose(hv.value, scale * central, rtol=1e-6, atol=1e-7 + rounding)

@@ -348,29 +348,25 @@ class TestEvaluationSlices:
         np.testing.assert_array_equal(model.predict(params, ds.X), logits.value.argmax(axis=1))
         np.testing.assert_allclose(model.mean_loss(params, ds), float(loss.value), rtol=1e-12)
 
-    def test_window_tables_are_kept_per_layer_geometry_not_batch_size(self, monkeypatch):
+    def test_one_window_table_per_layer_geometry_whatever_the_batch_size(self, monkeypatch):
         arch, model, _, ds = self.setup_70()
         monkeypatch.setattr(ad, "_WINDOW_TABLES", {})
-        # batches of 32, 32 and 6 rows, in training, accuracy and one 70-row graph
+        model.accuracy(init_params(arch, 0), ds)
+        assert ad._WINDOW_TABLES == {}  # only col2im, conv2d's VJP, reads a table: a value pass builds none
+        # batches of 32, 32 and 6 rows in training, then input gradients of 70 rows and of 1
         params, _ = train(ds, arch, TrainConfig(lr=0.1, epochs=1, batch_size=32, seed=18))
-        model.accuracy(params, ds)
-        graph = ad.Graph()
-        model.record_batch_loss(graph.constant(params.data), graph.constant(ds.X), ds.y, "cross-entropy")
+        for rows in (slice(None), slice(0, 1)):
+            graph = ad.Graph()
+            X = graph.leaf(ds.X[rows])
+            ad.backward(model.record_batch_loss(graph.constant(params.data), X, ds.y[rows], "cross-entropy"), [X])
 
-        # only conv2d reads a table; maxpool2d reads strided views
         convs = [layer for layer in arch.layers if isinstance(layer, Conv2d)]
         inputs = [node.parents[0].shape[1:] for node in graph.nodes if node.kind == "im2col"]
         geometries = {(*shape, conv.kernel, conv.kernel) for shape, conv in zip(inputs, convs, strict=True)}
         assert len(ad._WINDOW_TABLES) == len(geometries) == 2
         assert set(ad._WINDOW_TABLES) == geometries
-        # a smaller batch recorded meanwhile reads a prefix of the live batch's indices
-        small = ad.Graph()
-        model.record_batch_loss(small.constant(params.data), small.constant(ds.X[:6]), ds.y[:6], "cross-entropy")
-        im2col = [[node.meta for node in g.nodes if node.kind == "im2col"] for g in (graph, small)]
-        assert len(im2col[1]) == 2 and all(np.shares_memory(a, b) for a, b in zip(*im2col))
-        # and the indices of a batch live only as long as a graph holds them
-        del graph, small, im2col
-        assert all(last() is None for _, last in ad._WINDOW_TABLES.values())
+        for (c, h, w, kh, kw), table in ad._WINDOW_TABLES.items():  # an entry is the table alone, read-only
+            assert table.shape == (c * kh * kw, (h - kh + 1) * (w - kw + 1)) and not table.flags.writeable
 
     def test_value_only_passes_build_no_pool_indices(self, monkeypatch):
         _, model, params, ds = self.setup_70()
@@ -400,7 +396,7 @@ class TestEvaluationSlices:
         sets = {n: Dataset(rng.uniform(0.0, 1.0, size=(n, 1, 12, 12)), rng.integers(0, 3, size=n)) for n in (EVAL_ROWS, 70, 700)}
 
         def peak(f, ds):
-            f(params, ds)  # builds the window tables, which outlive the pass
+            f(params, ds)  # a first pass, so that the measured one starts from a warm heap
             tracemalloc.start()
             try:
                 f(params, ds)
@@ -740,19 +736,33 @@ class TestGradientPrograms:
             model.param_grad(params, LabeledExample(np.zeros(144), y))  # another shape records its label again
         assert sorted(model._programs) == [("grad", 0), ("grad", 1), ("grad", 2)]
 
-    def test_a_program_keeps_no_batch_of_window_indices_alive(self, monkeypatch):
-        monkeypatch.setattr(ad, "_WINDOW_TABLES", {})
+    def test_no_node_or_program_step_holds_an_index_array_that_grows_with_the_batch(self):
+        """Besides softmax's one picked logit per example, the index arrays in metas are those of any batch size."""
         arch = cnn_343()
         params = init_params(arch, 0)
         rng = np.random.default_rng(35)
-        graph = ad.Graph()  # its 40 rows of window indices are the live batch when param_grad records
-        Model(arch).record_forward(graph.constant(params.data), graph.constant(rng.uniform(0.0, 1.0, (40, 1, 12, 12))))
-        model = Model(arch)
-        model.param_grad(params, LabeledExample(rng.uniform(0.0, 1.0, (1, 12, 12)), 0))
-        (_, batch), = ad._WINDOW_TABLES.values()
-        assert len(batch()) == 40
-        del graph
-        assert batch() is None and list(model._programs) == [("grad", 0)]
+
+        def index_sizes(metas):
+            sizes = []
+            for meta in metas:
+                if isinstance(meta, tuple):
+                    sizes += index_sizes(meta)
+                elif isinstance(meta, np.ndarray) and meta.dtype.kind in "iu":
+                    sizes.append(meta.size)
+            return sizes
+
+        found = {}
+        for n in (2, 40):
+            graph = ad.Graph()
+            theta, X = graph.leaf(params.data), graph.leaf(rng.uniform(0.0, 1.0, (n, 1, 12, 12)))
+            (g,) = ad.backward(Model(arch).record_batch_loss(theta, X, rng.integers(0, 3, n)), [theta])
+            (g_x,) = ad.backward(ad.reduce_sum(ad.mul(g, g)), [X])  # second order: im2col, col2im and im2col again
+            assert {"im2col", "col2im"} <= {node.kind for node in graph.nodes}
+            program = ad._trace([theta, X], [g_x])
+            for where, metas in [("nodes", [node.meta for node in graph.nodes]), ("steps", [s[2] for s in program.steps])]:
+                sizes = index_sizes(metas)
+                found[where, n] = sorted(size for size in sizes if size != n), sizes.count(n)
+        assert found["nodes", 2] == found["nodes", 40] and found["steps", 2] == found["steps", 40]
 
     def test_threads_share_a_models_programs(self):
         """Eight threads, switching every microsecond, record and replay one model's programs with the bytes of a first call."""
