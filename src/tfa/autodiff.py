@@ -36,7 +36,7 @@ one recorded forward pass.
 Values are checked where they enter: ``Graph.leaf``, ``Graph.constant`` and
 plain operands must be finite, and public ``take`` and ``scatter`` indices in
 range. What the engine makes itself (backward seed, zero adjoints, relu
-masks, softmax shifts, conv windows, pool-argmax and VJP indices) skips those
+masks, softmax shifts, conv windows, every other index array) skips those
 checks. A reshape to the operand's own shape returns the operand.
 
 One row per node kind: every op records its node through one call,
@@ -44,15 +44,16 @@ One row per node kind: every op records its node through one call,
 ``_KERNELS[kind](*parent values, meta)``, and ``backward`` asks
 ``_VJPS[kind](node, g, needs)`` for the node's adjoint contributions. A VJP
 reads everything from its node (parents, meta, value), so a node holds no
-closure and no reference to itself. A value derived from other values is a
+closure and no reference to itself. Every index array lives in a node's
+value, never in a meta: ``take`` and ``scatter`` read their indices from
+their second parent, an engine-made constant or maxpool's argmax node, and
+each is the other's VJP through it. A value derived from other values is a
 node over them too, recorded with its op: relu's mask ``a > 0.0``
 (``relu_mask``, relu's second parent, which its VJP multiplies by) and the
 softmax shifts (``logit_max``). Maxpool's argmax indices (``argmax``) are
 built at its first VJP and kept in ``node.kept``, because a value pass never
-needs them; every sweep scatters through them as the second parent of an
-``unpool`` node, whose VJP is a ``take_at`` through the same node and back.
-These derived kinds alone have no VJP, and ``backward`` reaches no target
-through them, so they stay constants under differentiation.
+needs them. These derived kinds alone have no VJP, and ``backward`` reaches
+no target through them, so they stay constants under differentiation.
 
 Record once, replay: ``_trace`` keeps the steps some outputs depend on as a
 program, and ``_replay`` runs their kernels on new input values, checked
@@ -148,7 +149,7 @@ class Graph:
         return node
 
     def _constant(self, value: np.ndarray) -> Node:
-        """A float64 array the engine made itself, recorded without the finiteness scan."""
+        """Any array the engine made itself, indices included, recorded without the float64 cast and the finiteness scan."""
         return self._append("const", (), value)
 
     def leaf(self, value) -> Node:
@@ -200,8 +201,8 @@ def _unbroadcast(g: Node, shape) -> Node:
     if g.shape == shape:
         return g
     lead = len(g.shape) - len(shape)
-    axes = [i for i in range(lead) if g.shape[i] > 1]
-    axes += [lead + i for i, d in enumerate(shape) if d == 1 and g.shape[lead + i] > 1]
+    axes = [i for i in range(lead) if g.shape[i] != 1]  # an empty stack sums to zeros too
+    axes += [lead + i for i, d in enumerate(shape) if d == 1 and g.shape[lead + i] != 1]
     if axes:
         g = reduce_sum(g, axis=tuple(axes), keepdims=True)
     return reshape(g, shape)
@@ -232,7 +233,7 @@ def _col2im(cols: np.ndarray, meta: tuple) -> np.ndarray:
     """im2col's adjoint: each (n, c*kh*kw, ho*wo) entry summed into its input position, (n, c, h, w)."""
     (n, c, h, w), kh, kw = meta
     idx = _window_table(c, h, w, kh, kw)
-    if n > 1:  # the example offsets live for this call alone
+    if n != 1:  # the example offsets live for this call alone; at n = 0 they empty the table
         idx = idx + (np.arange(n) * (c * h * w))[:, None, None]
     return np.bincount(idx.ravel(), cols.ravel(), n * c * h * w).reshape(n, c, h, w)
 
@@ -262,14 +263,12 @@ _KERNELS = {
     "permute": lambda a, axes: a.transpose(axes),
     "matmul": lambda a, b, _: a @ b,
     "matmul_add": lambda a, b, c, _: np.add(v := a @ b, c, out=v),  # a @ b + c, summed into the product's array
-    "take": lambda a, indices: a.ravel()[indices],
-    "scatter": lambda v, indices_size: np.bincount(indices_size[0].ravel(), v.ravel(), indices_size[1]),
+    # indices are the second parent's value: an engine-made constant or maxpool's argmax node
+    "take": lambda a, indices, _: a.ravel()[indices],
+    "scatter": lambda v, indices, shape: np.bincount(indices.ravel(), v.ravel(), math.prod(shape)).reshape(shape),
     "im2col": _im2col,
     "col2im": _col2im,
     "maxpool": _maxpool,
-    # maxpool's VJP scatters through its argmax node, the second parent of this scatter and take pair
-    "unpool": lambda v, indices, shape: np.bincount(indices.ravel(), v.ravel(), math.prod(shape)).reshape(shape),
-    "take_at": lambda a, indices, _: a.ravel()[indices],
     # values derived from their parents' values that backward holds fixed: these kinds alone have no VJP
     "relu_mask": lambda a, _: a > 0.0,  # bool: g * mask casts it exactly
     "logit_max": _logit_max,
@@ -383,7 +382,7 @@ def take(a: Node, indices: np.ndarray) -> Node:
     indices = np.asarray(indices)
     if indices.size and (indices.min() < 0 or indices.max() >= a.size):
         raise ShapeError(f"take: indices out of range for size {a.size}")
-    return _record("take", (a,), indices)  # the engine's own gathers call _record directly, unchecked
+    return _record("take", (a, a.graph._constant(indices)))  # the engine's own gathers record directly, unchecked
 
 
 def scatter(v: Node, indices: np.ndarray, size: int) -> Node:
@@ -393,7 +392,7 @@ def scatter(v: Node, indices: np.ndarray, size: int) -> Node:
         raise ShapeError(f"scatter: value shape {v.shape} != index shape {indices.shape}")
     if indices.size and (indices.min() < 0 or indices.max() >= size):
         raise ShapeError(f"scatter: indices out of range for size {size}")
-    return _record("scatter", (v,), (indices, size))
+    return _record("scatter", (v, v.graph._constant(indices)), (size,))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +442,7 @@ def _vjp_maxpool(n: Node, g: Node, needs) -> tuple:
     (x,), k = n.parents, n.meta
     if n.kept is None:  # the argmax indices, built at the first VJP
         n.kept = _pool_indices(x.value, n.value, k)
-    return (_record("unpool", (g, x.graph._append("argmax", (x, n), n.kept, k)), x.shape),)
+    return (_record("scatter", (g, x.graph._append("argmax", (x, n), n.kept, k)), x.shape),)
 
 
 # backward reads every node's VJP from this table, as a recording and a replay read its value from _KERNELS
@@ -463,14 +462,12 @@ _VJPS = {
     "permute": lambda n, g, needs: (permute(g, sorted(range(len(n.meta)), key=lambda i: n.meta[i] % len(n.meta))),),
     "matmul": _vjp_matmul,
     "matmul_add": _vjp_matmul_add,
-    "take": lambda n, g, needs: (
-        reshape(_record("scatter", (g,), (n.meta, n.parents[0].size)), n.parents[0].shape),),
-    "scatter": lambda n, g, needs: (_record("take", (g,), n.meta[0]),),
+    # each is the other's adjoint through the same index parent
+    "take": lambda n, g, needs: (_record("scatter", (g, n.parents[1]), n.parents[0].shape), None),
+    "scatter": lambda n, g, needs: (_record("take", (g, n.parents[1])), None),
     "im2col": lambda n, g, needs: (_record("col2im", (g,), (n.parents[0].shape, *n.meta)),),
     "col2im": lambda n, g, needs: (_record("im2col", (g,), n.meta[1:]),),
     "maxpool": _vjp_maxpool,
-    "unpool": lambda n, g, needs: (_record("take_at", (g, n.parents[1])), None),
-    "take_at": lambda n, g, needs: (_record("unpool", (g, n.parents[1]), n.parents[0].shape), None),
 }
 
 
@@ -584,7 +581,7 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
         raise ValueError(f"label out of range for {k} classes")
     shifted = add(logits, _record("logit_max", (logits,), True))
     lse = add(log(reduce_sum(exp(shifted), axis=1)), _record("logit_max", (logits,), False))
-    picked = _record("take", (logits,), np.arange(n) * k + labels)
+    picked = _record("take", (logits, logits.graph._constant(np.arange(n) * k + labels)))
     return add(lse, neg(picked))
 
 

@@ -129,8 +129,8 @@ class MisclassificationReport:
 
 
 def retained_pixel_count(k: float, height: int, width: int) -> int:
-    # ceil so that any positive k keeps at least one pixel
-    return math.ceil(k / 100.0 * height * width)
+    # ceil so that any positive k keeps at least one pixel; exact for an integer k, unlike k / 100 * h * w
+    return math.ceil(k * height * width / 100)
 
 
 def _top_pixels(grid: np.ndarray, count: int) -> np.ndarray:

@@ -261,16 +261,16 @@ class Model:
         self.arch = arch
         self.layout = _layout_for(arch)
         self.num_params = sum(int(np.prod(s.shape)) for s in self.layout)
-        self._slices = {  # (layer, name) -> (flat indices, shape)
-            (s.layer, s.name): (np.arange(s.offset, s.offset + int(np.prod(s.shape))), s.shape)
+        self._slices = {  # (layer, name) -> the slice's flat indices in its shape, read-only
+            (s.layer, s.name): _read_only(np.arange(s.offset, s.offset + int(np.prod(s.shape))).reshape(s.shape), np.intp)
             for s in self.layout
         }
         self._kept = {}  # slot -> (weak references to the sources, value, read-only result); see _keep
         self._programs = {}  # (kind, label) -> its recorded program; see _replayed
 
     def _param(self, theta: ad.Node, layer: int, name: str) -> ad.Node:
-        index, shape = self._slices[(layer, name)]  # the model's own layout: in range
-        return ad.reshape(ad._record("take", (theta,), index), shape)
+        index = self._slices[layer, name]  # the model's own layout: in range; the read has the slice's shape
+        return ad._record("take", (theta, theta.graph._constant(index)))
 
     def record_forward(self, theta: ad.Node, X: ad.Node) -> ad.Node:
         """Record logits for a batched input.

@@ -170,17 +170,17 @@ def dense_hessian(model: Model, params: ParamVector, dataset: Dataset) -> Damped
     theta = graph.leaf(params.data)
     loss = model.record_batch_loss(theta, graph.constant(dataset.X), dataset.y)
     reads = [n for n in graph.nodes if theta in n.parents]
-    indices = [n.meta for n in reads if n.kind == "take"]
+    indices = [n.parents[1].value.ravel() for n in reads if n.kind == "take"]
     if len(indices) < len(reads) or not np.array_equal(np.concatenate(indices), np.arange(p)):
         raise ValueError("the forward must read theta through one take per parameter slice, in order")
     slice_grads = ad.backward(loss, reads)
     mark = len(graph.nodes)
     H = np.empty((p, p))
     b = 0
-    for s, (read, g) in enumerate(zip(reads, slice_grads)):
-        a, b = b, b + read.meta.size
-        for k, j in enumerate(read.meta):
-            H[a:, j] = np.concatenate([c.value for c in ad.backward(ad.take(g, np.array([k])), reads[s:])]) + 0.0
+    for s, (g, columns) in enumerate(zip(slice_grads, indices)):
+        a, b = b, b + columns.size
+        for k, j in enumerate(columns):
+            H[a:, j] = np.concatenate([c.value.ravel() for c in ad.backward(ad.take(g, np.array([k])), reads[s:])]) + 0.0
             graph.truncate(mark)
         H[:a, a:b] = H[a:b, :a].T
         H[a:b, a:b] = (H[a:b, a:b] + H[a:b, a:b].T) / 2.0

@@ -72,6 +72,11 @@ class TestMaskInsert:
             assert kept == retained_pixel_count(k, 7, 9)
             assert kept == int(np.ceil(k / 100 * 63))
 
+    def test_retained_count_is_the_integer_ceiling(self):
+        for side in range(10, 65):
+            for k in range(1, 101):
+                assert retained_pixel_count(k, side, side) == -(-k * side * side // 100), (k, side)
+
     def test_k_100_is_identity_in_both_modes(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(0.0, 1.0, size=(3, 6, 6))

@@ -737,19 +737,17 @@ class TestGradientPrograms:
         assert sorted(model._programs) == [("grad", 0), ("grad", 1), ("grad", 2)]
 
     def test_no_node_or_program_step_holds_an_index_array_that_grows_with_the_batch(self):
-        """Besides softmax's one picked logit per example, the index arrays in metas are those of any batch size."""
+        """Every index array is a const node's value, so no other node's meta or program step's meta holds an
+        array, and besides softmax's one picked logit per example, those index arrays are the same at any batch size."""
         arch = cnn_343()
         params = init_params(arch, 0)
         rng = np.random.default_rng(35)
+        const = ad._KERNELS["const"]  # a constant's step carries its value as meta
 
-        def index_sizes(metas):
-            sizes = []
-            for meta in metas:
-                if isinstance(meta, tuple):
-                    sizes += index_sizes(meta)
-                elif isinstance(meta, np.ndarray) and meta.dtype.kind in "iu":
-                    sizes.append(meta.size)
-            return sizes
+        def arrays(meta):
+            if isinstance(meta, tuple):
+                return [a for m in meta for a in arrays(m)]
+            return [meta] if isinstance(meta, np.ndarray) else []
 
         found = {}
         for n in (2, 40):
@@ -757,12 +755,19 @@ class TestGradientPrograms:
             theta, X = graph.leaf(params.data), graph.leaf(rng.uniform(0.0, 1.0, (n, 1, 12, 12)))
             (g,) = ad.backward(Model(arch).record_batch_loss(theta, X, rng.integers(0, 3, n)), [theta])
             (g_x,) = ad.backward(ad.reduce_sum(ad.mul(g, g)), [X])  # second order: im2col, col2im and im2col again
-            assert {"im2col", "col2im"} <= {node.kind for node in graph.nodes}
+            assert {"im2col", "col2im", "take", "scatter", "argmax"} <= {node.kind for node in graph.nodes}
             program = ad._trace([theta, X], [g_x])
-            for where, metas in [("nodes", [node.meta for node in graph.nodes]), ("steps", [s[2] for s in program.steps])]:
-                sizes = index_sizes(metas)
+            assert not any(arrays(node.meta) for node in graph.nodes)
+            assert all(kernel is const for kernel, _, meta in program.steps if arrays(meta))
+            consts = {
+                "nodes": [node.value for node in graph.nodes if node.kind == "const"],
+                "steps": [meta for kernel, _, meta in program.steps if kernel is const],
+            }
+            for where, values in consts.items():
+                sizes = [v.size for v in values if v.dtype.kind in "iu"]
                 found[where, n] = sorted(size for size in sizes if size != n), sizes.count(n)
         assert found["nodes", 2] == found["nodes", 40] and found["steps", 2] == found["steps", 40]
+        assert found["steps", 2] == ([3, 4, 36, 300], 1)  # the four parameter slices and the picked logits
 
     def test_threads_share_a_models_programs(self):
         """Eight threads, switching every microsecond, record and replay one model's programs with the bytes of a first call."""

@@ -308,7 +308,7 @@ class TestDenseHessian:
         for s, (a, b) in enumerate(slice_bounds(model)):
             for k in range(b - a):  # column a + k: entry k of slice s's gradient
                 root, targets, _ = next(columns)
-                assert root.kind == "take" and root.parents[0] is slice_grads[s] and root.meta.tolist() == [k]
+                assert root.kind == "take" and root.parents[0] is slice_grads[s] and root.parents[1].value.tolist() == [k]
                 assert len(targets) == len(reads) - s and all(t is r for t, r in zip(targets, reads[s:]))
 
     def test_column_sweeps_through_relu_reuse_its_recorded_mask(self, monkeypatch):
